@@ -38,7 +38,7 @@ from .moments import (
     chebyshev_pbound,
     expectation_rla,
     format_rational,
-    variance_rla,
+    variance_from_freq,
     z_score,
 )
 from .product_types import PRODUCT_TYPES, freq_fast
@@ -64,7 +64,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_graph_args(p: argparse.ArgumentParser):
     p.add_argument("--input", help="edge-list file (first line 'n m')")
-    p.add_argument("--graph6", help="graph6 file (first line is used)")
+    p.add_argument("--graph6",
+                   help="graph6 file holding exactly one graph (for a corpus, "
+                        "use 'crossings validate graph6 --path')")
     p.add_argument("--family", help="special family name")
     p.add_argument("--n", type=int, help="family size")
     p.add_argument("--n1", type=int, help="first partition size / star size")
@@ -88,11 +90,16 @@ def _load_graph(args, seed: int):
             return parse_edge_list(fh.read())
     if args.graph6:
         with open(args.graph6, "r", encoding="ascii") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    return from_graph6(line)
-        raise GraphFormatError(f"{args.graph6}: no graph6 line found")
+            lines = [line for line in map(str.strip, fh) if line]
+        if not lines:
+            raise GraphFormatError(f"{args.graph6}: no graph6 line found")
+        if len(lines) > 1:
+            raise GraphFormatError(
+                f"{args.graph6}: holds {len(lines)} graphs, but --graph6 takes "
+                "a file with one graph; to check a corpus, run "
+                f"'crossings validate graph6 --path {args.graph6}'"
+            )
+        return from_graph6(lines[0])
     family = args.family
     if family == "erdos_renyi":
         if args.n is None or args.p is None:
@@ -144,7 +151,7 @@ def cmd_analyze(args) -> int:
     stats = degree_stats(g)
     fv = freq_fast(g)
     e = expectation_rla(g)
-    var = variance_rla(g)
+    var = variance_from_freq(fv)
     wz = is_q_zero(g)
     pairs = [
         ("n", str(g.n)),
@@ -215,7 +222,7 @@ def cmd_ztest(args) -> int:
     else:
         observed = args.observed
     e = expectation_rla(g)
-    var = variance_rla(g)
+    var = variance_from_freq(freq_fast(g))
     pairs = [
         ("C", str(observed)),
         ("E", str(e)),
@@ -225,8 +232,8 @@ def cmd_ztest(args) -> int:
         pairs.append(("z", ""))
         pairs.append(("note", "degenerate: Var[C] = 0, C is constant; no z-score"))
     else:
-        pairs.append(("z", f"{z_score(g, observed):.12g}"))
-    pairs.append(("chebyshev_pbound", str(chebyshev_pbound(g, observed))))
+        pairs.append(("z", f"{z_score(e, var, observed):.12g}"))
+    pairs.append(("chebyshev_pbound", str(chebyshev_pbound(e, var, observed))))
     _emit_mapping(pairs, args.out)
     return EXIT_OK
 

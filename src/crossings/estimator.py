@@ -10,6 +10,7 @@ results are bit-identical for any worker count.
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -70,16 +71,28 @@ def _perm_table(n: int) -> np.ndarray:
     return np.array(list(permutations(range(1, n + 1))), dtype=np.int16)
 
 
-def _accumulate(g: Graph, chunks, jobs: int) -> tuple[int, int, int]:
-    """Sum of C, sum of C^2 and max C over position-matrix chunks."""
+def _accumulate(g: Graph, chunks, jobs: int) -> tuple[int, int]:
+    """Sum of C and sum of C^2 over position-matrix chunks; no count may
+    exceed |Q|.
+
+    With `jobs` > 1, at most 2 * jobs chunks are in flight: the next chunk
+    is drawn from `chunks` only after the oldest pending result is read, so
+    memory stays bounded whatever the number of chunks.
+    """
 
     def work(arr: np.ndarray) -> tuple[int, int, int]:
         c = crossing_counts(g, arr)
         return int(c.sum()), int((c * c).sum()), int(c.max(initial=0))
 
     if jobs > 1:
+        results = []
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work, chunks))
+            pending: deque = deque()
+            for arr in chunks:
+                pending.append(pool.submit(work, arr))
+                if len(pending) == 2 * jobs:
+                    results.append(pending.popleft().result())
+            results.extend(f.result() for f in pending)
     else:
         results = [work(arr) for arr in chunks]
     total = total2 = peak = 0
@@ -87,7 +100,11 @@ def _accumulate(g: Graph, chunks, jobs: int) -> tuple[int, int, int]:
         total += sc
         total2 += sc2
         peak = max(peak, mx)
-    return total, total2, peak
+    if peak > size_q(g):
+        raise RuntimeError(
+            f"internal inconsistency: {peak} crossings exceed |Q| = {size_q(g)}"
+        )
+    return total, total2
 
 
 def exhaustive_moments(
@@ -114,8 +131,7 @@ def exhaustive_moments(
                 return
             yield np.array(batch, dtype=np.int16)
 
-    sum_c, sum_c2, peak = _accumulate(g, chunks(), jobs)
-    assert peak <= size_q(g)
+    sum_c, sum_c2 = _accumulate(g, chunks(), jobs)
     mean = Fraction(sum_c, total)
     var = Fraction(sum_c2, total) - mean * mean
     return EstimateReport(
@@ -152,8 +168,7 @@ def monte_carlo_moments(
             base = np.tile(np.arange(1, n + 1, dtype=np.int16), (count, 1))
             yield rng.permuted(base, axis=1)
 
-    sum_c, sum_c2, peak = _accumulate(g, chunks(), jobs)
-    assert peak <= size_q(g)
+    sum_c, sum_c2 = _accumulate(g, chunks(), jobs)
     t = samples
     mean = Fraction(sum_c, t)
     var = (Fraction(sum_c2) - Fraction(sum_c * sum_c, t)) / (t - 1)

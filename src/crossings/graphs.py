@@ -66,7 +66,7 @@ class Graph:
         degrees: degree of each vertex (index 0 unused).
     """
 
-    __slots__ = ("n", "edges", "adj", "degrees", "_adj_masks", "_q_pairs")
+    __slots__ = ("n", "edges", "adj", "degrees", "_q_pairs")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -86,7 +86,6 @@ class Graph:
             adj[v].add(u)
         object.__setattr__(self, "adj", tuple(frozenset(s) for s in adj))
         object.__setattr__(self, "degrees", tuple(len(s) for s in adj))
-        object.__setattr__(self, "_adj_masks", None)
         object.__setattr__(self, "_q_pairs", None)
 
     def __setattr__(self, name, value):
@@ -114,17 +113,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
-
-    def adjacency_masks(self) -> tuple[int, ...]:
-        """Per-vertex neighbor bitmasks (bit v set iff v is a neighbor)."""
-        masks = object.__getattribute__(self, "_adj_masks")
-        if masks is None:
-            masks = tuple(
-                sum(1 << w for w in self.adj[v]) if v else 0
-                for v in range(self.n + 1)
-            )
-            object.__setattr__(self, "_adj_masks", masks)
-        return masks
 
     def q_pairs(self) -> tuple[tuple[int, int, int, int], ...]:
         """The set Q as a sorted tuple of (s, t, u, v) with (s,t) < (u,v).
@@ -169,10 +157,12 @@ def size_q(g: Graph) -> int:
     """
     m = g.m
     num = m * (m + 1) - sum(k * k for k in g.degrees)
-    assert num % 2 == 0, "m(m+1) - sum(k^2) must be even"
-    q = num // 2
-    assert q >= 0
-    return q
+    if num % 2 or num < 0:
+        raise RuntimeError(
+            f"internal inconsistency: m(m+1) - sum(k^2) = {num} must be even "
+            "and non-negative"
+        )
+    return num // 2
 
 
 def q_edge(g: Graph, s: int, t: int) -> int:

@@ -99,23 +99,19 @@ def variance_layout(g: Graph, constants: LayoutConstants) -> Fraction:
     return variance_from_freq(freq_fast(g), constants)
 
 
-def z_score(g: Graph, observed: int) -> float:
+def z_score(mean: Fraction, var: Fraction, observed: int) -> float:
     """(C - E[C]) / sqrt(Var[C]); undefined when the variance is zero."""
-    var = variance_rla(g)
     if var == 0:
         raise ValueError("z-score undefined: Var[C] = 0 (C is constant)")
-    mean = expectation_rla(g)
     return float(Fraction(observed) - mean) / math.sqrt(var)
 
 
-def chebyshev_pbound(g: Graph, observed: int) -> Fraction:
+def chebyshev_pbound(mean: Fraction, var: Fraction, observed: int) -> Fraction:
     """Chebyshev bound on P(|C - E| >= |observed - E|), clamped to 1."""
-    mean = expectation_rla(g)
     dev = Fraction(observed) - mean
     if dev == 0:
         return Fraction(1)
-    bound = variance_rla(g) / (dev * dev)
-    return min(Fraction(1), bound)
+    return min(Fraction(1), var / (dev * dev))
 
 
 def format_rational(x: Fraction, digits: int = 12) -> str:

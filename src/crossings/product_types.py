@@ -1,5 +1,6 @@
 """The nine-type classification of Q x Q, the brute-force frequency oracle,
-the fast one-pass frequency formulas, and independent graphette censuses.
+the fast frequency formulas over vertices and edges, and independent
+graphette censuses.
 
 An element of Q is an unordered pair {st, uv} of independent edges. Ordered
 pairs of Q elements fall into nine types, keyed by tau (shared edges), phi
@@ -9,6 +10,8 @@ one edge meets both edges of the counterpart pair.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import BudgetError, Graph
@@ -169,102 +172,161 @@ def freq_brute(g: Graph, q_budget: int = 50_000) -> FreqVector:
 
 
 def freq_fast(g: Graph) -> FreqVector:
-    """All nine f_w in one pass over Q using closed local quantities.
+    """All nine f_w from sums over vertices and edges and one 4-cycle count.
 
-    Per element {st,uv}: neighbor counts off {s,t,u,v}, surviving edge count
-    |E(G_-stuv)|, pairwise common-neighbor counts, and |Q(G_-stuv)| from the
-    usual |Q| identity applied to the vertex-deleted graph. f00 is computed
-    both directly and by subtraction from |Q|^2; the two must agree.
+    No pass over Q: the cost is O(n + m * arboricity), set by the per-edge
+    triangle counts and the 4-cycle count. Each f_w = a_w * n_G(F_w) counts
+    a subgraph F_w of at most four edges, so degrees, triangles and 4-cycles
+    suffice (Alemany-Puig & Ferrer-i-Cancho, arXiv 2003.03353).
+
+    Notation, for a vertex v and an edge e = uv:
+
+        k_v  degree;  N_v = sum_{w~v} k_w;  S_v = sum_{w~v} k_w^2
+        t_uv = |N(u) & N(v)|, the triangles on edge uv
+        t_v  triangles at v;  T = sum t_v / 3;  W = sum_v t_v k_v
+        P    = sum_v C(k_v, 2);  C4 = number of 4-cycles
+        q_e  = m - k_u - k_v + 1, the Q elements containing edge e
+        q_v  = k_v (m - k_v + 1) - N_v, the Q elements containing vertex v
+
+    The counts used (sums over uv run over edges):
+
+        f24  = |Q| = C(m,2) - P
+        f13  = 2 sum_v [C(k_v,2)(m - k_v + 2) - (k_v - 1) N_v + t_v]
+                                                         (= 2 n(P3+K2))
+        n(P4) = sum_uv [(k_u-1)(k_v-1) - t_uv]
+        D4   = sum_uv [(k_u+k_v)((k_u-1)(k_v-1) - t_uv)
+                       + (k_v-1)(N_u-k_v) + (k_u-1)(N_v-k_u)] - 2W
+               (the degrees summed over the vertices of every P4)
+        f021 = 2[(m+3) n(P4) - D4 + sum_uv t_uv (k_u+k_v-4) + 4 C4]
+                                                         (= 2 n(P4+K2))
+        f03  = 2[sum_v ((N_v-k_v)^2 - (S_v - 2N_v + k_v))/2
+                 - 4 C4 - 2W + 9T]                       (= 2 n(P5))
+        f04  = 2 C4
+        f12  = sum_e q_e^2 - 2 f24 - f13
+               (tau identity: sum_e q_e^2 = sum_w tau_w f_w)
+        f022 = sum_{u<v} q_uv^2 - (6 f24 + 3 f13 + f12 + 6 f04 + 3 f03 + f021)
+               (C(phi,2) identity), where q_uv counts the Q elements that
+               hold both u and v: q_e + (k_u-1)(k_v-1) - t_uv on an edge
+               e = uv, k_u k_v - |N(u) & N(v)| off the edges. So
+               sum_{u<v} q_uv^2 = [(sum k^2)^2 - sum k^4]/2
+                   + sum_uv [(q_e + (k_u-1)(k_v-1) - t_uv)^2 - (k_u k_v)^2]
+                   + (P + 4 C4 - sum_uv t_uv^2)
+                   - 2(sum_v (N_v^2 - S_v)/2 - sum_uv t_uv k_u k_v)
+        f01  = sum_v q_v^2 - (4 f24 + 3 f13 + 2 f12 + 4 f04 + 3 f03
+                              + 2 f021 + 2 f022)         (phi identity)
+        f00  = |Q|^2 - (the sum of the other eight)
+
+    Self-check: f12 = 6 n(3K2) must also equal, by inclusion-exclusion over
+    the five shapes of three edges, 6[C(m,3) - n(P3+K2) - n(P4) - T
+    - sum_v C(k_v,3)]; a mismatch raises RuntimeError.
     """
-    q = g.q_pairs()
-    nq = len(q)
+    n, m = g.n, g.m
     deg = g.degrees
-    am = g.adjacency_masks()
-    m = g.m
-    total_sq = sum(k * k for k in deg)
-    # neighbor-degree sums: ND[x] = sum of deg(w) over w adjacent to x
-    nd = [0] * (g.n + 1)
-    for x in range(1, g.n + 1):
-        nd[x] = sum(deg[w] for w in g.adj[x])
+    adj = g.adj
 
-    f13 = f12 = f04 = f03 = f021 = f022 = f01 = f00 = 0
-    for s, t, u, v in q:
-        ms, mt, mu, mv = am[s], am[t], am[u], am[v]
-        loc_mask = (1 << s) | (1 << t) | (1 << u) | (1 << v)
-        a_su = (ms >> u) & 1
-        a_sv = (ms >> v) & 1
-        a_tu = (mt >> u) & 1
-        a_tv = (mt >> v) & 1
-        x_adj = a_su + a_sv + a_tu + a_tv
+    # per-vertex sums: N_v, S_v and the vertex terms of f13, f03, f022, f01
+    p = k3 = sum_k2 = sum_k4 = 0
+    f13_v = p5_v = nn_v = sum_qv2 = 0
+    nsum = [0] * (n + 1)
+    for v in range(1, n + 1):
+        k = deg[v]
+        if not k:
+            continue
+        nbr_deg = [deg[w] for w in adj[v]]
+        nv = sum(nbr_deg)
+        sv = sum(d * d for d in nbr_deg)
+        nsum[v] = nv
+        c2 = k * (k - 1) // 2
+        p += c2
+        k3 += c2 * (k - 2) // 3
+        k2 = k * k
+        sum_k2 += k2
+        sum_k4 += k2 * k2
+        f13_v += c2 * (m - k + 2) - (k - 1) * nv
+        p5_v += ((nv - k) ** 2 - (sv - 2 * nv + k)) // 2
+        nn_v += (nv * nv - sv) // 2
+        qv = k * (m - k + 1) - nv
+        sum_qv2 += qv * qv
 
-        ks, kt, ku, kv = deg[s], deg[t], deg[u], deg[v]
-        gs = ks - 1 - a_su - a_sv
-        gt = kt - 1 - a_tu - a_tv
-        gu = ku - 1 - a_su - a_tu
-        gv = kv - 1 - a_sv - a_tv
-        gsum = gs + gt + gu + gv
+    # per-edge sums; t_uv costs the smaller of the two neighbour sets
+    tri = w2 = p4 = d4 = t_deg = sum_qe2 = adj_pairs = t2 = t_kk = 0
+    for u, v in g.edges:
+        ku, kv = deg[u], deg[v]
+        t = len(adj[u] & adj[v])
+        mid = (ku - 1) * (kv - 1) - t  # P4s whose middle edge is uv
+        qe = m - ku - kv + 1
+        kk = ku * kv
+        tri += t
+        w2 += t * (ku + kv)
+        p4 += mid
+        d4 += (ku + kv) * mid + (kv - 1) * (nsum[u] - kv) + (ku - 1) * (nsum[v] - ku)
+        t_deg += t * (ku + kv - 4)
+        sum_qe2 += qe * qe
+        adj_pairs += (qe + mid) ** 2 - kk * kk
+        t2 += t * t
+        t_kk += t * kk
+    # tri = 3T counts each triangle once per edge; w2 = 2W likewise
+    c4 = _count_c4_ranked(g)
+    d4 -= w2
 
-        e_del = m - (ks + kt + ku + kv) + 2 + x_adj
-
-        f13 += gsum
-        f12 += 2 * e_del
-        f04 += a_su * a_tv + a_sv * a_tu
-        f03 += (
-            a_su * (gt + gv)
-            + a_sv * (gt + gu)
-            + a_tu * (gs + gv)
-            + a_tv * (gs + gu)
+    f24 = m * (m - 1) // 2 - p
+    p3k2 = f13_v + tri
+    f13 = 2 * p3k2
+    f021 = 2 * ((m + 3) * p4 - d4 + t_deg + 4 * c4)
+    f03 = 2 * (p5_v - 4 * c4 - w2 + 3 * tri)
+    f04 = 2 * c4
+    f12 = sum_qe2 - 2 * f24 - f13
+    matchings3 = m * (m - 1) * (m - 2) // 6 - p3k2 - p4 - tri // 3 - k3
+    if f12 != 6 * matchings3:
+        raise RuntimeError(
+            f"internal inconsistency: f12 = {f12} from the tau identity, "
+            f"but 6 n(3K2) = {6 * matchings3}"
         )
-
-        # common neighbors outside {s,t,u,v} for all six vertex pairs
-        def common(mx, my):
-            inter = mx & my
-            return inter.bit_count() - (inter & loc_mask).bit_count()
-
-        c_st = common(ms, mt)
-        c_su = common(ms, mu)
-        c_sv = common(ms, mv)
-        c_tu = common(mt, mu)
-        c_tv = common(mt, mv)
-        c_uv = common(mu, mv)
-
-        f021 += (gs * gt - c_st) + (gu * gv - c_uv) + x_adj * e_del
-        f022 += (
-            (gs * gu - c_su)
-            + (gs * gv - c_sv)
-            + (gt * gu - c_tu)
-            + (gt * gv - c_tv)
-        )
-
-        # sum over w outside {s,t,u,v} of delta_w * k_w and delta_w^2,
-        # where delta_w counts adjacencies from w into {s,t,u,v}
-        sum_dk = (
-            (nd[s] - kt - a_su * ku - a_sv * kv)
-            + (nd[t] - ks - a_tu * ku - a_tv * kv)
-            + (nd[u] - kv - a_su * ks - a_tu * kt)
-            + (nd[v] - ku - a_sv * ks - a_tv * kt)
-        )
-        sum_d2 = gsum + 2 * (c_st + c_su + c_sv + c_tu + c_tv + c_uv)
-
-        f01 += e_del * gsum - (sum_dk - sum_d2)
-
-        sq_del = total_sq - (ks * ks + kt * kt + ku * ku + kv * kv)
-        sq_del -= 2 * sum_dk - sum_d2
-        num = e_del * (e_del + 1) - sq_del
-        assert num % 2 == 0
-        f00 += num // 2
-
-    f24 = nq
-    rest = f24 + f13 + f12 + f04 + f03 + f021 + f022 + f01
-    f00_sub = nq * nq - rest
-    if f00 != f00_sub:
-        raise AssertionError(
-            f"internal inconsistency: f00 direct {f00} != by subtraction {f00_sub}"
-        )
+    sum_quv2 = (
+        (sum_k2 * sum_k2 - sum_k4) // 2
+        + adj_pairs
+        + (p + 4 * c4 - t2)
+        - 2 * (nn_v - t_kk)
+    )
+    f022 = sum_quv2 - (6 * f24 + 3 * f13 + f12 + 6 * f04 + 3 * f03 + f021)
+    f01 = sum_qv2 - (
+        4 * f24 + 3 * f13 + 2 * f12 + 4 * f04 + 3 * f03 + 2 * f021 + 2 * f022
+    )
+    f00 = f24 * f24 - (f24 + f13 + f12 + f04 + f03 + f021 + f022 + f01)
     return FreqVector(
         f00=f00, f24=f24, f13=f13, f12=f12, f04=f04, f03=f03,
         f021=f021, f022=f022, f01=f01,
     )
+
+
+def _count_c4_ranked(g: Graph) -> int:
+    """4-cycles by degree-ordered wedge counting, in O(m * arboricity).
+
+    Vertices are ranked by (degree, label). From each vertex v, count the
+    wedges v-u-w whose middle u and far end w both rank below v; every pair
+    of such wedges with the same w closes one 4-cycle with v as its
+    top-ranked vertex, so each 4-cycle is counted once. A hub costs its
+    degree, not its degree squared.
+    """
+    deg = g.degrees
+    order = sorted(g.vertices(), key=lambda v: (deg[v], v))
+    rank = [0] * (g.n + 1)
+    for r, v in enumerate(order):
+        rank[v] = r
+    # neighbour ranks of each vertex, in increasing order, indexed by rank
+    below = [sorted(rank[w] for w in g.adj[v]) for v in order]
+    total = 0
+    for r, nbrs in enumerate(below):
+        ends: list[int] = []
+        for u in nbrs:
+            if u >= r:
+                break
+            lower = below[u]
+            ends += lower[: bisect_left(lower, r)]
+        if len(ends) > 1:
+            for c in Counter(ends).values():
+                total += c * (c - 1) // 2
+    return total
 
 
 # --- graphette census (independent subgraph counting) ---------------------

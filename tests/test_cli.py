@@ -43,6 +43,29 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["m"] == "6"
 
+    def test_graph6_file_with_two_graphs_rejected(self, capsys, tmp_path):
+        # C5 then K6: analyzing only the first would hide the second
+        path = tmp_path / "two.g6"
+        path.write_text("Dhc\nE~~w\n")
+        code, out, err = run(capsys, "analyze", "--graph6", str(path))
+        assert code == 2
+        assert out == ""
+        assert "2 graphs" in err
+        assert "crossings validate graph6 --path" in err
+
+    def test_builds_no_q(self, capsys, monkeypatch):
+        # exact moments come from vertex and edge sums, never from Q
+        from crossings.graphs import Graph
+
+        def refuse(self):
+            raise AssertionError("analyze enumerated Q")
+
+        monkeypatch.setattr(Graph, "q_pairs", refuse)
+        code, out, _ = run(capsys, "analyze", "--family", "erdos_renyi",
+                           "--n", "40", "--p", "0.3", "--seed", "2")
+        assert code == 0
+        assert "Var" in out
+
     def test_q_zero_witness_shown(self, capsys):
         code, out, _ = run(capsys, "analyze", "--family", "star", "--n", "7",
                            "--out", "json")
@@ -139,6 +162,18 @@ class TestZtest:
                            "--observed", "0")
         assert code == 0
         assert "degenerate" in out
+
+    def test_observed_builds_no_q(self, capsys, monkeypatch):
+        from crossings.graphs import Graph
+
+        def refuse(self):
+            raise AssertionError("ztest --observed enumerated Q")
+
+        monkeypatch.setattr(Graph, "q_pairs", refuse)
+        code, out, _ = run(capsys, "ztest", "--family", "one_regular", "--n", "8",
+                           "--observed", "6", "--out", "json")
+        assert code == 0
+        assert json.loads(out)["Var"] == "28/15"
 
     def test_requires_exactly_one_source(self, capsys):
         code, _, _ = run(capsys, "ztest", "--family", "cycle", "--n", "6")

@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 from fractions import Fraction
 from itertools import permutations
 
@@ -18,7 +20,8 @@ from crossings import (
     size_q,
     variance_rla,
 )
-from crossings.estimator import crossing_counts
+from crossings import estimator
+from crossings.estimator import _accumulate, crossing_counts
 from crossings.graphs import BudgetError, erdos_renyi
 
 
@@ -93,6 +96,40 @@ class TestExhaustive:
         var = Fraction(2 * half_c2, total) - mean * mean
         rep = exhaustive_moments(g)
         assert (mean, var) == (rep.mean, rep.variance)
+
+
+class TestChunksInFlight:
+    def test_generator_at_most_two_jobs_ahead(self, monkeypatch):
+        # each chunk is slow to count, so an executor that drained the
+        # generator up front would run far ahead of the finished results
+        jobs, nchunks = 2, 20
+        g = gen_family("cycle", 6)
+        finished = []
+        lock = threading.Lock()
+        real = estimator.crossing_counts
+
+        def slow_counts(graph, pos):
+            time.sleep(0.005)
+            c = real(graph, pos)
+            with lock:
+                finished.append(1)
+            return c
+
+        monkeypatch.setattr(estimator, "crossing_counts", slow_counts)
+        rng = np.random.Generator(np.random.PCG64(1))
+        table = np.array([rng.permutation(6) + 1 for _ in range(50)], dtype=np.int16)
+        lags = []
+
+        def chunks():
+            for _ in range(nchunks):
+                with lock:
+                    lags.append(len(lags) - len(finished))
+                yield table
+
+        result = _accumulate(g, chunks(), jobs)
+        assert len(lags) == nchunks
+        assert max(lags) <= 2 * jobs
+        assert result == _accumulate(g, [table] * nchunks, 1)
 
 
 class TestMonteCarlo:

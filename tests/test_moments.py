@@ -117,6 +117,16 @@ class TestVarianceRla:
         assert variance_rla(gen_family("linear_tree", 7)) == Fraction(347, 90)
         assert variance_rla(gen_family("linear_tree", 4)) == Fraction(2, 9)
 
+    def test_builds_no_q(self, monkeypatch):
+        from crossings.graphs import Graph
+
+        def refuse(self):
+            raise AssertionError("variance_rla enumerated Q")
+
+        monkeypatch.setattr(Graph, "q_pairs", refuse)
+        assert variance_rla(gen_family("linear_tree", 7)) == Fraction(347, 90)
+        assert variance_rla(gen_family("complete_bipartite", 4, n2=5)) >= 0
+
     def test_complete_zero(self):
         for n in range(4, 10):
             assert variance_rla(gen_family("complete", n)) == 0
@@ -188,32 +198,37 @@ class TestVarianceLayout:
         assert variance_from_freq(freq_fast(g)) == variance_rla(g)
 
 
+def _moments(g):
+    return expectation_rla(g), variance_rla(g)
+
+
 class TestSignificance:
     def test_fig3_zscore(self):
         g = gen_family("one_regular", 8)
         assert variance_rla(g) == Fraction(28, 15)
-        z = z_score(g, 6)
+        z = z_score(*_moments(g), 6)
         assert z == pytest.approx((6 - 2) / math.sqrt(28 / 15))
 
     def test_observed_at_mean(self):
         g = gen_family("cycle", 6)  # E = 3 integral
-        assert z_score(g, 3) == 0
-        assert chebyshev_pbound(g, 3) == 1
+        assert z_score(*_moments(g), 3) == 0
+        assert chebyshev_pbound(*_moments(g), 3) == 1
 
     def test_zero_variance_raises(self):
         with pytest.raises(ValueError, match="zero|constant|Var"):
-            z_score(gen_family("complete", 5), 5)
+            z_score(*_moments(gen_family("complete", 5)), 5)
 
     def test_chebyshev_clamped(self):
         g = gen_family("one_regular", 8)
-        assert chebyshev_pbound(g, 2) == 1  # observed = mean
-        assert chebyshev_pbound(g, 6) == Fraction(28, 15) / 16
-        near = chebyshev_pbound(g, 3)
+        mean, var = _moments(g)
+        assert chebyshev_pbound(mean, var, 2) == 1  # observed = mean
+        assert chebyshev_pbound(mean, var, 6) == Fraction(28, 15) / 16
+        near = chebyshev_pbound(mean, var, 3)
         assert near == 1  # Var/(1)^2 = 28/15 clamps to 1
 
     def test_chebyshev_exact_rational(self):
         g = gen_family("quasi_star", 7)  # E = 4/3
-        bound = chebyshev_pbound(g, 3)
+        bound = chebyshev_pbound(*_moments(g), 3)
         assert bound == variance_rla(g) / (3 - Fraction(4, 3)) ** 2
 
 

@@ -1,9 +1,12 @@
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossings import (
     FreqVector,
+    Graph,
     classify,
     count_graphette,
     freq_brute,
@@ -131,6 +134,15 @@ class TestFreqFast:
             assert fv["24"] == q
             assert all(fv[c] % 2 == 0 for c in PRODUCT_TYPES if c != "24")
 
+    def test_equals_brute_on_hub_with_triangles(self):
+        # K_{1,30} plus leaf-to-leaf edges: a hub of degree 30 on triangles,
+        # a 4-cycle through the hub and a path among the leaves
+        star = [(1, v) for v in range(2, 32)]
+        g = Graph(31, star + [(2, 3), (4, 5), (5, 6), (10, 20), (20, 30)])
+        fv = freq_fast(g)
+        assert fv == freq_brute(g)
+        assert fv["04"] > 0
+
     def test_trees_have_no_04(self):
         for code in product(range(1, 7), repeat=4):
             fv = freq_fast(from_pruefer(code))
@@ -166,3 +178,22 @@ class TestCountGraphette:
                 assert fv[code] == GRAPHETTE_MULTIPLIERS[code] * count_graphette(
                     g, GRAPHETTE_SHAPES[code]
                 ), (fam, n, code)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(min_value=0, max_value=9))
+    pairs = list(combinations(range(1, n + 1), 2))
+    picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, keep in zip(pairs, picks) if keep])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(small_graphs())
+def test_freq_fast_is_brute_and_graphette_census(g):
+    fv = freq_fast(g)
+    assert fv == freq_brute(g, q_budget=10**6)
+    for code in PRODUCT_TYPES:
+        assert fv[code] == GRAPHETTE_MULTIPLIERS[code] * count_graphette(
+            g, GRAPHETTE_SHAPES[code]
+        ), code
