@@ -9,16 +9,11 @@ from .arrangement import (
     LinearArrangement,
     all_arrangements,
     crossings,
-    edge_length,
     format_arrangement,
-    identity_arrangement,
-    max_crossings_of_length,
-    max_edges_of_length,
     parse_arrangement,
     random_arrangement,
 )
 from .closed_forms import (
-    CLOSED_FAMILIES,
     FamilySpec,
     closed_expectation,
     closed_freq,
@@ -59,7 +54,6 @@ from .moments import (
     GAMMA_RLA,
     RLA,
     LayoutConstants,
-    RlaConstants,
     chebyshev_pbound,
     expectation_rla,
     format_rational,

@@ -32,17 +32,6 @@ class LinearArrangement:
     def position(self, v: int) -> int:
         return self.pos[v]
 
-    def vertex_at(self) -> tuple[int, ...]:
-        """Inverse mapping: vertex occupying each position 1..n."""
-        inv = [0] * (self.n + 1)
-        for v in range(1, self.n + 1):
-            inv[self.pos[v]] = v
-        return tuple(inv)
-
-    def reversed(self) -> "LinearArrangement":
-        n = self.n
-        return LinearArrangement([n + 1 - self.pos[v] for v in range(1, n + 1)])
-
     def __eq__(self, other) -> bool:
         return isinstance(other, LinearArrangement) and self.pos == other.pos
 
@@ -51,10 +40,6 @@ class LinearArrangement:
 
     def __repr__(self) -> str:
         return f"LinearArrangement({list(self.pos[1:])})"
-
-
-def identity_arrangement(n: int) -> LinearArrangement:
-    return LinearArrangement(range(1, n + 1))
 
 
 def crossings(g: Graph, arr: LinearArrangement) -> int:
@@ -78,25 +63,6 @@ def crossings(g: Graph, arr: LinearArrangement) -> int:
         if (ps < pu < pt < pv) or (pu < ps < pv < pt):
             c += 1
     return c
-
-
-def edge_length(arr: LinearArrangement, u: int, v: int) -> int:
-    """d = |pi(u) - pi(v)|."""
-    return abs(arr.pos[u] - arr.pos[v])
-
-
-def max_crossings_of_length(n: int, d: int) -> int:
-    """Upper bound (d-1)(n-d-1) on crossings involving an edge of length d."""
-    if not 1 <= d <= n - 1:
-        raise ValueError(f"edge length must satisfy 1 <= d <= {n - 1}")
-    return (d - 1) * (n - d - 1)
-
-
-def max_edges_of_length(n: int, d: int) -> int:
-    """f_max(d) = n - d."""
-    if not 1 <= d <= n - 1:
-        raise ValueError(f"edge length must satisfy 1 <= d <= {n - 1}")
-    return n - d
 
 
 def random_arrangement(n: int, rng: np.random.Generator) -> LinearArrangement:

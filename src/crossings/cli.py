@@ -8,6 +8,7 @@ can be reproduced.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -81,16 +82,23 @@ def _resolve_seed(args) -> int:
     return int(env) if env else 0
 
 
+def _read_text(path: str, encoding: str) -> str:
+    try:
+        with open(path, "r", encoding=encoding) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{path}: not {encoding} text ({exc})") from None
+
+
 def _load_graph(args, seed: int):
     sources = [s for s in (args.input, args.graph6, args.family) if s]
     if len(sources) != 1:
         raise _UsageError("exactly one of --input, --graph6, --family is required")
     if args.input:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            return parse_edge_list(fh.read())
+        return parse_edge_list(_read_text(args.input, "utf-8"))
     if args.graph6:
-        with open(args.graph6, "r", encoding="ascii") as fh:
-            lines = [line for line in map(str.strip, fh) if line]
+        text = _read_text(args.graph6, "ascii")
+        lines = [line for line in map(str.strip, text.splitlines()) if line]
         if not lines:
             raise GraphFormatError(f"{args.graph6}: no graph6 line found")
         if len(lines) > 1:
@@ -216,8 +224,7 @@ def cmd_ztest(args) -> int:
     if (args.arrangement is None) == (args.observed is None):
         raise _UsageError("provide exactly one of --arrangement or --observed")
     if args.arrangement:
-        with open(args.arrangement, "r", encoding="utf-8") as fh:
-            arr = parse_arrangement(fh.read())
+        arr = parse_arrangement(_read_text(args.arrangement, "utf-8"))
         observed = crossings(g, arr)
     else:
         observed = args.observed
@@ -296,7 +303,9 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.success else EXIT_VALIDATION
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built on first use and reused by later calls."""
     parser = _Parser(prog="crossings", description=__doc__)
     parser.add_argument("--version", action="version",
                         version=f"crossings {__version__}")
@@ -372,10 +381,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"crossings: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except GraphFormatError as exc:
-        print(f"crossings: parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except (GraphFormatError, FileNotFoundError) as exc:
         print(f"crossings: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ValueError, BudgetError) as exc:

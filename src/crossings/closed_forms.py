@@ -8,18 +8,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .graphs import _check_family
 from .product_types import PRODUCT_TYPES, TYPE_VERTEX_COUNT, FreqVector
-
-CLOSED_FAMILIES = (
-    "complete",
-    "complete_bipartite",
-    "cycle",
-    "one_regular",
-    "star",
-    "quasi_star",
-    "linear_tree",
-    "star_plus_isolated",
-)
 
 
 def _binom(a: int, b: int) -> int:
@@ -44,46 +34,18 @@ class FamilySpec:
     lam: int | None = None
 
     def __post_init__(self):
-        f = self.family
-        if f not in CLOSED_FAMILIES:
-            raise ValueError(f"unknown family {f!r}")
-        if f == "complete_bipartite":
+        if self.family == "complete_bipartite":
             if self.n1 is None or self.n2 is None:
                 raise ValueError("complete_bipartite requires n1 and n2")
-            if self.n1 < 1 or self.n2 < 1:
-                raise ValueError("complete_bipartite requires n1, n2 >= 1")
+            _check_family(self.family, self.n1, self.n2)
             object.__setattr__(self, "n", self.n1 + self.n2)
-            return
-        if self.n < 1:
-            raise ValueError(f"{f} requires n >= 1")
-        if f == "cycle" and self.n < 3:
-            raise ValueError("cycle requires n >= 3")
-        if f == "one_regular" and (self.n % 2 or self.n < 2):
-            raise ValueError("one_regular requires even n >= 2")
-        if f == "quasi_star" and self.n < 4:
-            raise ValueError("quasi_star requires n >= 4")
-        if f == "star_plus_isolated":
-            if self.lam is None:
-                raise ValueError("star_plus_isolated requires lam")
-            if not 0 <= self.lam <= self.n:
-                raise ValueError("star size must be within 0..n")
+        else:
+            _check_family(self.family, self.n, lam=self.lam)
 
 
 def closed_size_q(spec: FamilySpec) -> int:
-    f, n = spec.family, spec.n
-    if f == "complete":
-        return 3 * _binom(n, 4)
-    if f == "complete_bipartite":
-        return 2 * _binom(spec.n1, 2) * _binom(spec.n2, 2)
-    if f == "cycle":
-        return n * (n - 3) // 2
-    if f == "one_regular":
-        return _binom(n // 2, 2)
-    if f == "quasi_star":
-        return n - 3
-    if f == "linear_tree":
-        return _binom(n - 2, 2)
-    return 0  # star, star_plus_isolated
+    """|Q|, which is f24 by definition."""
+    return closed_freq(spec).f24
 
 
 def closed_freq(spec: FamilySpec) -> FreqVector:
@@ -145,7 +107,10 @@ def closed_freq(spec: FamilySpec) -> FreqVector:
         }
     elif f == "cycle":
         f00 = 3 * n * _binom(n - 5, 3)
-        assert f00 % 2 == 0
+        if f00 % 2:
+            raise RuntimeError(
+                f"internal inconsistency: cycle f00 numerator {f00} must be even"
+            )
         counts = {
             "00": f00 // 2,
             "24": n * (n - 3) // 2,

@@ -13,16 +13,19 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-FAMILIES = (
-    "complete",
-    "complete_bipartite",
-    "cycle",
-    "one_regular",
-    "star",
-    "quasi_star",
-    "linear_tree",
-    "star_plus_isolated",
-)
+# The special families and the least n each accepts (for complete_bipartite,
+# the least size of each part).
+_FAMILY_MIN_N = {
+    "complete": 1,
+    "complete_bipartite": 1,
+    "cycle": 3,
+    "one_regular": 2,
+    "star": 1,
+    "quasi_star": 4,
+    "linear_tree": 1,
+    "star_plus_isolated": 0,
+}
+FAMILIES = tuple(_FAMILY_MIN_N)
 
 
 class GraphFormatError(ValueError):
@@ -204,6 +207,29 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     return Graph(g1.n + g2.n, edges)
 
 
+def _check_family(
+    family: str, n: int, n2: int | None = None, lam: int | None = None
+) -> None:
+    """Raise ValueError unless gen_family(family, n, n2, lam) is defined."""
+    if family not in _FAMILY_MIN_N:
+        raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
+    least = _FAMILY_MIN_N[family]
+    if family == "complete_bipartite":
+        if n2 is None:
+            raise ValueError("complete_bipartite requires n2")
+        if min(n, n2) < least:
+            raise ValueError("complete_bipartite requires n1, n2 >= 1")
+    elif family == "one_regular" and (n < least or n % 2):
+        raise ValueError("one_regular requires even n >= 2")
+    elif family == "star_plus_isolated":
+        if lam is None:
+            raise ValueError("star_plus_isolated requires lam (star size)")
+        if not 0 <= lam <= n:
+            raise ValueError(f"star size {lam} must be within 0..{n}")
+    elif n < least:
+        raise ValueError(f"{family} requires n >= {least}")
+
+
 def gen_family(
     family: str, n: int, n2: int | None = None, lam: int | None = None
 ) -> Graph:
@@ -212,47 +238,26 @@ def gen_family(
     complete_bipartite takes partition sizes (n, n2); star_plus_isolated
     takes the star size via `lam` and total vertices via `n`.
     """
+    _check_family(family, n, n2, lam)
     if family == "complete":
-        if n < 1:
-            raise ValueError("complete requires n >= 1")
         return Graph(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)])
     if family == "complete_bipartite":
-        if n2 is None:
-            raise ValueError("complete_bipartite requires n2")
-        if n < 1 or n2 < 1:
-            raise ValueError("complete_bipartite requires n1, n2 >= 1")
         return Graph(
             n + n2,
             [(u, v) for u in range(1, n + 1) for v in range(n + 1, n + n2 + 1)],
         )
     if family == "cycle":
-        if n < 3:
-            raise ValueError("cycle requires n >= 3")
         return Graph(n, [(i, i % n + 1) for i in range(1, n + 1)])
     if family == "one_regular":
-        if n < 2 or n % 2:
-            raise ValueError("one_regular requires even n >= 2")
         return Graph(n, [(i, i + 1) for i in range(1, n + 1, 2)])
     if family == "star":
-        if n < 1:
-            raise ValueError("star requires n >= 1")
         return Graph(n, [(1, v) for v in range(2, n + 1)])
     if family == "quasi_star":
-        if n < 4:
-            raise ValueError("quasi_star requires n >= 4")
         # hub 1 with leaves 2..n-1; vertex n hangs off vertex 2
         return Graph(n, [(1, v) for v in range(2, n)] + [(2, n)])
     if family == "linear_tree":
-        if n < 1:
-            raise ValueError("linear_tree requires n >= 1")
         return Graph(n, [(i, i + 1) for i in range(1, n)])
-    if family == "star_plus_isolated":
-        if lam is None:
-            raise ValueError("star_plus_isolated requires lam (star size)")
-        if not 0 <= lam <= n:
-            raise ValueError(f"star size {lam} must be within 0..{n}")
-        return Graph(n, [(1, v) for v in range(2, lam + 1)])
-    raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
+    return Graph(n, [(1, v) for v in range(2, lam + 1)])  # star_plus_isolated
 
 
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
@@ -314,7 +319,10 @@ _G6_HEADER = ">>graph6<<"
 def from_graph6(text: str | bytes) -> Graph:
     """Decode one graph6-encoded line (standard format, n <= 62)."""
     if isinstance(text, bytes):
-        text = text.decode("ascii")
+        try:
+            text = text.decode("ascii")
+        except UnicodeDecodeError:
+            raise GraphFormatError("graph6 input is not ASCII") from None
     s = text.strip()
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER):]
@@ -395,6 +403,8 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(parts[0]), int(parts[1])
     except ValueError:
         raise GraphFormatError(f"line {lineno}: expected integers in header") from None
+    if n < 0:
+        raise GraphFormatError(f"line {lineno}: negative vertex count {n}")
     if len(rows) - 1 != m:
         raise GraphFormatError(
             f"header declares {m} edges but {len(rows) - 1} edge lines found"

@@ -8,7 +8,7 @@ z-score and in presentation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
@@ -32,17 +32,9 @@ ALPHA_RLA: Mapping[str, Fraction] = MappingProxyType({
 })
 
 # Covariance contribution per type: gamma_w = alpha_w - delta^2.
-GAMMA_RLA: Mapping[str, Fraction] = MappingProxyType({
-    "00": Fraction(0),
-    "24": Fraction(2, 9),
-    "13": Fraction(1, 18),
-    "12": Fraction(1, 45),
-    "04": Fraction(-1, 9),
-    "03": Fraction(-1, 36),
-    "021": Fraction(-1, 90),
-    "022": Fraction(1, 180),
-    "01": Fraction(0),
-})
+GAMMA_RLA: Mapping[str, Fraction] = MappingProxyType(
+    {c: a - DELTA_RLA**2 for c, a in ALPHA_RLA.items()}
+)
 
 
 @dataclass(frozen=True)
@@ -70,14 +62,7 @@ class LayoutConstants:
             raise ValueError("gamma[24] must equal delta*(1-delta)")
 
 
-@dataclass(frozen=True)
-class RlaConstants(LayoutConstants):
-    """The random-linear-arrangement constants, with crossing probabilities."""
-
-    alpha_prob: Mapping[str, Fraction] = field(default_factory=lambda: ALPHA_RLA)
-
-
-RLA = RlaConstants(delta=DELTA_RLA, gamma=GAMMA_RLA)
+RLA = LayoutConstants(DELTA_RLA, GAMMA_RLA)
 
 
 def expectation_rla(g: Graph) -> Fraction:

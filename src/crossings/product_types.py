@@ -97,37 +97,23 @@ def classify(q1, q2) -> str:
     Each argument is a pair of edges ((s,t),(u,v)); the edges within each
     pair must be vertex-disjoint.
     """
-    (e1a, e1b), (e2a, e2b) = q1, q2
-    f1a, f1b = frozenset(e1a), frozenset(e1b)
-    f2a, f2b = frozenset(e2a), frozenset(e2b)
-    if len(f1a) != 2 or len(f1b) != 2 or len(f2a) != 2 or len(f2b) != 2:
-        raise ValueError("edges must have two distinct endpoints")
-    if f1a & f1b or f2a & f2b:
+    masks = []
+    for edge in (*q1, *q2):
+        mask = 0
+        for v in edge:
+            mask |= 1 << v
+        if mask.bit_count() != 2:
+            raise ValueError("edges must have two distinct endpoints")
+        masks.append(mask)
+    a1, a2, b1, b2 = masks
+    if a1 & a2 or b1 & b2:
         raise ValueError("each argument must be a pair of independent edges")
-    return _classify_sets(f1a, f1b, f2a, f2b)
-
-
-def _classify_sets(a1, a2, b1, b2) -> str:
-    x13 = len(a1 & b1)
-    x14 = len(a1 & b2)
-    x23 = len(a2 & b1)
-    x24 = len(a2 & b2)
-    phi = x13 + x14 + x23 + x24
-    tau = (a1 == b1 or a1 == b2) + (a2 == b1 or a2 == b2)
-    if tau == 2:
-        return "24"
-    if tau == 1:
-        return "13" if phi == 3 else "12"
-    if phi != 2:
-        return f"0{phi}"
-    # (0,2): type 021 iff some single edge meets both edges of the other pair
-    if (x13 and x14) or (x23 and x24) or (x13 and x23) or (x14 and x24):
-        return "021"
-    return "022"
+    return _classify_masks(a1, a2, b1, b2)
 
 
 def _classify_masks(a1, a2, b1, b2) -> str:
-    # same classification on vertex bitmasks; used by the brute-force loop
+    # each argument is the vertex bitmask of one edge: a1, a2 form the
+    # first Q element and b1, b2 the second
     x13 = (a1 & b1).bit_count()
     x14 = (a1 & b2).bit_count()
     x23 = (a2 & b1).bit_count()
@@ -140,6 +126,7 @@ def _classify_masks(a1, a2, b1, b2) -> str:
         return "13" if phi == 3 else "12"
     if phi != 2:
         return f"0{phi}"
+    # (0,2): type 021 iff some single edge meets both edges of the other pair
     if (x13 and x14) or (x23 and x24) or (x13 and x23) or (x14 and x24):
         return "021"
     return "022"
@@ -437,7 +424,8 @@ def _count_paths(g: Graph, k: int) -> int:
 
     for v in g.vertices():
         extend(v, 1 << v, 1)
-    assert count % 2 == 0
+    if count % 2:
+        raise RuntimeError(f"internal inconsistency: {count} path walks is odd")
     return count // 2
 
 
@@ -475,5 +463,8 @@ def _count_c4(g: Graph) -> int:
         for v in range(u + 1, g.n + 1):
             c = len(g.adj[u] & g.adj[v])
             total += c * (c - 1) // 2
-    assert total % 2 == 0
+    if total % 2:
+        raise RuntimeError(
+            f"internal inconsistency: {total} antipodal wedge pairs is odd"
+        )
     return total // 2

@@ -1,23 +1,25 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossings import (
+    Graph,
     LinearArrangement,
     all_arrangements,
     crossings,
-    edge_length,
     format_arrangement,
     from_edge_list,
     gen_family,
-    max_crossings_of_length,
-    max_edges_of_length,
     parse_arrangement,
     random_arrangement,
     size_q,
 )
+from crossings.estimator import crossing_counts
 from crossings.graphs import GraphFormatError
 
 
@@ -33,18 +35,21 @@ def crossings_unoriented(g, arr):
     return c
 
 
+def reflect(arr):
+    # position p -> n + 1 - p: the arrangement read right to left
+    n = arr.n
+    return LinearArrangement([n + 1 - arr.pos[v] for v in range(1, n + 1)])
+
+
 class TestLinearArrangement:
     def test_bijectivity_enforced(self):
         with pytest.raises(ValueError):
             LinearArrangement([1, 1, 3])
 
-    def test_inverse(self):
-        arr = LinearArrangement([2, 3, 1])
-        assert arr.vertex_at() == (0, 3, 1, 2)
-
     def test_reversed(self):
         arr = LinearArrangement([1, 2, 3, 4])
-        assert arr.reversed() == LinearArrangement([4, 3, 2, 1])
+        assert reflect(arr) == LinearArrangement([4, 3, 2, 1])
+        assert reflect(reflect(arr)) == arr
 
 
 class TestCrossings:
@@ -87,7 +92,7 @@ class TestCrossings:
         for seed in range(10):
             g = erdos_renyi(9, 0.4, seed)
             arr = random_arrangement(9, rng)
-            assert crossings(g, arr) == crossings(g, arr.reversed())
+            assert crossings(g, arr) == crossings(g, reflect(arr))
 
     def test_oriented_equals_unoriented(self):
         from crossings import erdos_renyi
@@ -109,28 +114,28 @@ class TestCrossings:
             assert c <= size_q(g) <= math.comb(g.m, 2)
 
 
-class TestEdgeLength:
-    def test_length(self):
-        arr = LinearArrangement([3, 1, 2])
-        assert edge_length(arr, 1, 2) == 2
+@st.composite
+def graphs_with_arrangement(draw):
+    n = draw(st.integers(min_value=1, max_value=9))
+    pairs = list(combinations(range(1, n + 1), 2))
+    picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph(n, [e for e, keep in zip(pairs, picks) if keep])
+    return g, draw(st.permutations(range(1, n + 1)))
 
-    def test_bound_values(self):
-        assert max_crossings_of_length(8, 4) == 9
-        assert max_crossings_of_length(10, 1) == 0
 
-    def test_bound_range_check(self):
-        with pytest.raises(ValueError):
-            max_crossings_of_length(5, 5)
-
-    def test_complete_crossings_from_length_sum(self):
-        # sum over d of f_max(d) * C_max(d) / 2 equals binom(n, 4)
-        for n in (5, 6, 9):
-            total = sum(
-                max_edges_of_length(n, d) * max_crossings_of_length(n, d)
-                for d in range(1, n)
-            )
-            assert total % 2 == 0
-            assert total // 2 == math.comb(n, 4)
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(graphs_with_arrangement())
+def test_dihedral_invariance(case):
+    # crossing depends only on the cyclic order of four endpoints, so C is
+    # unchanged by reflecting (p -> n+1-p) or rotating (p -> p mod n + 1)
+    g, pos = case
+    n = g.n
+    images = [pos, [n + 1 - p for p in pos], [p % n + 1 for p in pos]]
+    expected = crossings(g, LinearArrangement(pos))
+    for image in images[1:]:
+        assert crossings(g, LinearArrangement(image)) == expected
+    rows = crossing_counts(g, np.array(images, dtype=np.int16))
+    assert rows.tolist() == [expected] * 3
 
 
 class TestPermutationSources:

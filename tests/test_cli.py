@@ -79,6 +79,21 @@ class TestAnalyze:
         assert code == 2
         assert "line 2" in err
 
+    def test_negative_vertex_count_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "neg.txt"
+        path.write_text("-1 0\n")
+        code, _, err = run(capsys, "analyze", "--input", str(path))
+        assert code == 2
+        assert "line 1: negative vertex count" in err
+
+    @pytest.mark.parametrize("flag", ["--input", "--graph6"])
+    def test_undecodable_file_exit_2(self, capsys, tmp_path, flag):
+        path = tmp_path / "bad"
+        path.write_bytes(b"\xff")
+        code, _, err = run(capsys, "analyze", flag, str(path))
+        assert code == 2
+        assert f"parse error: {path}: not" in err
+
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "analyze", "--input", "/nonexistent/g.txt")
         assert code == 2
@@ -175,6 +190,14 @@ class TestZtest:
         assert code == 0
         assert json.loads(out)["Var"] == "28/15"
 
+    def test_undecodable_arrangement_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "arr.txt"
+        path.write_bytes(b"1 2 \xff\n")
+        code, _, err = run(capsys, "ztest", "--family", "cycle", "--n", "3",
+                           "--arrangement", str(path))
+        assert code == 2
+        assert f"parse error: {path}: not utf-8 text" in err
+
     def test_requires_exactly_one_source(self, capsys):
         code, _, _ = run(capsys, "ztest", "--family", "cycle", "--n", "6")
         assert code == 1
@@ -231,6 +254,22 @@ class TestValidateCmd:
         code, out, _ = run(capsys, "validate", "graph6", "--path", str(path))
         assert code == 0
         assert json.loads(out)["graphs_checked"] == 2
+
+
+class TestRepeatedMain:
+    def test_each_call_uses_its_own_arguments(self, capsys):
+        # the parser is built once per process; later calls must not see
+        # the options of earlier ones
+        argv = ["estimate", "--family", "cycle", "--n", "11", "--samples", "50"]
+        code1, out1, err1 = run(capsys, *argv, "--seed", "3", "--out", "json")
+        code2, out2, err2 = run(capsys, *argv, "--seed", "4", "--out", "csv")
+        assert code1 == code2 == 0
+        assert "seed=3" in err1 and "out=json" in err1
+        assert "seed=4" in err2 and "out=csv" in err2
+        assert json.loads(out1)["seed"] == "3"
+        assert next(csv.DictReader(io.StringIO(out2)))["seed"] == "4"
+        code3, out3, _ = run(capsys, *argv, "--seed", "3", "--out", "json")
+        assert out3 == out1
 
 
 class TestUsage:

@@ -5,6 +5,7 @@ from itertools import combinations, permutations
 import pytest
 
 from crossings import (
+    FAMILIES,
     FamilySpec,
     closed_expectation,
     closed_freq,
@@ -33,6 +34,30 @@ class TestFamilySpec:
 
     def test_bipartite_total(self):
         assert FamilySpec("complete_bipartite", n1=3, n2=4).n == 7
+
+    def test_same_rules_as_gen_family(self):
+        def accepts(make, *args, **kwargs):
+            try:
+                make(*args, **kwargs)
+            except ValueError:
+                return False
+            return True
+
+        for family in FAMILIES + ("wheel",):
+            for n in range(-1, 9):
+                for n2 in (None, -1, 0, 1, 2):
+                    for lam in (None, -1, 0, 1, n, n + 1):
+                        if family == "complete_bipartite":
+                            spec = accepts(FamilySpec, family, n1=n, n2=n2, lam=lam)
+                        else:
+                            spec = accepts(FamilySpec, family, n, n2=n2, lam=lam)
+                        gen = accepts(gen_family, family, n, n2=n2, lam=lam)
+                        assert spec == gen, (family, n, n2, lam)
+
+    def test_star_plus_isolated_empty(self):
+        # n = 0 with an empty star is a graph, so it is a family instance too
+        assert gen_family("star_plus_isolated", 0, lam=0).n == 0
+        assert closed_variance(FamilySpec("star_plus_isolated", 0, lam=0)) == 0
 
 
 class TestClosedFreq:

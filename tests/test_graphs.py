@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from crossings import (
     degree_stats,
@@ -14,6 +16,7 @@ from crossings import (
     from_pruefer,
     gen_family,
     is_q_zero,
+    parse_arrangement,
     parse_edge_list,
     q_edge,
     size_q,
@@ -318,6 +321,10 @@ class TestGraph6:
         with pytest.raises(GraphFormatError, match="n > 62"):
             from_graph6("~??")
 
+    def test_non_ascii_bytes(self):
+        with pytest.raises(GraphFormatError, match="not ASCII"):
+            from_graph6(b"\xff")
+
     def test_five_vertex_decode(self):
         g = from_graph6("D?{")
         assert g.n == 5
@@ -345,3 +352,65 @@ class TestEdgeListFormat:
     def test_out_of_range_line(self):
         with pytest.raises(GraphFormatError, match="line 2"):
             parse_edge_list("3 1\n1 9\n")
+
+    def test_negative_vertex_count(self):
+        with pytest.raises(GraphFormatError, match="line 2: negative vertex count"):
+            parse_edge_list("# comment\n-1 0\n")
+
+
+def _small_ints(text) -> bool:
+    # keep every integer token, and so every header vertex count, at most
+    # 100: Graph(n) allocates n + 1 sets before it looks at the edges
+    for token in text.split():
+        try:
+            if abs(int(token)) > 100:
+                return False
+        except ValueError:
+            pass
+    return True
+
+
+_TOKENS = st.one_of(
+    st.integers(min_value=-3, max_value=12).map(str),
+    st.sampled_from(["#", "x", "1.5", "-", "0x1", ""]),
+    st.text(max_size=3),
+)
+_EDGE_LIST_TEXT = st.builds(
+    lambda header, lines: "\n".join([header, *lines]),
+    st.lists(_TOKENS, min_size=2, max_size=2).map(" ".join),
+    st.lists(st.lists(_TOKENS, max_size=3).map(" ".join), max_size=5),
+)
+_GRAPH6_TEXT = st.one_of(
+    st.text(max_size=12),
+    st.text(alphabet=st.characters(min_codepoint=60, max_codepoint=127), max_size=12),
+)
+
+
+class TestParserFuzz:
+    """On any input the parsers return a result or raise GraphFormatError."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(_EDGE_LIST_TEXT, st.text(max_size=40)))
+    def test_parse_edge_list(self, text):
+        assume(_small_ints(text))
+        try:
+            parse_edge_list(text)
+        except GraphFormatError:
+            pass
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(_GRAPH6_TEXT, st.binary(max_size=12),
+                     _GRAPH6_TEXT.map(lambda t: t.encode("utf-8"))))
+    def test_from_graph6(self, data):
+        try:
+            from_graph6(data)
+        except GraphFormatError:
+            pass
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(_EDGE_LIST_TEXT, st.text(max_size=40)))
+    def test_parse_arrangement(self, text):
+        try:
+            parse_arrangement(text)
+        except GraphFormatError:
+            pass

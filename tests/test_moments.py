@@ -44,6 +44,16 @@ class TestConstants:
         assert ALPHA_RLA["022"] == Fraction(7, 60)
         assert ALPHA_RLA["04"] == 0
 
+    def test_gamma_table_of_the_paper(self):
+        # gamma_w as tabulated in the paper; the library derives it from alpha
+        paper = {
+            "00": 0, "24": Fraction(2, 9), "13": Fraction(1, 18),
+            "12": Fraction(1, 45), "04": Fraction(-1, 9), "03": Fraction(-1, 36),
+            "021": Fraction(-1, 90), "022": Fraction(1, 180), "01": 0,
+        }
+        assert dict(GAMMA_RLA) == paper
+        assert RLA.gamma == paper
+
     def test_alpha_rederived_for_022(self):
         # oracle: enumerate all 6! permutations of the representative set
         q1 = ((1, 2), (3, 4))
@@ -64,7 +74,7 @@ class TestConstants:
 class TestLayoutConstants:
     def test_rla_instance_valid(self):
         assert RLA.delta == Fraction(1, 3)
-        assert RLA.alpha_prob["24"] == Fraction(1, 3)
+        assert ALPHA_RLA["24"] == Fraction(1, 3)
 
     def test_rejects_nonzero_00(self):
         gamma = dict(GAMMA_RLA)

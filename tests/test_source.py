@@ -1,0 +1,20 @@
+"""Checks on the library source itself."""
+
+import ast
+from pathlib import Path
+
+import crossings
+
+PACKAGE = Path(crossings.__file__).parent
+
+
+def test_no_assert_statements():
+    # python -O strips assert statements, so a runtime invariant written as
+    # one silently stops being checked; raise an explicit error instead
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, f"assert statements in the library: {found}"

@@ -43,6 +43,22 @@ class TestValidateTrees:
         assert rep.graphs_checked == sum(n ** (n - 2) for n in range(2, 8))
         assert rep.success, rep.failures[:3]
 
+    def test_acyclic_form_checks_gamma_table(self, monkeypatch):
+        # a wrong gamma_03 leaves the general sum self-consistent, but the
+        # paper's tree formula no longer matches it
+        from crossings import moments, validation
+
+        gamma = dict(moments.GAMMA_RLA)
+        gamma["03"] += Fraction(1, 1000)
+        wrong = moments.LayoutConstants(moments.DELTA_RLA, gamma)
+        original = moments.variance_from_freq
+        monkeypatch.setattr(moments, "variance_from_freq",
+                            lambda fv, constants=wrong: original(fv, constants))
+        report = validation.ValidationReport(corpus="path")
+        validation.check_graph(from_pruefer((2, 3, 4)), "path5", report,
+                               exhaustive_limit=0)
+        assert [f["check"] for f in report.failures] == ["acyclic_variance_form"]
+
     def test_nmax_guard(self):
         with pytest.raises(ValueError):
             validate_trees(12)
