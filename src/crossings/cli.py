@@ -33,6 +33,7 @@ from .graphs import (
     gen_family,
     is_q_zero,
     parse_edge_list,
+    read_input_file,
     size_q,
 )
 from .moments import (
@@ -76,28 +77,25 @@ def _add_graph_args(p: argparse.ArgumentParser):
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get("CROSSINGS_SEED")
-    return int(env) if env else 0
-
-
-def _read_text(path: str, encoding: str) -> str:
+    if not env:
+        return 0
     try:
-        with open(path, "r", encoding=encoding) as fh:
-            return fh.read()
-    except UnicodeDecodeError as exc:
-        raise GraphFormatError(f"{path}: not {encoding} text ({exc})") from None
+        return int(env)
+    except ValueError:
+        raise _UsageError(f"CROSSINGS_SEED must be an integer, got {env!r}") from None
 
 
-def _load_graph(args, seed: int):
+def _load_graph(args):
     sources = [s for s in (args.input, args.graph6, args.family) if s]
     if len(sources) != 1:
         raise _UsageError("exactly one of --input, --graph6, --family is required")
     if args.input:
-        return parse_edge_list(_read_text(args.input, "utf-8"))
+        return parse_edge_list(read_input_file(args.input, "utf-8"))
     if args.graph6:
-        text = _read_text(args.graph6, "ascii")
+        text = read_input_file(args.graph6, "ascii")
         lines = [line for line in map(str.strip, text.splitlines()) if line]
         if not lines:
             raise GraphFormatError(f"{args.graph6}: no graph6 line found")
@@ -112,7 +110,7 @@ def _load_graph(args, seed: int):
     if family == "erdos_renyi":
         if args.n is None or args.p is None:
             raise _UsageError("erdos_renyi requires --n and --p")
-        return erdos_renyi(args.n, args.p, seed)
+        return erdos_renyi(args.n, args.p, args.seed)
     if args.n is None and args.n1 is None:
         raise _UsageError(f"--family {family} requires --n")
     if family == "complete_bipartite":
@@ -133,9 +131,9 @@ class _UsageError(Exception):
     pass
 
 
-def _config_line(cmd: str, args, seed: int) -> str:
-    parts = [f"crossings v{__version__}", f"cmd={cmd}", f"seed={seed}"]
-    for key in ("samples", "nmax", "exhaustive_limit", "jobs", "out"):
+def _config_line(args) -> str:
+    parts = [f"crossings v{__version__}", f"cmd={args.cmd}", f"seed={args.seed}"]
+    for key in ("samples", "nmax", "exhaustive_limit", "out"):
         if hasattr(args, key) and getattr(args, key) is not None:
             parts.append(f"{key}={getattr(args, key)}")
     return "# " + " ".join(parts)
@@ -154,8 +152,7 @@ def _emit_mapping(pairs: list[tuple[str, str]], out: str):
 
 
 def cmd_analyze(args) -> int:
-    seed = _resolve_seed(args)
-    g = _load_graph(args, seed)
+    g = _load_graph(args)
     stats = degree_stats(g)
     fv = freq_fast(g)
     e = expectation_rla(g)
@@ -186,15 +183,13 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    seed = _resolve_seed(args)
-    g = _load_graph(args, seed)
+    g = _load_graph(args)
     sys.stdout.write(format_edge_list(g))
     return EXIT_OK
 
 
 def cmd_estimate(args) -> int:
-    seed = _resolve_seed(args)
-    g = _load_graph(args, seed)
+    g = _load_graph(args)
     if g.n <= args.exhaustive_limit:
         cost = math.factorial(g.n) * max(size_q(g), 1)
         if cost > 10**8:
@@ -203,9 +198,9 @@ def cmd_estimate(args) -> int:
                 f"{math.factorial(g.n)} x {size_q(g)} = {cost} pair checks",
                 file=sys.stderr,
             )
-        rep = exhaustive_moments(g, limit=args.exhaustive_limit, jobs=args.jobs)
+        rep = exhaustive_moments(g, limit=args.exhaustive_limit)
     else:
-        rep = monte_carlo_moments(g, samples=args.samples, seed=seed, jobs=args.jobs)
+        rep = monte_carlo_moments(g, samples=args.samples, seed=args.seed)
     pairs = [
         ("mode", rep.mode),
         ("T", str(rep.samples)),
@@ -219,12 +214,11 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_ztest(args) -> int:
-    seed = _resolve_seed(args)
-    g = _load_graph(args, seed)
+    g = _load_graph(args)
     if (args.arrangement is None) == (args.observed is None):
         raise _UsageError("provide exactly one of --arrangement or --observed")
     if args.arrangement:
-        arr = parse_arrangement(_read_text(args.arrangement, "utf-8"))
+        arr = parse_arrangement(read_input_file(args.arrangement, "utf-8"))
         observed = crossings(g, arr)
     else:
         observed = args.observed
@@ -246,7 +240,6 @@ def cmd_ztest(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    seed = _resolve_seed(args)
     rows = scan_family(
         args.family,
         n_min=args.nmin,
@@ -254,8 +247,7 @@ def cmd_scan(args) -> int:
         mode=args.mode,
         exhaustive_limit=args.exhaustive_limit,
         samples=args.samples,
-        seed=seed,
-        jobs=args.jobs,
+        seed=args.seed,
     )
     header = ["family", "n", "Q", "E_theory", "Var_theory",
               "E_est", "Var_est", "mode", "T", "seed"]
@@ -284,7 +276,6 @@ def cmd_scan(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    seed = _resolve_seed(args)
     if args.what == "trees":
         report = validate_trees(args.nmax, exhaustive_limit=args.exhaustive_limit)
     elif args.what == "graph6":
@@ -294,11 +285,11 @@ def cmd_validate(args) -> int:
             args.path, limit=args.limit, exhaustive_limit=args.exhaustive_limit
         )
     elif args.what == "families":
-        report = validate_families(n_max=args.nmax, seed=seed)
+        report = validate_families(n_max=args.nmax, seed=args.seed)
     else:  # er
         if args.n is None or args.p is None:
             raise _UsageError("validate er requires --n and --p")
-        report = validate_er(args.n, args.p, args.trials, seed)
+        report = validate_er(args.n, args.p, args.trials, args.seed)
     print(report.to_json())
     return EXIT_OK if report.success else EXIT_VALIDATION
 
@@ -316,9 +307,9 @@ def build_parser() -> _Parser:
             _add_graph_args(p)
         p.add_argument("--seed", type=int, default=None,
                        help="PRNG seed (fallback: CROSSINGS_SEED, then 0)")
-        p.add_argument("--jobs", type=int,
-                       default=os.cpu_count() or 1,
-                       help="worker count (results do not depend on it)")
+        # accepted so that existing command lines keep working; ignored,
+        # since the estimator runs on one thread
+        p.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
         p.add_argument("--out", choices=("table", "csv", "json"),
                        default="table")
 
@@ -374,14 +365,14 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    seed = _resolve_seed(args)
-    print(_config_line(args.cmd, args, seed), file=sys.stderr)
     try:
+        args.seed = _resolve_seed(args)
+        print(_config_line(args), file=sys.stderr)
         return args.func(args)
     except _UsageError as exc:
         print(f"crossings: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (GraphFormatError, FileNotFoundError) as exc:
+    except GraphFormatError as exc:
         print(f"crossings: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ValueError, BudgetError) as exc:

@@ -3,15 +3,14 @@ arrangements for small n, Monte Carlo sampling for large n.
 
 Both paths accumulate integer sums (C is integral), so exhaustive moments are
 exact rationals and Monte Carlo reports convert to float only at the end.
-Work is split into fixed blocks whose results merge by integer addition, so
-results are bit-identical for any worker count.
+Arrangements are counted in fixed blocks, one after another. The blocks are
+there for reproducible seeding (Monte Carlo block b has its own stream) and
+to bound the memory of a position table, not to share work among workers.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -71,35 +70,15 @@ def _perm_table(n: int) -> np.ndarray:
     return np.array(list(permutations(range(1, n + 1))), dtype=np.int16)
 
 
-def _accumulate(g: Graph, chunks, jobs: int) -> tuple[int, int]:
+def _accumulate(g: Graph, chunks) -> tuple[int, int]:
     """Sum of C and sum of C^2 over position-matrix chunks; no count may
-    exceed |Q|.
-
-    With `jobs` > 1, at most 2 * jobs chunks are in flight: the next chunk
-    is drawn from `chunks` only after the oldest pending result is read, so
-    memory stays bounded whatever the number of chunks.
-    """
-
-    def work(arr: np.ndarray) -> tuple[int, int, int]:
-        c = crossing_counts(g, arr)
-        return int(c.sum()), int((c * c).sum()), int(c.max(initial=0))
-
-    if jobs > 1:
-        results = []
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            pending: deque = deque()
-            for arr in chunks:
-                pending.append(pool.submit(work, arr))
-                if len(pending) == 2 * jobs:
-                    results.append(pending.popleft().result())
-            results.extend(f.result() for f in pending)
-    else:
-        results = [work(arr) for arr in chunks]
+    exceed |Q|."""
     total = total2 = peak = 0
-    for sc, sc2, mx in results:
-        total += sc
-        total2 += sc2
-        peak = max(peak, mx)
+    for arr in chunks:
+        c = crossing_counts(g, arr)
+        total += int(c.sum())
+        total2 += int((c * c).sum())
+        peak = max(peak, int(c.max(initial=0)))
     if peak > size_q(g):
         raise RuntimeError(
             f"internal inconsistency: {peak} crossings exceed |Q| = {size_q(g)}"
@@ -107,17 +86,21 @@ def _accumulate(g: Graph, chunks, jobs: int) -> tuple[int, int]:
     return total, total2
 
 
-def exhaustive_moments(
-    g: Graph, limit: int = DEFAULT_EXHAUSTIVE_LIMIT, jobs: int = 1
-) -> EstimateReport:
-    """Population mean and (biased, divisor n!) variance over all n!
-    arrangements, exact."""
-    n = g.n
+def _check_exhaustive_limit(n: int, limit: int) -> None:
     if n > limit:
         raise BudgetError(
             f"n = {n} exceeds the exhaustive limit {limit}: "
             f"n! = {math.factorial(n)} arrangements"
         )
+
+
+def exhaustive_moments(
+    g: Graph, limit: int = DEFAULT_EXHAUSTIVE_LIMIT
+) -> EstimateReport:
+    """Population mean and (biased, divisor n!) variance over all n!
+    arrangements, exact."""
+    n = g.n
+    _check_exhaustive_limit(n, limit)
     total = math.factorial(n)
 
     def chunks():
@@ -131,7 +114,7 @@ def exhaustive_moments(
                 return
             yield np.array(batch, dtype=np.int16)
 
-    sum_c, sum_c2 = _accumulate(g, chunks(), jobs)
+    sum_c, sum_c2 = _accumulate(g, chunks())
     mean = Fraction(sum_c, total)
     var = Fraction(sum_c2, total) - mean * mean
     return EstimateReport(
@@ -141,14 +124,13 @@ def exhaustive_moments(
 
 
 def monte_carlo_moments(
-    g: Graph, samples: int = DEFAULT_SAMPLES, seed: int = 0, jobs: int = 1
+    g: Graph, samples: int = DEFAULT_SAMPLES, seed: int = 0
 ) -> EstimateReport:
     """Sample mean and unbiased (divisor T-1) sample variance over T uniform
     random arrangements.
 
     Sampling is blocked: block b draws its own PCG64 stream seeded with
-    SeedSequence([seed, b]), so the result does not depend on the worker
-    count or scheduling.
+    SeedSequence([seed, b]), so the result depends only on `seed` and T.
     """
     if samples < 2:
         raise ValueError("Monte Carlo needs at least 2 samples")
@@ -168,7 +150,7 @@ def monte_carlo_moments(
             base = np.tile(np.arange(1, n + 1, dtype=np.int16), (count, 1))
             yield rng.permuted(base, axis=1)
 
-    sum_c, sum_c2 = _accumulate(g, chunks(), jobs)
+    sum_c, sum_c2 = _accumulate(g, chunks())
     t = samples
     mean = Fraction(sum_c, t)
     var = (Fraction(sum_c2) - Fraction(sum_c * sum_c, t)) / (t - 1)
@@ -202,16 +184,18 @@ def scan_family(
     exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
-    jobs: int = 1,
 ) -> list[ScanRow]:
     """Theory vs estimate across a size range of a single-parameter family.
 
     mode "auto" enumerates exhaustively up to `exhaustive_limit` and samples
-    above it; "theory" emits no estimates. Sizes invalid for the family
-    (odd one-regular n) yield a row with mode "skipped".
+    above it; "exhaustive" raises BudgetError, before any enumeration, when
+    `n_max` is above it; "theory" emits no estimates. Sizes invalid for the family (odd
+    one-regular n) yield a row with mode "skipped".
     """
     if mode not in ("auto", "exhaustive", "monte_carlo", "theory"):
         raise ValueError(f"unknown scan mode {mode!r}")
+    if mode == "exhaustive" and n_min <= n_max:
+        _check_exhaustive_limit(n_max, exhaustive_limit)
     rows = []
     for n in range(n_min, n_max + 1):
         try:
@@ -234,9 +218,9 @@ def scan_family(
             mode == "auto" and n <= exhaustive_limit
         )
         if use_exhaustive:
-            rep = exhaustive_moments(g, limit=max(exhaustive_limit, n), jobs=jobs)
+            rep = exhaustive_moments(g, limit=exhaustive_limit)
         else:
-            rep = monte_carlo_moments(g, samples=samples, seed=seed, jobs=jobs)
+            rep = monte_carlo_moments(g, samples=samples, seed=seed)
         rows.append(
             ScanRow(family, n, q, e_th, v_th, rep.mean, rep.variance,
                     rep.mode, rep.samples, rep.seed)

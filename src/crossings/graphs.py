@@ -1,8 +1,7 @@
 """Simple undirected graphs, generators for the special families, and the
 potential-crossing machinery |Q|, q(s,t) and the |Q|=0 predicate.
 
-Vertices are labeled 1..n. Graphs are immutable after construction and safe
-to share across threads.
+Vertices are labeled 1..n. Graphs are immutable after construction.
 """
 
 from __future__ import annotations
@@ -378,7 +377,20 @@ def to_graph6(g: Graph) -> str:
     return "".join(out)
 
 
-# --- edge-list text format ------------------------------------------------
+# --- input files and the edge-list text format ----------------------------
+
+
+def read_input_file(path: str, encoding: str) -> str:
+    """The text of an input file. A file that cannot be opened or read, such
+    as a missing file or a directory, or that is not `encoding` text, raises
+    a GraphFormatError naming the path."""
+    try:
+        with open(path, "r", encoding=encoding) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{path}: not {encoding} text ({exc})") from None
+    except OSError as exc:
+        raise GraphFormatError(f"{path}: {exc.strerror or exc}") from None
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -31,6 +31,7 @@ from .graphs import (
     gen_family,
     is_q_zero,
     q_edge,
+    read_input_file,
     size_q,
 )
 from .product_types import (
@@ -227,17 +228,17 @@ def validate_graph6_corpus(
     """Battery over a graph6 file, one graph per line."""
     started = time.perf_counter()
     report = ValidationReport(corpus=f"graph6:{path}", checks=CORE_CHECKS)
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if limit is not None and report.graphs_checked >= limit:
-                break
-            g = from_graph6(line)
-            check_graph(g, f"line{lineno}:{line}", report,
-                        exhaustive_limit=exhaustive_limit)
-            report.graphs_checked += 1
+    text = read_input_file(path, "ascii")
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        if limit is not None and report.graphs_checked >= limit:
+            break
+        g = from_graph6(line)
+        check_graph(g, f"line{lineno}:{line}", report,
+                    exhaustive_limit=exhaustive_limit)
+        report.graphs_checked += 1
     return report.finish(started)
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from crossings import estimator
 from crossings.cli import main
 
 
@@ -135,6 +136,26 @@ class TestGenerate:
                          "--n", "12", "--p", "0.3", "--seed", "5")
         assert out1 == out2
 
+    def test_bad_env_seed_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setenv("CROSSINGS_SEED", "abc")
+        code, out, err = run(capsys, "analyze", "--family", "cycle", "--n", "5")
+        assert code == 1
+        assert out == ""
+        assert err == "crossings: error: CROSSINGS_SEED must be an integer, got 'abc'\n"
+
+
+class TestInputPaths:
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "--input"),
+        ("analyze", "--graph6"),
+        ("ztest", "--family", "cycle", "--n", "6", "--arrangement"),
+        ("validate", "graph6", "--path"),
+    ])
+    def test_directory_exit_2(self, capsys, tmp_path, argv):
+        code, _, err = run(capsys, *argv, str(tmp_path))
+        assert code == 2
+        assert err.splitlines()[-1].startswith(f"crossings: parse error: {tmp_path}: ")
+
 
 class TestEstimate:
     def test_exhaustive_small(self, capsys):
@@ -152,6 +173,16 @@ class TestEstimate:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
         assert json.loads(out1)["mode"] == "monte_carlo"
+
+    @pytest.mark.parametrize("graph", [
+        ("--family", "linear_tree", "--n", "7"),
+        ("--family", "cycle", "--n", "15", "--samples", "4000", "--seed", "7"),
+    ])
+    def test_jobs_accepted_and_ignored(self, capsys, graph):
+        results = [run(capsys, "estimate", *graph, "--out", "json", *jobs)
+                   for jobs in ((), ("--jobs", "1"), ("--jobs", "4"))]
+        assert {(code, out) for code, out, _ in results} == {(0, results[0][1])}
+        assert all("jobs=" not in err for _, _, err in results)
 
 
 class TestZtest:
@@ -231,6 +262,16 @@ class TestScan:
         assert all(r["mode"] == "exhaustive" for r in rows)
         assert Fraction(rows[0]["Var_est"]) == Fraction(2, 9)
 
+    @pytest.mark.parametrize("nmin", ["4", "11"])
+    def test_exhaustive_mode_honours_limit(self, capsys, monkeypatch, nmin):
+        # refused before any size is enumerated
+        monkeypatch.setattr(estimator, "crossing_counts", None)
+        code, out, err = run(capsys, "scan", "--family", "cycle",
+                             "--mode", "exhaustive", "--nmin", nmin, "--nmax", "11")
+        assert code == 1
+        assert out == ""
+        assert "39916800" in err
+
 
 class TestValidateCmd:
     def test_trees_success_exit_0(self, capsys):
@@ -254,6 +295,13 @@ class TestValidateCmd:
         code, out, _ = run(capsys, "validate", "graph6", "--path", str(path))
         assert code == 0
         assert json.loads(out)["graphs_checked"] == 2
+
+    def test_graph6_corpus_not_ascii_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "c.g6"
+        path.write_bytes(b"\xff")
+        code, _, err = run(capsys, "validate", "graph6", "--path", str(path))
+        assert code == 2
+        assert f"parse error: {path}: not ascii text" in err
 
 
 class TestRepeatedMain:
@@ -282,6 +330,12 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "--bogus"])
         assert exc.value.code == 1
+
+    def test_jobs_hidden_from_help(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--help"])
+        assert exc.value.code == 0
+        assert "--jobs" not in capsys.readouterr().out
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:

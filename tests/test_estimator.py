@@ -1,6 +1,4 @@
 import math
-import threading
-import time
 from fractions import Fraction
 from itertools import permutations
 
@@ -20,8 +18,7 @@ from crossings import (
     size_q,
     variance_rla,
 )
-from crossings import estimator
-from crossings.estimator import _accumulate, crossing_counts
+from crossings.estimator import crossing_counts
 from crossings.graphs import BudgetError, erdos_renyi
 
 
@@ -74,12 +71,6 @@ class TestExhaustive:
         with pytest.raises(BudgetError, match="39916800"):
             exhaustive_moments(gen_family("cycle", 11))
 
-    def test_jobs_bit_identical(self):
-        g = gen_family("cycle", 7)
-        a = exhaustive_moments(g, jobs=1)
-        b = exhaustive_moments(g, jobs=3)
-        assert a == b
-
     def test_reversal_half_enumeration(self):
         # mirror pairing: summing over the lexicographically smaller half of
         # each (arrangement, reversal) pair and doubling changes nothing
@@ -98,51 +89,11 @@ class TestExhaustive:
         assert (mean, var) == (rep.mean, rep.variance)
 
 
-class TestChunksInFlight:
-    def test_generator_at_most_two_jobs_ahead(self, monkeypatch):
-        # each chunk is slow to count, so an executor that drained the
-        # generator up front would run far ahead of the finished results
-        jobs, nchunks = 2, 20
-        g = gen_family("cycle", 6)
-        finished = []
-        lock = threading.Lock()
-        real = estimator.crossing_counts
-
-        def slow_counts(graph, pos):
-            time.sleep(0.005)
-            c = real(graph, pos)
-            with lock:
-                finished.append(1)
-            return c
-
-        monkeypatch.setattr(estimator, "crossing_counts", slow_counts)
-        rng = np.random.Generator(np.random.PCG64(1))
-        table = np.array([rng.permutation(6) + 1 for _ in range(50)], dtype=np.int16)
-        lags = []
-
-        def chunks():
-            for _ in range(nchunks):
-                with lock:
-                    lags.append(len(lags) - len(finished))
-                yield table
-
-        result = _accumulate(g, chunks(), jobs)
-        assert len(lags) == nchunks
-        assert max(lags) <= 2 * jobs
-        assert result == _accumulate(g, [table] * nchunks, 1)
-
-
 class TestMonteCarlo:
     def test_deterministic(self):
         g = gen_family("cycle", 20)
         a = monte_carlo_moments(g, samples=5000, seed=7)
         b = monte_carlo_moments(g, samples=5000, seed=7)
-        assert a == b
-
-    def test_jobs_bit_identical(self):
-        g = gen_family("cycle", 20)
-        a = monte_carlo_moments(g, samples=25_000, seed=3, jobs=1)
-        b = monte_carlo_moments(g, samples=25_000, seed=3, jobs=4)
         assert a == b
 
     def test_star_degenerate(self):
