@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 
 from .arrangement import (
     LinearArrangement,
-    all_arrangements,
     crossings,
     format_arrangement,
     parse_arrangement,

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 
@@ -20,6 +19,7 @@ from .estimator import (
     DEFAULT_EXHAUSTIVE_LIMIT,
     DEFAULT_SAMPLES,
     exhaustive_moments,
+    exhaustive_rows,
     monte_carlo_moments,
     scan_family,
 )
@@ -191,11 +191,12 @@ def cmd_generate(args) -> int:
 def cmd_estimate(args) -> int:
     g = _load_graph(args)
     if g.n <= args.exhaustive_limit:
-        cost = math.factorial(g.n) * max(size_q(g), 1)
+        rows = exhaustive_rows(g.n)
+        cost = rows * max(size_q(g), 1)
         if cost > 10**8:
             print(
-                f"# warning: exhaustive run costs n! x |Q| = "
-                f"{math.factorial(g.n)} x {size_q(g)} = {cost} pair checks",
+                f"# warning: exhaustive run costs (n-1)!/2 x |Q| = "
+                f"{rows} x {size_q(g)} = {cost} pair checks",
                 file=sys.stderr,
             )
         rep = exhaustive_moments(g, limit=args.exhaustive_limit)

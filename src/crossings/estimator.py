@@ -1,5 +1,6 @@
-"""Empirical moments of the crossing count: exhaustive enumeration of all n!
-arrangements for small n, Monte Carlo sampling for large n.
+"""Empirical moments of the crossing count: exhaustive enumeration over all
+n! arrangements for small n (one per dihedral class, weighted 2n), Monte
+Carlo sampling for large n.
 
 Both paths accumulate integer sums (C is integral), so exhaustive moments are
 exact rationals and Monte Carlo reports convert to float only at the end.
@@ -13,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import islice, permutations
 
 import numpy as np
@@ -25,7 +25,7 @@ DEFAULT_EXHAUSTIVE_LIMIT = 10
 DEFAULT_SAMPLES = 100_000
 MC_BLOCK = 10_000
 _PERM_CHUNK = 100_000
-_CACHED_TABLE_MAX_N = 8
+_TAIL_VERTICES = 8  # 8! = 40,320 rows in the numpy permutation table
 
 
 @dataclass(frozen=True)
@@ -42,40 +42,38 @@ class EstimateReport:
 
 def crossing_counts(g: Graph, pos: np.ndarray) -> np.ndarray:
     """Crossing count per row of a positions matrix (row k: pos of vertex i
-    at column i-1). Vectorized equivalent of arrangement.crossings."""
-    rows = pos.shape[0]
-    c = np.zeros(rows, dtype=np.int64)
-    q = g.q_pairs()
-    if not q:
-        return c
-    lo: dict[tuple[int, int], np.ndarray] = {}
-    hi: dict[tuple[int, int], np.ndarray] = {}
-    for u, v in g.edges:
+    at column i-1), equal to arrangement.crossings. Vectorized over rows:
+    each pair of independent edges, taken straight from `g.edges`, gets the
+    interleave test lo1 < lo2 < hi1 < hi2 or lo2 < lo1 < hi2 < hi1."""
+    c = np.zeros(pos.shape[0], dtype=np.int64)
+    edges = g.edges
+    lo = []
+    hi = []
+    for u, v in edges:
         pu = pos[:, u - 1]
         pv = pos[:, v - 1]
-        lo[(u, v)] = np.minimum(pu, pv)
-        hi[(u, v)] = np.maximum(pu, pv)
-    for s, t, u, v in q:
-        lo1, hi1 = lo[(s, t)], hi[(s, t)]
-        lo2, hi2 = lo[(u, v)], hi[(u, v)]
-        c += ((lo1 < lo2) & (lo2 < hi1) & (hi1 < hi2)) | (
-            (lo2 < lo1) & (lo1 < hi2) & (hi2 < hi1)
-        )
+        lo.append(np.minimum(pu, pv))
+        hi.append(np.maximum(pu, pv))
+    for i, (s, t) in enumerate(edges):
+        lo1, hi1 = lo[i], hi[i]
+        for j in range(i + 1, len(edges)):
+            u, v = edges[j]
+            if s == u or s == v or t == u or t == v:
+                continue  # adjacent edges never cross
+            lo2, hi2 = lo[j], hi[j]
+            c += ((lo1 < lo2) & (lo2 < hi1) & (hi1 < hi2)) | (
+                (lo2 < lo1) & (lo1 < hi2) & (hi2 < hi1)
+            )
     return c
 
 
-@lru_cache(maxsize=4)
-def _perm_table(n: int) -> np.ndarray:
-    # full n! x n position table; only cached for small n
-    return np.array(list(permutations(range(1, n + 1))), dtype=np.int16)
-
-
-def _accumulate(g: Graph, chunks) -> tuple[int, int]:
-    """Sum of C and sum of C^2 over position-matrix chunks; no count may
-    exceed |Q|."""
-    total = total2 = peak = 0
+def _accumulate(g: Graph, chunks) -> tuple[int, int, int]:
+    """Rows, sum of C and sum of C^2 over position-matrix chunks; no count
+    may exceed |Q|."""
+    rows = total = total2 = peak = 0
     for arr in chunks:
         c = crossing_counts(g, arr)
+        rows += len(c)
         total += int(c.sum())
         total2 += int((c * c).sum())
         peak = max(peak, int(c.max(initial=0)))
@@ -83,7 +81,41 @@ def _accumulate(g: Graph, chunks) -> tuple[int, int]:
         raise RuntimeError(
             f"internal inconsistency: {peak} crossings exceed |Q| = {size_q(g)}"
         )
-    return total, total2
+    return rows, total, total2
+
+
+def _class_representatives(n: int):
+    """Position-matrix chunks holding one arrangement per dihedral class,
+    n >= 3: vertex 1 at position 1 and vertex 2 left of vertex 3.
+
+    Rotating (p -> p mod n + 1) and reflecting (p -> n + 1 - p) positions
+    leave C unchanged, and for n >= 3 the 2n symmetries of the positions
+    act freely, so each class holds 2n arrangements and there are
+    (n - 1)!/2 classes. A row holds position 1 for vertex 1, a head of
+    positions for vertices 2 to n - k from itertools, then the remaining
+    positions for the last k vertices in one of the k! orders of a numpy
+    table; k <= _TAIL_VERTICES bounds the memory of a chunk.
+    """
+    k = min(n - 3, _TAIL_VERTICES)
+    tail = np.array(list(permutations(range(k))), dtype=np.intp)
+    heads = (h for h in permutations(range(2, n + 1), n - 1 - k) if h[0] < h[1])
+    step = max(1, _PERM_CHUNK // len(tail))
+    while batch := list(islice(heads, step)):
+        free = np.array(
+            [sorted(set(range(2, n + 1)).difference(h)) for h in batch],
+            dtype=np.int16,
+        ).reshape(len(batch), k)
+        block = np.empty((len(batch), len(tail), n), dtype=np.int16)
+        block[:, :, 0] = 1
+        block[:, :, 1 : n - k] = np.array(batch, dtype=np.int16)[:, None, :]
+        block[:, :, n - k :] = free[:, tail]
+        yield block.reshape(-1, n)
+
+
+def exhaustive_rows(n: int) -> int:
+    """Arrangements `exhaustive_moments` counts for n vertices: (n - 1)!/2
+    dihedral class representatives for n >= 3, all n! below."""
+    return math.factorial(n - 1) // 2 if n >= 3 else math.factorial(n)
 
 
 def _check_exhaustive_limit(n: int, limit: int) -> None:
@@ -98,25 +130,28 @@ def exhaustive_moments(
     g: Graph, limit: int = DEFAULT_EXHAUSTIVE_LIMIT
 ) -> EstimateReport:
     """Population mean and (biased, divisor n!) variance over all n!
-    arrangements, exact."""
+    arrangements, exact.
+
+    For n >= 3 only one arrangement per dihedral class is counted, and its
+    C and C^2 are weighted by the class size 2n; below that all n! are
+    counted. `samples` is n! either way.
+    """
     n = g.n
     _check_exhaustive_limit(n, limit)
     total = math.factorial(n)
-
-    def chunks():
-        if n <= _CACHED_TABLE_MAX_N:
-            yield _perm_table(n)
-            return
-        it = permutations(range(1, n + 1))
-        while True:
-            batch = list(islice(it, _PERM_CHUNK))
-            if not batch:
-                return
-            yield np.array(batch, dtype=np.int16)
-
-    sum_c, sum_c2 = _accumulate(g, chunks())
-    mean = Fraction(sum_c, total)
-    var = Fraction(sum_c2, total) - mean * mean
+    if n >= 3:
+        chunks = _class_representatives(n)
+    else:
+        chunks = [np.array(list(permutations(range(1, n + 1))), dtype=np.int16)]
+    rows, sum_c, sum_c2 = _accumulate(g, chunks)
+    if rows != exhaustive_rows(n):
+        raise RuntimeError(
+            f"internal inconsistency: counted {rows} arrangements, "
+            f"expected {exhaustive_rows(n)}"
+        )
+    weight = total // rows  # 2n, the size of a dihedral class, for n >= 3
+    mean = Fraction(weight * sum_c, total)
+    var = Fraction(weight * sum_c2, total) - mean * mean
     return EstimateReport(
         mean=mean, variance=var, mode="exhaustive",
         samples=total, seed=None, exact=True,
@@ -150,7 +185,7 @@ def monte_carlo_moments(
             base = np.tile(np.arange(1, n + 1, dtype=np.int16), (count, 1))
             yield rng.permuted(base, axis=1)
 
-    sum_c, sum_c2 = _accumulate(g, chunks())
+    _, sum_c, sum_c2 = _accumulate(g, chunks())
     t = samples
     mean = Fraction(sum_c, t)
     var = (Fraction(sum_c2) - Fraction(sum_c * sum_c, t)) / (t - 1)

@@ -25,6 +25,7 @@ from .graphs import (
     FAMILIES,
     BudgetError,
     Graph,
+    GraphFormatError,
     erdos_renyi,
     from_graph6,
     from_pruefer,
@@ -235,7 +236,10 @@ def validate_graph6_corpus(
             continue
         if limit is not None and report.graphs_checked >= limit:
             break
-        g = from_graph6(line)
+        try:
+            g = from_graph6(line)
+        except GraphFormatError as exc:
+            raise GraphFormatError(f"{path}: line {lineno}: {exc}") from None
         check_graph(g, f"line{lineno}:{line}", report,
                     exhaustive_limit=exhaustive_limit)
         report.graphs_checked += 1

@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from crossings import (
     Graph,
     LinearArrangement,
-    all_arrangements,
     crossings,
+    exhaustive_moments,
     format_arrangement,
     from_edge_list,
     gen_family,
@@ -19,20 +19,34 @@ from crossings import (
     random_arrangement,
     size_q,
 )
-from crossings.estimator import crossing_counts
+from crossings.estimator import _class_representatives, crossing_counts, exhaustive_rows
 from crossings.graphs import GraphFormatError
 
 
-def crossings_unoriented(g, arr):
-    # alternative predicate: exactly one endpoint of the second edge falls
-    # strictly inside the first edge's interval
-    pos = arr.pos
-    c = 0
-    for s, t, u, v in g.q_pairs():
-        lo, hi = sorted((pos[s], pos[t]))
-        inside = (lo < pos[u] < hi) + (lo < pos[v] < hi)
+def unoriented_counts(g, rows):
+    # alternative predicate over rows of positions (column i-1 holds the
+    # position of vertex i): independent edges cross iff exactly one
+    # endpoint of the second falls strictly inside the first's interval
+    c = np.zeros(len(rows), dtype=np.int64)
+    for (s, t), (u, v) in combinations(g.edges, 2):
+        if {s, t} & {u, v}:
+            continue
+        lo = np.minimum(rows[:, s - 1], rows[:, t - 1])
+        hi = np.maximum(rows[:, s - 1], rows[:, t - 1])
+        inside = ((lo < rows[:, u - 1]) & (rows[:, u - 1] < hi)).astype(np.int64)
+        inside += (lo < rows[:, v - 1]) & (rows[:, v - 1] < hi)
         c += inside == 1
     return c
+
+
+def crossings_unoriented(g, arr):
+    return int(unoriented_counts(g, np.array([arr.pos[1:]]))[0])
+
+
+def all_position_rows(n):
+    # all n! arrangements, one row each
+    return np.array(list(permutations(range(1, n + 1))),
+                    dtype=np.int64).reshape(math.factorial(n), n)
 
 
 def reflect(arr):
@@ -63,7 +77,7 @@ class TestCrossings:
 
     def test_complete_graph_constant(self):
         g = gen_family("complete", 6)
-        values = {crossings(g, arr) for arr in all_arrangements(6)}
+        values = {crossings(g, LinearArrangement(p)) for p in permutations(range(1, 7))}
         assert values == {math.comb(6, 4)}
 
     def test_complete_binomial(self):
@@ -79,7 +93,8 @@ class TestCrossings:
 
     def test_star_always_zero(self):
         g = gen_family("star", 6)
-        assert all(crossings(g, a) == 0 for a in all_arrangements(6))
+        assert all(crossings(g, LinearArrangement(p)) == 0
+                   for p in permutations(range(1, 7)))
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
@@ -115,12 +130,49 @@ class TestCrossings:
 
 
 @st.composite
-def graphs_with_arrangement(draw):
-    n = draw(st.integers(min_value=1, max_value=9))
+def graphs(draw, min_n=1, max_n=9):
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     pairs = list(combinations(range(1, n + 1), 2))
     picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    g = Graph(n, [e for e, keep in zip(pairs, picks) if keep])
-    return g, draw(st.permutations(range(1, n + 1)))
+    return Graph(n, [e for e, keep in zip(pairs, picks) if keep])
+
+
+@st.composite
+def graphs_with_arrangement(draw):
+    g = draw(graphs())
+    return g, draw(st.permutations(range(1, g.n + 1)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(graphs_with_arrangement())
+def test_crossings_matches_oracle(case):
+    g, pos = case
+    assert crossings(g, LinearArrangement(pos)) == crossings_unoriented(
+        g, LinearArrangement(pos))
+
+
+def assert_exhaustive_matches_oracle(g):
+    # every one of the n! arrangements, counted by the test-local oracle
+    c = unoriented_counts(g, all_position_rows(g.n))
+    total = math.factorial(g.n)
+    mean = Fraction(int(c.sum()), total)
+    var = Fraction(int((c * c).sum()), total) - mean * mean
+    rep = exhaustive_moments(g)
+    assert (rep.mean, rep.variance, rep.samples) == (mean, var, total)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(graphs(min_n=4, max_n=8))
+def test_exhaustive_moments_match_oracle_enumeration(g):
+    assert_exhaustive_matches_oracle(g)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_exhaustive_moments_match_oracle_enumeration_small(n):
+    pairs = list(combinations(range(1, n + 1), 2))
+    for keep in range(2 ** len(pairs)):
+        g = Graph(n, [e for i, e in enumerate(pairs) if keep >> i & 1])
+        assert_exhaustive_matches_oracle(g)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -139,16 +191,31 @@ def test_dihedral_invariance(case):
 
 
 class TestPermutationSources:
-    def test_all_arrangements_count(self):
-        assert sum(1 for _ in all_arrangements(3)) == 6
+    @staticmethod
+    def representatives(n):
+        return np.concatenate(list(_class_representatives(n)))
 
-    def test_all_arrangements_distinct(self):
-        seen = {a.pos for a in all_arrangements(4)}
-        assert len(seen) == 24
+    def test_dihedral_representatives_count(self):
+        for n in range(3, 11):
+            rows = self.representatives(n)
+            assert rows.shape == (math.factorial(n - 1) // 2, n)
+            assert len(rows) == exhaustive_rows(n)
+
+    def test_dihedral_representatives_one_per_class(self):
+        # the 2n rotations and reflections of every arrangement meet the
+        # representatives exactly once
+        for n in range(3, 8):
+            reps = {tuple(r) for r in self.representatives(n).tolist()}
+            assert len(reps) == math.factorial(n - 1) // 2
+            for perm in permutations(range(1, n + 1)):
+                rotations = [tuple((p + k) % n + 1 for p in perm) for k in range(n)]
+                orbit = set(rotations) | {tuple(n + 1 - p for p in r) for r in rotations}
+                assert len(orbit) == 2 * n
+                assert len(orbit & reps) == 1
 
     def test_exhaustive_mean_linear_tree5(self):
         g = gen_family("linear_tree", 5)
-        total = sum(crossings(g, a) for a in all_arrangements(5))
+        total = sum(crossings(g, LinearArrangement(p)) for p in permutations(range(1, 6)))
         assert Fraction(total, math.factorial(5)) == 1  # |Q|/3 with |Q| = 3
 
     def test_random_arrangement_reproducible(self):

@@ -3,6 +3,7 @@ import io
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from crossings import estimator
@@ -13,6 +14,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def refuse_q_pairs(monkeypatch):
+    from crossings.graphs import Graph
+
+    def refuse(self):
+        raise AssertionError("enumerated Q")
+
+    monkeypatch.setattr(Graph, "q_pairs", refuse)
 
 
 class TestAnalyze:
@@ -56,12 +66,7 @@ class TestAnalyze:
 
     def test_builds_no_q(self, capsys, monkeypatch):
         # exact moments come from vertex and edge sums, never from Q
-        from crossings.graphs import Graph
-
-        def refuse(self):
-            raise AssertionError("analyze enumerated Q")
-
-        monkeypatch.setattr(Graph, "q_pairs", refuse)
+        refuse_q_pairs(monkeypatch)
         code, out, _ = run(capsys, "analyze", "--family", "erdos_renyi",
                            "--n", "40", "--p", "0.3", "--seed", "2")
         assert code == 0
@@ -184,6 +189,61 @@ class TestEstimate:
         assert {(code, out) for code, out, _ in results} == {(0, results[0][1])}
         assert all("jobs=" not in err for _, _, err in results)
 
+    def test_cost_warning_counts_class_representatives(self, capsys):
+        # 10!/20 = 181440 rows are counted; for the 10-cycle (|Q| = 35) that
+        # is 6.4e6 pair checks, below the 1e8 warning threshold
+        code, _, err = run(capsys, "estimate", "--family", "cycle", "--n", "10")
+        assert code == 0
+        assert "warning" not in err
+        code, _, err = run(capsys, "estimate", "--family", "complete", "--n", "10")
+        assert code == 0
+        assert "(n-1)!/2 x |Q| = 181440 x 630 = 114307200 pair checks" in err
+
+
+class TestNoQ:
+    # crossings are counted from the edges, never from Q
+    @pytest.mark.parametrize("argv", [
+        ("estimate", "--family", "one_regular", "--n", "8"),
+        ("estimate", "--family", "cycle", "--n", "15", "--samples", "4000"),
+    ])
+    def test_estimate(self, capsys, monkeypatch, argv):
+        expected = run(capsys, *argv, "--out", "json")
+        refuse_q_pairs(monkeypatch)
+        assert run(capsys, *argv, "--out", "json") == expected
+
+    def test_ztest_arrangement(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "arr.txt"
+        path.write_text("1 5 2 6 3 7 4 8\n")
+        refuse_q_pairs(monkeypatch)
+        code, out, _ = run(capsys, "ztest", "--family", "one_regular", "--n", "8",
+                           "--arrangement", str(path), "--out", "json")
+        assert code == 0
+        assert json.loads(out)["C"] == "6"
+
+    def test_ztest_arrangement_large_tree(self, capsys, monkeypatch, tmp_path):
+        # a comb on 2k vertices: legs (i, k+i) and a spine (k+i, k+i+1). At
+        # position i for vertex i every two legs interleave and no spine
+        # edge has a position strictly inside it, so C = k(k-1)/2. Vertices
+        # are relabelled at random so that the edges reach the counter out
+        # of position order.
+        k = 5000
+        n = 2 * k
+        label = np.random.Generator(np.random.PCG64(3)).permutation(n) + 1
+        edges = [(i, k + i) for i in range(1, k + 1)]
+        edges += [(k + i, k + i + 1) for i in range(1, k)]
+        graph = tmp_path / "comb.txt"
+        graph.write_text(f"{n} {len(edges)}\n" + "".join(
+            f"{label[u - 1]} {label[v - 1]}\n" for u, v in edges))
+        pos = np.empty(n, dtype=np.int64)
+        pos[label - 1] = np.arange(1, n + 1)
+        arr = tmp_path / "arr.txt"
+        arr.write_text(" ".join(map(str, pos.tolist())) + "\n")
+        refuse_q_pairs(monkeypatch)
+        code, out, _ = run(capsys, "ztest", "--input", str(graph),
+                           "--arrangement", str(arr), "--out", "json")
+        assert code == 0
+        assert json.loads(out)["C"] == str(k * (k - 1) // 2)
+
 
 class TestZtest:
     def test_fig3_arrangement_file(self, capsys, tmp_path):
@@ -210,12 +270,7 @@ class TestZtest:
         assert "degenerate" in out
 
     def test_observed_builds_no_q(self, capsys, monkeypatch):
-        from crossings.graphs import Graph
-
-        def refuse(self):
-            raise AssertionError("ztest --observed enumerated Q")
-
-        monkeypatch.setattr(Graph, "q_pairs", refuse)
+        refuse_q_pairs(monkeypatch)
         code, out, _ = run(capsys, "ztest", "--family", "one_regular", "--n", "8",
                            "--observed", "6", "--out", "json")
         assert code == 0
@@ -295,6 +350,14 @@ class TestValidateCmd:
         code, out, _ = run(capsys, "validate", "graph6", "--path", str(path))
         assert code == 0
         assert json.loads(out)["graphs_checked"] == 2
+
+    def test_graph6_corpus_bad_line_named(self, capsys, tmp_path):
+        path = tmp_path / "c.g6"
+        path.write_text("C~\nxx\n")
+        code, out, err = run(capsys, "validate", "graph6", "--path", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"parse error: {path}: line 2: " in err
 
     def test_graph6_corpus_not_ascii_exit_2(self, capsys, tmp_path):
         path = tmp_path / "c.g6"

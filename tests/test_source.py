@@ -36,3 +36,22 @@ def test_single_threaded():
             found += [f"{path.name}:{node.lineno}: {name}" for name in names
                       if name.split(".")[0] in banned]
     assert not found, f"concurrency imports in the library: {found}"
+
+
+def test_q_pairs_only_in_oracles():
+    # Q has O(m^2) elements: only the brute-force oracles may enumerate it
+    allowed = {("product_types.py", "freq_brute"), ("validation.py", "check_graph")}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "graphs.py":
+            continue
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (path.name, getattr(top, "name", None)) in allowed:
+                continue
+            found += [
+                f"{path.name}:{node.lineno}"
+                for node in ast.walk(top)
+                if "q_pairs" in (getattr(node, "attr", None), getattr(node, "id", None),
+                                 getattr(node, "value", None))
+            ]
+    assert not found, f"q_pairs outside the oracles: {found}"
