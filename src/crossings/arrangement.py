@@ -3,11 +3,12 @@ counter C and a uniform random arrangement source."""
 
 from __future__ import annotations
 
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .graphs import Graph, GraphFormatError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class LinearArrangement:

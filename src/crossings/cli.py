@@ -223,6 +223,11 @@ def cmd_ztest(args) -> int:
         observed = crossings(g, arr)
     else:
         observed = args.observed
+        q = size_q(g)
+        if not 0 <= observed <= q:
+            raise _UsageError(
+                f"--observed must be within 0..|Q| = 0..{q}, got {observed}"
+            )
     e = expectation_rla(g)
     var = variance_from_freq(freq_fast(g))
     pairs = [

@@ -15,11 +15,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, permutations
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .closed_forms import FamilySpec, closed_expectation, closed_size_q, closed_variance
 from .graphs import BudgetError, Graph, gen_family, size_q
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_EXHAUSTIVE_LIMIT = 10
 DEFAULT_SAMPLES = 100_000
@@ -45,6 +47,8 @@ def crossing_counts(g: Graph, pos: np.ndarray) -> np.ndarray:
     at column i-1), equal to arrangement.crossings. Vectorized over rows:
     each pair of independent edges, taken straight from `g.edges`, gets the
     interleave test lo1 < lo2 < hi1 < hi2 or lo2 < lo1 < hi2 < hi1."""
+    import numpy as np
+
     c = np.zeros(pos.shape[0], dtype=np.int64)
     edges = g.edges
     lo = []
@@ -96,6 +100,8 @@ def _class_representatives(n: int):
     positions for the last k vertices in one of the k! orders of a numpy
     table; k <= _TAIL_VERTICES bounds the memory of a chunk.
     """
+    import numpy as np
+
     k = min(n - 3, _TAIL_VERTICES)
     tail = np.array(list(permutations(range(k))), dtype=np.intp)
     heads = (h for h in permutations(range(2, n + 1), n - 1 - k) if h[0] < h[1])
@@ -142,6 +148,8 @@ def exhaustive_moments(
     if n >= 3:
         chunks = _class_representatives(n)
     else:
+        import numpy as np
+
         chunks = [np.array(list(permutations(range(1, n + 1))), dtype=np.int16)]
     rows, sum_c, sum_c2 = _accumulate(g, chunks)
     if rows != exhaustive_rows(n):
@@ -169,6 +177,8 @@ def monte_carlo_moments(
     """
     if samples < 2:
         raise ValueError("Monte Carlo needs at least 2 samples")
+    import numpy as np
+
     n = g.n
     sizes = []
     left = samples

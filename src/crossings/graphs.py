@@ -10,8 +10,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
 # The special families and the least n each accepts (for complete_bipartite,
 # the least size of each part).
 _FAMILY_MIN_N = {
@@ -263,20 +261,19 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """G(n, p) with each pair included independently with probability p.
 
     Deterministic given the seed: PCG64 stream, one uniform draw per vertex
-    pair in lexicographic order (documented in the README).
+    pair in lexicographic order (documented in the README). The draws are
+    taken one row (vertex u against u+1..n) at a time, in O(n) memory
+    beside the edges; PCG64 gives the same stream drawn in pieces as at once.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be within [0,1], got {p}")
+    import numpy as np
+
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    npairs = n * (n - 1) // 2
-    draws = rng.random(npairs)
     edges = []
-    k = 0
-    for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            if draws[k] < p:
-                edges.append((u, v))
-            k += 1
+    for u in range(1, n):
+        row = rng.random(n - u)  # pairs (u, u+1) .. (u, n)
+        edges += [(u, u + 1 + k) for k in np.flatnonzero(row < p).tolist()]
     return Graph(n, edges)
 
 

@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-import numpy as np
-
 from . import moments
 from .closed_forms import FamilySpec, closed_freq, closed_variance
 from .estimator import DEFAULT_EXHAUSTIVE_LIMIT, exhaustive_moments, monte_carlo_moments
@@ -322,6 +320,10 @@ def validate_er(n: int, p: float, trials: int, seed: int,
     """
     if not 0 < p <= 1:
         raise ValueError("p must be within (0, 1]")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    import numpy as np
+
     started = time.perf_counter()
     report = ValidationReport(
         corpus=f"erdos-renyi-n{n}-p{p}-trials{trials}",

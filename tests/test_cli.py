@@ -288,6 +288,17 @@ class TestZtest:
         code, _, _ = run(capsys, "ztest", "--family", "cycle", "--n", "6")
         assert code == 1
 
+    @pytest.mark.parametrize("observed,expected", [(-1, 1), (0, 0), (5, 0), (6, 1)])
+    def test_observed_within_zero_to_q(self, capsys, observed, expected):
+        # cycle(5) has |Q| = 5: no arrangement has fewer than 0 or more
+        # than 5 crossings
+        code, out, err = run(capsys, "ztest", "--family", "cycle", "--n", "5",
+                             "--observed", str(observed))
+        assert code == expected
+        if expected:
+            assert "0..5" in err
+            assert out == ""
+
 
 class TestScan:
     def test_csv_round_trip(self, capsys):
@@ -337,6 +348,14 @@ class TestValidateCmd:
     def test_er_requires_args(self, capsys):
         code, _, _ = run(capsys, "validate", "er")
         assert code == 1
+
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_er_trials_below_one_exit_1(self, capsys, trials):
+        code, out, err = run(capsys, "validate", "er", "--n", "10", "--p", "0.2",
+                             "--trials", trials)
+        assert code == 1
+        assert "trials must be at least 1" in err
+        assert out == ""
 
     def test_er_runs(self, capsys):
         code, out, _ = run(capsys, "validate", "er", "--n", "10", "--p", "0.2",

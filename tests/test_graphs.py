@@ -150,6 +150,35 @@ class TestErdosRenyi:
         with pytest.raises(ValueError):
             erdos_renyi(5, 1.5, seed=0)
 
+    @pytest.mark.parametrize("n,p,seed", [
+        (0, 0.5, 1), (1, 0.5, 1), (2, 0.5, 7), (9, 0.0, 3), (9, 1.0, 3),
+        (17, 0.3, 0), (40, 0.1, 2024), (123, 0.05, 99),
+    ])
+    def test_same_graph_as_one_shot_draw(self, n, p, seed):
+        # oracle: all n(n-1)/2 uniforms drawn in one call, read off in
+        # lexicographic pair order
+        import numpy as np
+
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        draws = iter(rng.random(n * (n - 1) // 2))
+        expected = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+                    if next(draws) < p]
+        assert erdos_renyi(n, p, seed).edges == tuple(expected)
+
+    def test_memory_linear_in_n(self):
+        # a one-shot draw of the 8 million pair uniforms at n = 4,000 takes
+        # 64 MB; one row at a time stays within a few MB
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            g = erdos_renyi(4000, 0.001, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n == 4000 and g.m > 0
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
 
 class TestSizeQ:
     def test_linear_tree_5(self):

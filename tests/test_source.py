@@ -27,13 +27,7 @@ def test_single_threaded():
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+            found += [f"{path.name}:{node.lineno}: {name}" for name in _imported(node)
                       if name.split(".")[0] in banned]
     assert not found, f"concurrency imports in the library: {found}"
 
@@ -55,3 +49,39 @@ def test_q_pairs_only_in_oracles():
                                  getattr(node, "value", None))
             ]
     assert not found, f"q_pairs outside the oracles: {found}"
+
+
+def _imported(node) -> list[str]:
+    """The absolute module names an import statement names; [] for any
+    other node."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module]
+    return []
+
+
+def _import_time_nodes(node):
+    """The nodes of a statement that run when its module is imported: all
+    but those inside a function."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        return
+    yield node
+    for child in ast.iter_child_nodes(node):
+        yield from _import_time_nodes(child)
+
+
+def test_numpy_not_imported_at_module_level():
+    # importing numpy costs every command about 0.15 s of start-up; only the
+    # functions that build arrays or draw random numbers may import it
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            stmts = [top]
+            if isinstance(top, ast.If) and ast.unparse(top.test) in (
+                    "TYPE_CHECKING", "typing.TYPE_CHECKING"):
+                stmts = top.orelse  # the body runs only under a type checker
+            found += [f"{path.name}:{node.lineno}: {name}"
+                      for stmt in stmts for node in _import_time_nodes(stmt)
+                      for name in _imported(node) if name.split(".")[0] == "numpy"]
+    assert not found, f"module-level numpy imports in the library: {found}"

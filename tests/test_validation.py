@@ -137,6 +137,11 @@ class TestValidateEr:
         with pytest.raises(ValueError):
             validate_er(10, 0.0, trials=1, seed=0)
 
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_trials_at_least_one(self, trials):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            validate_er(10, 0.2, trials=trials, seed=0)
+
     def test_census_budget_skip(self):
         rep = validate_er(12, 0.5, trials=1, seed=2, census_q_limit=1)
         assert rep.success
