@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 from .arrangement import (
     LinearArrangement,
     crossings,
-    format_arrangement,
     parse_arrangement,
     random_arrangement,
 )
@@ -16,7 +15,6 @@ from .closed_forms import (
     FamilySpec,
     closed_expectation,
     closed_freq,
-    closed_size_q,
     closed_variance,
 )
 from .estimator import (
@@ -29,15 +27,11 @@ from .estimator import (
 from .graphs import (
     FAMILIES,
     BudgetError,
-    DegreeStats,
     Graph,
     GraphFormatError,
-    QZeroWitness,
     degree_stats,
-    disjoint_union,
     erdos_renyi,
     format_edge_list,
-    from_edge_list,
     from_graph6,
     from_pruefer,
     gen_family,
@@ -45,7 +39,6 @@ from .graphs import (
     parse_edge_list,
     q_edge,
     size_q,
-    to_graph6,
 )
 from .moments import (
     ALPHA_RLA,

@@ -29,9 +29,6 @@ class LinearArrangement:
     def n(self) -> int:
         return len(self.pos) - 1
 
-    def position(self, v: int) -> int:
-        return self.pos[v]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, LinearArrangement) and self.pos == other.pos
 
@@ -104,7 +101,3 @@ def parse_arrangement(text: str) -> LinearArrangement:
         return LinearArrangement(positions)
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from None
-
-
-def format_arrangement(arr: LinearArrangement) -> str:
-    return " ".join(str(p) for p in arr.pos[1:]) + "\n"

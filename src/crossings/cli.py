@@ -153,15 +153,13 @@ def _emit_mapping(pairs: list[tuple[str, str]], out: str):
 
 def cmd_analyze(args) -> int:
     g = _load_graph(args)
-    stats = degree_stats(g)
     fv = freq_fast(g)
     e = expectation_rla(g)
     var = variance_from_freq(fv)
-    wz = is_q_zero(g)
     pairs = [
         ("n", str(g.n)),
         ("m", str(g.m)),
-        ("k2", str(stats.second_moment)),
+        ("k2", str(degree_stats(g))),
         ("Q", str(size_q(g))),
         ("E", str(e)),
         ("E_decimal", f"{float(e):.12g}"),
@@ -169,7 +167,7 @@ def cmd_analyze(args) -> int:
         ("Var_decimal", f"{float(var):.12g}"),
     ]
     pairs += [(f"f{c}", str(fv[c])) for c in PRODUCT_TYPES]
-    pairs.append(("q_zero_family", wz.family or ""))
+    pairs.append(("q_zero_family", is_q_zero(g) or ""))
     if args.out == "table":
         # friendlier rendering for the exact values
         table = dict(pairs)
@@ -316,8 +314,8 @@ def build_parser() -> _Parser:
         # accepted so that existing command lines keep working; ignored,
         # since the estimator runs on one thread
         p.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
-        p.add_argument("--out", choices=("table", "csv", "json"),
-                       default="table")
+        return p.add_argument("--out", choices=("table", "csv", "json"),
+                              default="table")
 
     p = sub.add_parser("analyze", help="exact |Q|, E[C], Var[C] and frequencies")
     common(p)
@@ -362,7 +360,8 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--exhaustive-limit", dest="exhaustive_limit",
                    type=int, default=DEFAULT_EXHAUSTIVE_LIMIT)
-    common(p, graph=False)
+    out = common(p, graph=False)
+    out.choices, out.default = ("json",), "json"  # reports are JSON only
     p.set_defaults(func=cmd_validate)
 
     return parser

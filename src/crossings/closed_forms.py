@@ -43,11 +43,6 @@ class FamilySpec:
             _check_family(self.family, self.n, lam=self.lam)
 
 
-def closed_size_q(spec: FamilySpec) -> int:
-    """|Q|, which is f24 by definition."""
-    return closed_freq(spec).f24
-
-
 def closed_freq(spec: FamilySpec) -> FreqVector:
     """Exact frequency vector from the per-family closed formulas.
 
@@ -143,8 +138,8 @@ def closed_freq(spec: FamilySpec) -> FreqVector:
 
 
 def closed_expectation(spec: FamilySpec) -> Fraction:
-    """E[C] = |Q|/3 via the closed |Q| formulas."""
-    return Fraction(closed_size_q(spec), 3)
+    """E[C] = |Q|/3 via the closed |Q| formulas (|Q| is f24 by definition)."""
+    return Fraction(closed_freq(spec).f24, 3)
 
 
 def closed_variance(spec: FamilySpec) -> Fraction:

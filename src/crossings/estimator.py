@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import islice, permutations
 from typing import TYPE_CHECKING
 
-from .closed_forms import FamilySpec, closed_expectation, closed_size_q, closed_variance
+from .closed_forms import FamilySpec, closed_expectation, closed_freq, closed_variance
 from .graphs import BudgetError, Graph, gen_family, size_q
 
 if TYPE_CHECKING:
@@ -251,7 +251,7 @@ def scan_family(
                         None, None, "skipped", None, None)
             )
             continue
-        q = closed_size_q(spec)
+        q = closed_freq(spec).f24
         e_th = closed_expectation(spec)
         v_th = closed_variance(spec)
         if mode == "theory":

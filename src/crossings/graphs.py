@@ -6,7 +6,6 @@ Vertices are labeled 1..n. Graphs are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -24,6 +23,10 @@ _FAMILY_MIN_N = {
 }
 FAMILIES = tuple(_FAMILY_MIN_N)
 
+# Every graph costs O(n) memory before its edges are read, so n is bounded;
+# 2·10^6 admits any graph with 10^6 edges and no isolated vertex.
+MAX_VERTICES = 2_000_000
+
 
 class GraphFormatError(ValueError):
     """Malformed graph input (edge-list text, graph6, arrangement file)."""
@@ -33,27 +36,9 @@ class BudgetError(RuntimeError):
     """A computation was refused because it exceeds its configured budget."""
 
 
-@dataclass(frozen=True)
-class DegreeStats:
-    """Edge count and the second moment of degree <k^2> (exact)."""
-
-    m: int
-    second_moment: Fraction
-
-
-@dataclass(frozen=True)
-class QZeroWitness:
-    """Outcome of the |Q|=0 structural test.
-
-    `family` is "star_with_isolated" or "triangle_with_isolated" when
-    `is_zero`, else None.
-    """
-
-    is_zero: bool
-    family: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.is_zero
+def _check_vertex_count(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise BudgetError(f"{n} vertices exceeds the limit of {MAX_VERTICES}")
 
 
 class Graph:
@@ -64,19 +49,23 @@ class Graph:
         edges: tuple of (u, v) pairs with u < v, sorted.
         adj: neighbor sets indexed by vertex (index 0 unused).
         degrees: degree of each vertex (index 0 unused).
+
+    The constructor deduplicates unordered pairs; it raises ValueError on a
+    self-loop or a vertex outside 1..n and BudgetError above MAX_VERTICES.
     """
 
-    __slots__ = ("n", "edges", "adj", "degrees", "_q_pairs")
+    __slots__ = ("n", "edges", "adj", "degrees")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
+        _check_vertex_count(n)
         seen = set()
-        for u, v in edges:
+        for idx, (u, v) in enumerate(edges):
             if u == v:
-                raise ValueError(f"self-loop ({u},{u}) not allowed")
+                raise ValueError(f"pair #{idx} is a self-loop ({u},{v})")
             if not (1 <= u <= n and 1 <= v <= n):
-                raise ValueError(f"edge ({u},{v}) out of range 1..{n}")
+                raise ValueError(f"pair #{idx} ({u},{v}) out of range 1..{n}")
             seen.add((u, v) if u < v else (v, u))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted(seen)))
@@ -86,7 +75,6 @@ class Graph:
             adj[v].add(u)
         object.__setattr__(self, "adj", tuple(frozenset(s) for s in adj))
         object.__setattr__(self, "degrees", tuple(len(s) for s in adj))
-        object.__setattr__(self, "_q_pairs", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -117,37 +105,24 @@ class Graph:
     def q_pairs(self) -> tuple[tuple[int, int, int, int], ...]:
         """The set Q as a sorted tuple of (s, t, u, v) with (s,t) < (u,v).
 
-        Each entry is an unordered pair {st, uv} of independent edges.
-        Computed once and cached.
+        Each entry is an unordered pair {st, uv} of independent edges. Built
+        anew on each call in O(m^2) time and memory, for the oracles only.
         """
-        pairs = object.__getattribute__(self, "_q_pairs")
-        if pairs is None:
-            es = self.edges
-            out = []
-            for i in range(len(es)):
-                s, t = es[i]
-                for j in range(i + 1, len(es)):
-                    u, v = es[j]
-                    if s != u and s != v and t != u and t != v:
-                        out.append((s, t, u, v))
-            pairs = tuple(out)
-            object.__setattr__(self, "_q_pairs", pairs)
-        return pairs
+        es = self.edges
+        out = []
+        for i in range(len(es)):
+            s, t = es[i]
+            for j in range(i + 1, len(es)):
+                u, v = es[j]
+                if s != u and s != v and t != u and t != v:
+                    out.append((s, t, u, v))
+        return tuple(out)
 
 
-def from_edge_list(n: int, pairs: Sequence[tuple[int, int]]) -> Graph:
-    """Build a Graph from vertex-pair list, deduplicating unordered pairs."""
-    for idx, (u, v) in enumerate(pairs):
-        if u == v:
-            raise ValueError(f"pair #{idx} is a self-loop ({u},{v})")
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise ValueError(f"pair #{idx} ({u},{v}) out of range 1..{n}")
-    return Graph(n, pairs)
-
-
-def degree_stats(g: Graph) -> DegreeStats:
+def degree_stats(g: Graph) -> Fraction:
+    """The second moment of degree <k^2> = sum k^2 / n (0 when n = 0)."""
     sq = sum(k * k for k in g.degrees)
-    return DegreeStats(m=g.m, second_moment=Fraction(sq, g.n) if g.n else Fraction(0))
+    return Fraction(sq, g.n) if g.n else Fraction(0)
 
 
 def size_q(g: Graph) -> int:
@@ -172,20 +147,22 @@ def q_edge(g: Graph, s: int, t: int) -> int:
     return g.m - g.degrees[s] - g.degrees[t] + 1
 
 
-def is_q_zero(g: Graph) -> QZeroWitness:
+def is_q_zero(g: Graph) -> str | None:
     """Structural test for |Q| = 0.
 
-    True exactly for star(lambda) + isolated vertices (including the
+    |Q| = 0 exactly for star(lambda) + isolated vertices (including the
     edgeless and single-edge cases) and for a triangle + isolated vertices.
+    Returns "star_with_isolated" or "triangle_with_isolated" for those, and
+    None for every other graph.
     """
     m = g.m
     if m == 0:
-        return QZeroWitness(True, "star_with_isolated")
+        return "star_with_isolated"
     linked = sorted({v for e in g.edges for v in e})
     if m == 3 and len(linked) == 3:
         a, b, c = linked
         if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c):
-            return QZeroWitness(True, "triangle_with_isolated")
+            return "triangle_with_isolated"
     # star: some vertex lies on every edge
     candidates = set(g.edges[0])
     for u, v in g.edges:
@@ -193,15 +170,8 @@ def is_q_zero(g: Graph) -> QZeroWitness:
         if not candidates:
             break
     if candidates:
-        return QZeroWitness(True, "star_with_isolated")
-    return QZeroWitness(False, None)
-
-
-def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    """G1 + G2 with g2's labels shifted by g1.n."""
-    shift = g1.n
-    edges = list(g1.edges) + [(u + shift, v + shift) for u, v in g2.edges]
-    return Graph(g1.n + g2.n, edges)
+        return "star_with_isolated"
+    return None
 
 
 def _check_family(
@@ -236,6 +206,7 @@ def gen_family(
     takes the star size via `lam` and total vertices via `n`.
     """
     _check_family(family, n, n2, lam)
+    _check_vertex_count(n + n2 if family == "complete_bipartite" else n)
     if family == "complete":
         return Graph(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)])
     if family == "complete_bipartite":
@@ -267,6 +238,7 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be within [0,1], got {p}")
+    _check_vertex_count(n)
     import numpy as np
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
@@ -307,7 +279,7 @@ def from_pruefer(code: Sequence[int]) -> Graph:
     return Graph(n, edges)
 
 
-# --- graph6 codec (n <= 62) ---------------------------------------------
+# --- graph6 decoder (n <= 62) -------------------------------------------
 
 _G6_HEADER = ">>graph6<<"
 
@@ -352,26 +324,6 @@ def from_graph6(text: str | bytes) -> Graph:
                 edges.append((u, v))
             idx += 1
     return Graph(n, edges)
-
-
-def to_graph6(g: Graph) -> str:
-    """Encode a graph as a graph6 string (n <= 62)."""
-    n = g.n
-    if n > 62:
-        raise ValueError("graph6 encoding only supported for n <= 62")
-    bits = []
-    for v in range(2, n + 1):
-        for u in range(1, v):
-            bits.append(1 if g.has_edge(u, v) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(n + 63)]
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i : i + 6]:
-            val = (val << 1) | b
-        out.append(chr(val + 63))
-    return "".join(out)
 
 
 # --- input files and the edge-list text format ----------------------------

@@ -14,7 +14,10 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 
-from .graphs import BudgetError, Graph
+from .graphs import BudgetError, Graph, size_q
+
+# The largest |Q| that freq_brute classifies: |Q|^2 pairs in pure Python.
+BRUTE_Q_LIMIT = 50_000
 
 # Fixed serialization order for the nine product types.
 PRODUCT_TYPES = ("00", "24", "13", "12", "04", "03", "021", "022", "01")
@@ -132,19 +135,20 @@ def _classify_masks(a1, a2, b1, b2) -> str:
     return "022"
 
 
-def freq_brute(g: Graph, q_budget: int = 50_000) -> FreqVector:
+def freq_brute(g: Graph) -> FreqVector:
     """Classify all of Q x Q directly (the oracle path).
 
     Ordered semantics: the diagonal counts once, every unordered off-diagonal
-    pair twice. Refuses when |Q| exceeds `q_budget`.
+    pair twice. Refuses, before it builds Q, when |Q| exceeds BRUTE_Q_LIMIT.
     """
-    q = g.q_pairs()
-    nq = len(q)
-    if nq > q_budget:
+    expected = size_q(g)
+    if expected > BRUTE_Q_LIMIT:
         raise BudgetError(
-            f"|Q| = {nq} exceeds budget {q_budget}: refusing |Q|^2 = {nq * nq} "
-            "classifications"
+            f"|Q| = {expected} exceeds budget {BRUTE_Q_LIMIT}: refusing "
+            f"|Q|^2 = {expected * expected} classifications"
         )
+    q = g.q_pairs()
+    nq = len(q)  # counted, not taken from the formula: this is the oracle
     masks = [
         ((1 << s) | (1 << t), (1 << u) | (1 << v)) for s, t, u, v in q
     ]

@@ -4,7 +4,16 @@ Erdos-Renyi battery."""
 
 import pytest
 
-from crossings import erdos_renyi, from_edge_list
+from crossings import Graph, erdos_renyi
+
+
+def refuse_q_pairs(monkeypatch):
+    """Make any enumeration of Q fail the test."""
+
+    def refuse(self):
+        raise AssertionError("enumerated Q")
+
+    monkeypatch.setattr(Graph, "q_pairs", refuse)
 
 
 def nx_module():
@@ -33,7 +42,7 @@ def atlas_graphs():
     for G in nx.graph_atlas_g()[1:]:
         mapping = {v: i + 1 for i, v in enumerate(sorted(G.nodes()))}
         out.append(
-            from_edge_list(
+            Graph(
                 G.number_of_nodes(),
                 [(mapping[u], mapping[v]) for u, v in G.edges()],
             )

@@ -9,20 +9,13 @@ import pytest
 from crossings import estimator
 from crossings.cli import main
 
+from conftest import refuse_q_pairs
+
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def refuse_q_pairs(monkeypatch):
-    from crossings.graphs import Graph
-
-    def refuse(self):
-        raise AssertionError("enumerated Q")
-
-    monkeypatch.setattr(Graph, "q_pairs", refuse)
 
 
 class TestAnalyze:
@@ -84,6 +77,18 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--input", str(path))
         assert code == 2
         assert "line 2" in err
+
+    def test_vertex_count_above_limit_exit_1(self, capsys, tmp_path):
+        import time
+
+        path = tmp_path / "huge.txt"
+        path.write_text("1000000000 0\n")
+        started = time.perf_counter()
+        code, out, err = run(capsys, "analyze", "--input", str(path))
+        assert time.perf_counter() - started < 1.0
+        assert code == 1
+        assert out == ""
+        assert "1000000000 vertices exceeds the limit of 2000000" in err
 
     def test_negative_vertex_count_exit_2(self, capsys, tmp_path):
         path = tmp_path / "neg.txt"
@@ -369,6 +374,44 @@ class TestValidateCmd:
         code, out, _ = run(capsys, "validate", "graph6", "--path", str(path))
         assert code == 0
         assert json.loads(out)["graphs_checked"] == 2
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_graph6_limit_below_one_exit_1(self, capsys, tmp_path, limit):
+        path = tmp_path / "c.g6"
+        path.write_text("C~\n")
+        code, out, err = run(capsys, "validate", "graph6", "--path", str(path),
+                             "--limit", limit)
+        assert code == 1
+        assert out == ""
+        assert "limit must be at least 1" in err
+
+    def test_graph6_cycle_11_records_exhaustive_skips(self, capsys, tmp_path):
+        path = tmp_path / "c11.g6"
+        path.write_text("JhCGGC@?K?_\n")  # the 11-cycle
+        code, out, _ = run(capsys, "validate", "graph6", "--path", str(path))
+        assert code == 0
+        data = json.loads(out)
+        assert data["success"] is True
+        assert [(s["check"], s["detail"]) for s in data["skipped"]] == [
+            ("exhaustive_mean_vs_theory", "n = 11 above exhaustive limit 10"),
+            ("exhaustive_variance_vs_theory", "n = 11 above exhaustive limit 10"),
+        ]
+
+    @pytest.mark.parametrize("out", ["table", "csv"])
+    def test_out_other_than_json_exit_1(self, capsys, out):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "families", "--nmax", "5", "--out", out])
+        assert exc.value.code == 1
+        assert capsys.readouterr().out == ""
+
+    def test_out_json_default_and_accepted(self, capsys):
+        code, out1, err = run(capsys, "validate", "trees", "--nmax", "4")
+        assert code == 0 and "out=json" in err
+        code, out2, _ = run(capsys, "validate", "trees", "--nmax", "4", "--out", "json")
+        assert code == 0
+        data1, data2 = json.loads(out1), json.loads(out2)
+        del data1["elapsed_seconds"], data2["elapsed_seconds"]
+        assert data1 == data2
 
     def test_graph6_corpus_bad_line_named(self, capsys, tmp_path):
         path = tmp_path / "c.g6"

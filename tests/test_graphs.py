@@ -7,11 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crossings import (
+    Graph,
     degree_stats,
-    disjoint_union,
     erdos_renyi,
     format_edge_list,
-    from_edge_list,
     from_graph6,
     from_pruefer,
     gen_family,
@@ -20,9 +19,8 @@ from crossings import (
     parse_edge_list,
     q_edge,
     size_q,
-    to_graph6,
 )
-from crossings.graphs import GraphFormatError
+from crossings.graphs import BudgetError, GraphFormatError
 
 from conftest import nx_graph6_line
 
@@ -37,42 +35,73 @@ def brute_size_q(g):
 
 
 class TestFromEdgeList:
+    """The Graph constructor's checks and deduplication of vertex pairs."""
+
     def test_basic(self):
-        g = from_edge_list(4, [(1, 2), (3, 4)])
+        g = Graph(4, [(1, 2), (3, 4)])
         assert g.n == 4 and g.m == 2
 
     def test_dedup_unordered(self):
-        g = from_edge_list(4, [(1, 2), (2, 1)])
+        g = Graph(4, [(1, 2), (2, 1)])
         assert g.m == 1
 
     def test_out_of_range_names_offending_pair(self):
         with pytest.raises(ValueError, match="pair #0"):
-            from_edge_list(3, [(1, 4)])
+            Graph(3, [(1, 4)])
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="pair #1"):
-            from_edge_list(3, [(1, 2), (2, 2)])
+            Graph(3, [(1, 2), (2, 2)])
 
     def test_adjacency_symmetric(self):
-        g = from_edge_list(5, [(1, 2), (2, 3), (4, 5)])
+        g = Graph(5, [(1, 2), (2, 3), (4, 5)])
         for u in g.vertices():
             for v in g.adj[u]:
                 assert u in g.adj[v]
 
     def test_degree_sum_is_2m(self):
-        g = from_edge_list(6, [(1, 2), (2, 3), (3, 4), (5, 6)])
+        g = Graph(6, [(1, 2), (2, 3), (3, 4), (5, 6)])
         assert sum(g.degrees) == 2 * g.m
+
+
+class TestVertexLimit:
+    def test_graph_at_and_above_limit(self, monkeypatch):
+        from crossings import graphs
+
+        monkeypatch.setattr(graphs, "MAX_VERTICES", 5)
+        assert Graph(5, [(1, 5)]).n == 5
+        with pytest.raises(BudgetError, match="6 vertices exceeds the limit of 5"):
+            Graph(6, [])
+
+    def test_generators_check_before_building(self, monkeypatch):
+        from crossings import graphs
+
+        monkeypatch.setattr(graphs, "MAX_VERTICES", 5)
+        assert gen_family("complete", 5).m == 10
+        for args, kwargs in [(("complete", 6), {}), (("cycle", 6), {}),
+                             (("complete_bipartite", 3), {"n2": 3})]:
+            with pytest.raises(BudgetError):
+                gen_family(*args, **kwargs)
+
+    def test_erdos_renyi_refuses_before_drawing(self, monkeypatch):
+        import numpy as np
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew random numbers")
+
+        monkeypatch.setattr(np.random, "Generator", no_draws)
+        with pytest.raises(BudgetError):
+            erdos_renyi(10**9, 0.0, 0)
 
 
 class TestDegreeStats:
     def test_second_moment(self):
         g = gen_family("linear_tree", 7)
-        assert degree_stats(g).second_moment == Fraction(22, 7)
+        assert degree_stats(g) == Fraction(22, 7)
 
     def test_cauchy_schwarz(self, atlas_graphs):
         for g in atlas_graphs:
-            st = degree_stats(g)
-            assert st.second_moment >= Fraction(2 * st.m, g.n) ** 2
+            assert degree_stats(g) >= Fraction(2 * g.m, g.n) ** 2
 
 
 class TestFamilies:
@@ -113,17 +142,9 @@ class TestFamilies:
 
 
 class TestDisjointUnion:
-    def test_k2_k2_isomorphic_to_one_regular_4(self):
-        k2 = gen_family("complete", 2)
-        g = disjoint_union(k2, k2)
-        assert g == gen_family("one_regular", 4)
-
-    def test_union_with_empty_is_identity(self):
-        g = gen_family("cycle", 5)
-        assert disjoint_union(g, from_edge_list(0, [])) == g
-
     def test_star_plus_isolated_decomposition(self):
-        g = disjoint_union(gen_family("star", 4), from_edge_list(3, []))
+        # a star on 1..4 plus the isolated vertices 5..7
+        g = Graph(7, gen_family("star", 4).edges)
         assert g == gen_family("star_plus_isolated", 7, lam=4)
 
 
@@ -244,25 +265,23 @@ class TestQEdge:
 
 class TestIsQZero:
     def test_triangle_with_isolated(self):
-        g = disjoint_union(gen_family("complete", 3), from_edge_list(5, []))
-        w = is_q_zero(g)
-        assert w.is_zero and w.family == "triangle_with_isolated"
+        g = Graph(8, gen_family("complete", 3).edges)
+        assert is_q_zero(g) == "triangle_with_isolated"
 
     def test_paw_not_zero(self):
-        paw = from_edge_list(4, [(1, 2), (2, 3), (1, 3), (3, 4)])
-        assert not is_q_zero(paw).is_zero
+        paw = Graph(4, [(1, 2), (2, 3), (1, 3), (3, 4)])
+        assert is_q_zero(paw) is None
         assert size_q(paw) == 1
 
     def test_cycle4(self):
         g = gen_family("cycle", 4)
-        assert not is_q_zero(g).is_zero
+        assert is_q_zero(g) is None
         assert size_q(g) == 2
 
     def test_star_cases(self):
         for lam in range(0, 6):
             g = gen_family("star_plus_isolated", 6, lam=lam)
-            w = is_q_zero(g)
-            assert w.is_zero and w.family == "star_with_isolated"
+            assert is_q_zero(g) == "star_with_isolated"
 
     def test_agrees_with_size_q_on_atlas(self, atlas_graphs):
         for g in atlas_graphs:
@@ -325,14 +344,9 @@ class TestGraph6:
                     continue
                 yield gen_family(fam, n)
 
-    def test_round_trip_all_families_to_20(self):
-        for g in self._family_instances():
-            assert from_graph6(to_graph6(g)) == g
-
     def test_matches_independent_encoder(self):
-        # oracle: networkx's graph6 writer must agree byte for byte
+        # oracle: networkx's graph6 writer encodes, the library decodes
         for g in self._family_instances():
-            assert to_graph6(g) == nx_graph6_line(g)
             assert from_graph6(nx_graph6_line(g)) == g
 
     def test_header_accepted(self):

@@ -15,6 +15,7 @@ from crossings import (
     gen_family,
     size_q,
 )
+from crossings import product_types
 from crossings.graphs import BudgetError
 from crossings.product_types import (
     GRAPHETTE_MULTIPLIERS,
@@ -22,6 +23,8 @@ from crossings.product_types import (
     PRODUCT_TYPES,
     TYPE_VERTEX_COUNT,
 )
+
+from conftest import refuse_q_pairs
 
 # representative configurations, one per type (distinct letters = vertices)
 REPRESENTATIVES = {
@@ -102,10 +105,17 @@ class TestFreqBrute:
         g = gen_family(family, n)
         assert freq_brute(g) == FreqVector.from_dict(expected)
 
-    def test_budget_guard_names_q_squared(self):
+    def test_budget_guard_names_q_squared(self, monkeypatch):
         g = gen_family("complete", 10)  # |Q| = 630
+        monkeypatch.setattr(product_types, "BRUTE_Q_LIMIT", 100)
         with pytest.raises(BudgetError, match=r"396900"):
-            freq_brute(g, q_budget=100)
+            freq_brute(g)
+
+    def test_budget_checked_before_q_is_built(self, monkeypatch):
+        g = gen_family("complete", 30)  # |Q| = 82,215
+        refuse_q_pairs(monkeypatch)
+        with pytest.raises(BudgetError, match="82215 exceeds budget 50000"):
+            freq_brute(g)
 
     def test_diagonal_counted_once(self):
         g = gen_family("linear_tree", 4)
@@ -192,7 +202,7 @@ def small_graphs(draw):
 @given(small_graphs())
 def test_freq_fast_is_brute_and_graphette_census(g):
     fv = freq_fast(g)
-    assert fv == freq_brute(g, q_budget=10**6)
+    assert fv == freq_brute(g)
     for code in PRODUCT_TYPES:
         assert fv[code] == GRAPHETTE_MULTIPLIERS[code] * count_graphette(
             g, GRAPHETTE_SHAPES[code]

@@ -6,6 +6,7 @@ import pytest
 
 from crossings import (
     from_pruefer,
+    gen_family,
     validate_er,
     validate_families,
     validate_graph6_corpus,
@@ -13,7 +14,50 @@ from crossings import (
     variance_rla,
 )
 
-from conftest import nx_graph6_line
+from crossings import product_types, validation
+
+from conftest import nx_graph6_line, refuse_q_pairs
+
+
+def _skipped_checks(report):
+    return [s["check"] for s in report.skipped]
+
+
+class TestCheckGraphBudgets:
+    def test_above_brute_limit_skips_both_q_checks(self, monkeypatch):
+        g = gen_family("cycle", 6)  # |Q| = 9
+        monkeypatch.setattr(product_types, "BRUTE_Q_LIMIT", 8)
+        refuse_q_pairs(monkeypatch)
+        report = validation.ValidationReport(corpus="c6")
+        validation.check_graph(g, "c6", report)
+        assert report.success, report.failures
+        assert _skipped_checks(report) == [
+            "size_q_formula_vs_enumeration", "freq_fast_vs_brute"]
+        assert all("|Q| = 9 exceeds budget 8" in s["detail"] for s in report.skipped)
+
+    def test_at_brute_limit_runs_both_q_checks(self, monkeypatch):
+        monkeypatch.setattr(product_types, "BRUTE_Q_LIMIT", 9)
+        report = validation.ValidationReport(corpus="c6")
+        validation.check_graph(gen_family("cycle", 6), "c6", report)
+        assert report.success and report.skipped == []
+
+    def test_enumeration_mismatch_is_a_failure(self, monkeypatch):
+        # the size check compares the formula with an enumeration of Q
+        g = gen_family("cycle", 6)
+        original = type(g).q_pairs
+        monkeypatch.setattr(type(g), "q_pairs", lambda self: original(self)[1:])
+        report = validation.ValidationReport(corpus="c6")
+        validation.check_graph(g, "c6", report)
+        assert "size_q_formula_vs_enumeration" in [f["check"] for f in report.failures]
+
+    def test_above_exhaustive_limit_records_skips(self):
+        report = validation.ValidationReport(corpus="c6")
+        validation.check_graph(gen_family("cycle", 6), "c6", report,
+                               exhaustive_limit=5)
+        assert _skipped_checks(report) == [
+            "exhaustive_mean_vs_theory", "exhaustive_variance_vs_theory"]
+        assert all(s["detail"] == "n = 6 above exhaustive limit 5"
+                   for s in report.skipped)
 
 
 class TestValidateTrees:
@@ -100,6 +144,13 @@ class TestValidateGraph6Corpus:
         rep = validate_graph6_corpus(str(path), limit=10)
         assert rep.graphs_checked == 10
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_limit_below_one_rejected(self, tmp_path, limit):
+        path = tmp_path / "k4.g6"
+        path.write_text("C~\n")
+        with pytest.raises(ValueError, match="limit must be at least 1"):
+            validate_graph6_corpus(str(path), limit=limit)
+
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.g6"
         path.write_text("C~\nF?\n")  # second line truncated
@@ -142,10 +193,19 @@ class TestValidateEr:
         with pytest.raises(ValueError, match="trials must be at least 1"):
             validate_er(10, 0.2, trials=trials, seed=0)
 
-    def test_census_budget_skip(self):
-        rep = validate_er(12, 0.5, trials=1, seed=2, census_q_limit=1)
+    def test_census_budget_skip(self, monkeypatch):
+        monkeypatch.setattr(validation, "CENSUS_Q_LIMIT", 1)
+        rep = validate_er(12, 0.5, trials=1, seed=2)
         assert rep.success
         assert any(s["check"] == "graphette_identities" for s in rep.skipped)
+
+    def test_large_graph_builds_no_q(self, monkeypatch):
+        # |Q| is far above the brute-force limit, so Q is never enumerated
+        refuse_q_pairs(monkeypatch)
+        rep = validate_er(80, 0.5, trials=1, seed=1)
+        assert rep.success, rep.failures
+        assert {"size_q_formula_vs_enumeration", "freq_fast_vs_brute",
+                "graphette_identities"} <= set(_skipped_checks(rep))
 
     def test_failures_sorted_by_witness(self):
         rep = validate_er(10, 0.3, trials=3, seed=9)
