@@ -306,7 +306,7 @@ def build_parser() -> _Parser:
                         version=f"crossings {__version__}")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p, graph=True):
+    def common(p, graph=True, out=True):
         if graph:
             _add_graph_args(p)
         p.add_argument("--seed", type=int, default=None,
@@ -314,15 +314,16 @@ def build_parser() -> _Parser:
         # accepted so that existing command lines keep working; ignored,
         # since the estimator runs on one thread
         p.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
-        return p.add_argument("--out", choices=("table", "csv", "json"),
-                              default="table")
+        if out:
+            return p.add_argument("--out", choices=("table", "csv", "json"),
+                                  default="table")
 
     p = sub.add_parser("analyze", help="exact |Q|, E[C], Var[C] and frequencies")
     common(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("generate", help="emit a graph as edge-list text")
-    common(p)
+    common(p, out=False)  # edge-list text is its only output format
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("estimate", help="empirical moments of C")

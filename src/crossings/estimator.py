@@ -7,6 +7,15 @@ exact rationals and Monte Carlo reports convert to float only at the end.
 Arrangements are counted in fixed blocks, one after another. The blocks are
 there for reproducible seeding (Monte Carlo block b has its own stream) and
 to bound the memory of a position table, not to share work among workers.
+
+`crossing_counts` counts a block per edge, not per pair of `Q`: two
+independent edges cross exactly when one end of the later edge lies strictly
+inside the earlier edge's span and the other outside, and one batched test
+in wrapping unsigned arithmetic (uint8 positions for n <= 255, uint16 for
+n <= 65,535, uint32 above) checks that against all the later independent
+edges at once. The work stays O(rows * |Q|), in about m numpy calls per
+block. Monte Carlo draws int16 positions up to 32,767 vertices and int32
+above.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ DEFAULT_SAMPLES = 100_000
 MC_BLOCK = 10_000
 _PERM_CHUNK = 100_000
 _TAIL_VERTICES = 8  # 8! = 40,320 rows in the numpy permutation table
+_EDGE_BATCH = 255  # the most edges whose crossings one uint8 count holds
 
 
 @dataclass(frozen=True)
@@ -43,31 +53,45 @@ class EstimateReport:
 
 
 def crossing_counts(g: Graph, pos: np.ndarray) -> np.ndarray:
-    """Crossing count per row of a positions matrix (row k: pos of vertex i
-    at column i-1), equal to arrangement.crossings. Vectorized over rows:
-    each pair of independent edges, taken straight from `g.edges`, gets the
-    interleave test lo1 < lo2 < hi1 < hi2 or lo2 < lo1 < hi2 < hi1."""
+    """Crossing count per row of a positions matrix (row r: pos of vertex i
+    at column i-1), equal to arrangement.crossings.
+
+    Two independent edges have four distinct positions, and they cross
+    exactly when one end of the later edge lies strictly inside the earlier
+    edge's span and the other outside it. The block is transposed once to
+    an unsigned (n, rows) table of B bits (uint8 for n <= 255, uint16 for
+    n <= 65,535, uint32 above) and each edge's two endpoint rows are
+    gathered. For an edge with ends at positions a and b, an end x of an
+    edge independent of it passes the test x - a < b - a, in wrapping
+    B-bit arithmetic, exactly when x lies inside (a, b) if a < b, and
+    exactly when x lies outside (b, a) if a > b (positions 1..n are
+    distinct modulo 2^B). The second case flips the test for both ends of
+    the other edge, which leaves their XOR unchanged, so no min or max is
+    needed. For edge i, all later edges independent of it are tested at
+    once: the two ends' results are XORed and summed over the edges, in
+    batches of up to 255 edges so that a uint8 sum holds a batch's count.
+    That is O(rows * |Q|) work in about m numpy calls per block.
+    """
     import numpy as np
 
     c = np.zeros(pos.shape[0], dtype=np.int64)
     edges = g.edges
-    lo = []
-    hi = []
-    for u, v in edges:
-        pu = pos[:, u - 1]
-        pv = pos[:, v - 1]
-        lo.append(np.minimum(pu, pv))
-        hi.append(np.maximum(pu, pv))
+    m = len(edges)
+    dtype = np.uint8 if g.n <= 0xFF else np.uint16 if g.n <= 0xFFFF else np.uint32
+    end_vertices = np.array(edges, dtype=np.intp).reshape(m, 2).T - 1  # (2, m)
+    ends = np.ascontiguousarray(pos.T, dtype=dtype)[end_vertices]  # (2, m, rows)
+    width = ends[1] - ends[0]
+    passed = np.empty((2, min(m, _EDGE_BATCH), len(c)), dtype=bool)
     for i, (s, t) in enumerate(edges):
-        lo1, hi1 = lo[i], hi[i]
-        for j in range(i + 1, len(edges)):
-            u, v = edges[j]
-            if s == u or s == v or t == u or t == v:
-                continue  # adjacent edges never cross
-            lo2, hi2 = lo[j], hi[j]
-            c += ((lo1 < lo2) & (lo2 < hi1) & (hi1 < hi2)) | (
-                (lo2 < lo1) & (lo1 < hi2) & (hi2 < hi1)
-            )
+        later = [j for j in range(i + 1, m) if s not in edges[j] and t not in edges[j]]
+        for k in range(0, len(later), _EDGE_BATCH):
+            batch = later[k : k + _EDGE_BATCH]
+            x = ends[:, batch]
+            x -= ends[0, i]
+            hit = np.less(x, width[i], out=passed[:, : len(batch)])
+            del x  # before the next gather, to bound the block's peak memory
+            crossed = np.not_equal(hit[0], hit[1], out=hit[0])
+            c += np.add.reduce(crossed.view(np.uint8), axis=0, dtype=np.uint8)
     return c
 
 
@@ -180,6 +204,9 @@ def monte_carlo_moments(
     import numpy as np
 
     n = g.n
+    # int16 positions above 32,767 would wrap; `permuted` draws the same
+    # shuffle for either dtype, so smaller graphs keep their int16 draws
+    dtype = np.int16 if n <= 0x7FFF else np.int32
     sizes = []
     left = samples
     while left > 0:
@@ -192,8 +219,8 @@ def monte_carlo_moments(
             rng = np.random.Generator(
                 np.random.PCG64(np.random.SeedSequence([seed, idx]))
             )
-            base = np.tile(np.arange(1, n + 1, dtype=np.int16), (count, 1))
-            yield rng.permuted(base, axis=1)
+            # the tiled table is dropped as soon as it is shuffled
+            yield rng.permuted(np.tile(np.arange(1, n + 1, dtype=dtype), (count, 1)), axis=1)
 
     _, sum_c, sum_c2 = _accumulate(g, chunks())
     t = samples

@@ -6,6 +6,7 @@ Vertices are labeled 1..n. Graphs are immutable after construction.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -69,12 +70,16 @@ class Graph:
             seen.add((u, v) if u < v else (v, u))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted(seen)))
-        adj: list[set[int]] = [set() for _ in range(n + 1)]
+        # sets only for vertices with edges; isolated ones share one empty set
+        nbrs: defaultdict[int, set[int]] = defaultdict(set)
         for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        object.__setattr__(self, "adj", tuple(frozenset(s) for s in adj))
-        object.__setattr__(self, "degrees", tuple(len(s) for s in adj))
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        adj: list[frozenset[int]] = [frozenset()] * (n + 1)
+        for v, s in nbrs.items():
+            adj[v] = frozenset(s)
+        object.__setattr__(self, "adj", tuple(adj))
+        object.__setattr__(self, "degrees", tuple(map(len, adj)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")

@@ -90,6 +90,14 @@ class TestAnalyze:
         assert out == ""
         assert "1000000000 vertices exceeds the limit of 2000000" in err
 
+    def test_million_isolated_vertices(self, capsys, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("1000000 0\n")
+        code, out, _ = run(capsys, "analyze", "--input", str(path), "--out", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert (data["n"], data["m"], data["Var"]) == ("1000000", "0", "0")
+
     def test_negative_vertex_count_exit_2(self, capsys, tmp_path):
         path = tmp_path / "neg.txt"
         path.write_text("-1 0\n")
@@ -130,6 +138,15 @@ class TestGenerate:
         code, out2, _ = run(capsys, "analyze", "--input", str(path), "--out", "json")
         assert code == 0
         assert json.loads(out2)["n"] == "6"
+
+    def test_out_rejected(self, capsys):
+        # edge-list text is generate's only output; --out used to be
+        # accepted and ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--family", "cycle", "--n", "4", "--out", "json"])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--out" in captured.err
 
     def test_erdos_renyi_seeded(self, capsys):
         _, out1, _ = run(capsys, "generate", "--family", "erdos_renyi",

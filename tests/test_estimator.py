@@ -4,9 +4,12 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossings import (
     FamilySpec,
+    Graph,
     LinearArrangement,
     closed_variance,
     crossings,
@@ -18,6 +21,7 @@ from crossings import (
     size_q,
     variance_rla,
 )
+from crossings import estimator
 from crossings.estimator import crossing_counts
 from crossings.graphs import BudgetError, erdos_renyi
 
@@ -35,6 +39,61 @@ class TestCrossingCountsBulk:
                 expected.append(crossings(g, LinearArrangement(perm)))
             got = crossing_counts(g, np.array(rows, dtype=np.int16))
             assert got.tolist() == expected
+
+    @pytest.mark.parametrize("n", [255, 256, 257, 65_535, 65_536, 65_537])
+    def test_exact_at_dtype_bounds(self, n):
+        # the counter's unsigned table is uint8 up to 255, uint16 up to
+        # 65,535, uint32 above; spans reach positions 1 and n in the
+        # identity, its reversal and its rotations. A table one bit too
+        # narrow is still exact at n = 256 and 65,536, where positions
+        # modulo 2^b only rotate the arrangement, but not one vertex later
+        rng = np.random.Generator(np.random.PCG64(n))
+        edges = [(1, n), (2, n - 1), (3, n // 2), (n - 2, n), (1, n - 3),
+                 (4, 5), (4, 6), (4, 7), (4, n - 4)]
+        edges += [tuple(int(v) for v in rng.choice(np.arange(1, n + 1), 2, replace=False))
+                  for _ in range(20)]
+        g = Graph(n, edges)
+        assert max(g.degrees) >= 3
+        ident = np.arange(1, n + 1)
+        rows = [ident, n + 1 - ident, ident % n + 1, (ident + n - 2) % n + 1]
+        rows += [rng.permutation(ident) for _ in range(4)]
+        pos = np.array(rows, dtype=np.int32)
+        expected = [crossings(g, LinearArrangement(r.tolist())) for r in rows]
+        assert max(expected) > 0
+        assert crossing_counts(g, pos).tolist() == expected
+
+    def test_exact_past_one_edge_batch(self):
+        # under the identity, (1, 300) crosses each of the 298 later edges
+        # (k, 300 + k), and those all cross each other: more crossings per
+        # edge than one uint8 batch count holds
+        g = Graph(600, [(1, 300)] + [(k, 300 + k) for k in range(2, 300)])
+        rng = np.random.Generator(np.random.PCG64(11))
+        rows = [np.arange(1, 601)] + [rng.permutation(np.arange(1, 601)) for _ in range(3)]
+        expected = [crossings(g, LinearArrangement(r.tolist())) for r in rows]
+        assert expected[0] == 298 + math.comb(298, 2)
+        assert crossing_counts(g, np.array(rows, dtype=np.int16)).tolist() == expected
+
+    @pytest.mark.parametrize("edges", [[], [(1, 3)], [(1, 3), (2, 4)], [(1, 2), (2, 4)]],
+                             ids=["m0", "m1", "m2-independent", "m2-adjacent"])
+    def test_exact_with_few_edges(self, edges):
+        g = Graph(4, edges)
+        rows = list(permutations(range(1, 5)))
+        expected = [crossings(g, LinearArrangement(r)) for r in rows]
+        got = crossing_counts(g, np.array(rows, dtype=np.int16))
+        assert got.dtype == np.int64 and got.tolist() == expected
+        assert crossing_counts(g, np.empty((0, 4), dtype=np.int16)).tolist() == []
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_exact_on_random_graphs(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=12))
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        g = Graph(n, [e for e, k in zip(pairs, keep) if k])
+        rows = data.draw(st.lists(st.permutations(range(1, n + 1)), min_size=1, max_size=6))
+        dtype = data.draw(st.sampled_from([np.int16, np.int32, np.int64]))
+        expected = [crossings(g, LinearArrangement(r)) for r in rows]
+        assert crossing_counts(g, np.array(rows, dtype=dtype)).tolist() == expected
 
 
 class TestExhaustive:
@@ -109,6 +168,21 @@ class TestMonteCarlo:
     def test_requires_two_samples(self):
         with pytest.raises(ValueError):
             monte_carlo_moments(gen_family("cycle", 12), samples=1, seed=0)
+
+    def test_rows_are_arrangements_above_int16(self, monkeypatch):
+        # int16 positions wrap above 32,767 and repeat above 65,535
+        n = 70_000
+        g = Graph(n, [(1, n), (2, 3), (40_000, 69_999), (5, 65_537)])
+        seen = []
+
+        def checked(graph, pos):
+            assert (np.sort(pos, axis=1) == np.arange(1, n + 1)).all()
+            seen.append(len(pos))
+            return crossing_counts(graph, pos)
+
+        monkeypatch.setattr(estimator, "crossing_counts", checked)
+        rep = monte_carlo_moments(g, samples=3, seed=0)
+        assert seen == [3] and rep.samples == 3
 
     def test_cycle50_within_2pct(self):
         g = gen_family("cycle", 50)

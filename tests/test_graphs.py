@@ -63,6 +63,27 @@ class TestFromEdgeList:
         g = Graph(6, [(1, 2), (2, 3), (3, 4), (5, 6)])
         assert sum(g.degrees) == 2 * g.m
 
+    def test_isolated_vertices_share_one_empty_set(self):
+        g = Graph(5, [(1, 2), (2, 3)])
+        assert g.adj == (frozenset(), frozenset({2}), frozenset({1, 3}),
+                         frozenset({2}), frozenset(), frozenset())
+        assert g.degrees == (0, 1, 2, 1, 0, 0)
+        assert all(type(s) is frozenset for s in g.adj)
+
+    def test_memory_of_isolated_vertices(self):
+        # one set per vertex took 436 MB at n = 10^6; a shared empty set
+        # leaves the two tuples of n + 1 references
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            g = Graph(10**6, [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n == 10**6 and g.m == 0 and g.degrees[-1] == 0
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
 
 class TestVertexLimit:
     def test_graph_at_and_above_limit(self, monkeypatch):
