@@ -14,8 +14,8 @@ inside the earlier edge's span and the other outside, and one batched test
 in wrapping unsigned arithmetic (uint8 positions for n <= 255, uint16 for
 n <= 65,535, uint32 above) checks that against all the later independent
 edges at once. The work stays O(rows * |Q|), in about m numpy calls per
-block. Monte Carlo draws int16 positions up to 32,767 vertices and int32
-above.
+block, and a block's tables are O(m * rows). Monte Carlo shuffles int32
+positions in place.
 """
 
 from __future__ import annotations
@@ -58,10 +58,10 @@ def crossing_counts(g: Graph, pos: np.ndarray) -> np.ndarray:
 
     Two independent edges have four distinct positions, and they cross
     exactly when one end of the later edge lies strictly inside the earlier
-    edge's span and the other outside it. The block is transposed once to
-    an unsigned (n, rows) table of B bits (uint8 for n <= 255, uint16 for
-    n <= 65,535, uint32 above) and each edge's two endpoint rows are
-    gathered. For an edge with ends at positions a and b, an end x of an
+    edge's span and the other outside it. Each edge's two endpoint columns
+    are copied once into an unsigned (2, m, rows) table of B bits, the
+    narrowest that holds n (uint8 for n <= 255, uint16 for n <= 65,535,
+    uint32 above). For an edge with ends at positions a and b, an end x of an
     edge independent of it passes the test x - a < b - a, in wrapping
     B-bit arithmetic, exactly when x lies inside (a, b) if a < b, and
     exactly when x lies outside (b, a) if a > b (positions 1..n are
@@ -77,9 +77,11 @@ def crossing_counts(g: Graph, pos: np.ndarray) -> np.ndarray:
     c = np.zeros(pos.shape[0], dtype=np.int64)
     edges = g.edges
     m = len(edges)
-    dtype = np.uint8 if g.n <= 0xFF else np.uint16 if g.n <= 0xFFFF else np.uint32
-    end_vertices = np.array(edges, dtype=np.intp).reshape(m, 2).T - 1  # (2, m)
-    ends = np.ascontiguousarray(pos.T, dtype=dtype)[end_vertices]  # (2, m, rows)
+    ends = np.empty((2, m, len(c)), dtype=np.min_scalar_type(g.n))
+    for i, (s, t) in enumerate(edges):
+        # column by column, so no (n, rows) or full-width copy is made
+        ends[0, i] = pos[:, s - 1]
+        ends[1, i] = pos[:, t - 1]
     width = ends[1] - ends[0]
     passed = np.empty((2, min(m, _EDGE_BATCH), len(c)), dtype=bool)
     for i, (s, t) in enumerate(edges):
@@ -204,9 +206,6 @@ def monte_carlo_moments(
     import numpy as np
 
     n = g.n
-    # int16 positions above 32,767 would wrap; `permuted` draws the same
-    # shuffle for either dtype, so smaller graphs keep their int16 draws
-    dtype = np.int16 if n <= 0x7FFF else np.int32
     sizes = []
     left = samples
     while left > 0:
@@ -219,8 +218,8 @@ def monte_carlo_moments(
             rng = np.random.Generator(
                 np.random.PCG64(np.random.SeedSequence([seed, idx]))
             )
-            # the tiled table is dropped as soon as it is shuffled
-            yield rng.permuted(np.tile(np.arange(1, n + 1, dtype=dtype), (count, 1)), axis=1)
+            pos = np.tile(np.arange(1, n + 1, dtype=np.int32), (count, 1))
+            yield rng.permuted(pos, axis=1, out=pos)
 
     _, sum_c, sum_c2 = _accumulate(g, chunks())
     t = samples

@@ -69,6 +69,7 @@ class TestFromEdgeList:
                          frozenset({2}), frozenset(), frozenset())
         assert g.degrees == (0, 1, 2, 1, 0, 0)
         assert all(type(s) is frozenset for s in g.adj)
+        assert g.adj[0] is g.adj[4] is g.adj[5]
 
     def test_memory_of_isolated_vertices(self):
         # one set per vertex took 436 MB at n = 10^6; a shared empty set
