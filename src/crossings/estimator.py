@@ -35,6 +35,9 @@ if TYPE_CHECKING:
 DEFAULT_EXHAUSTIVE_LIMIT = 10
 DEFAULT_SAMPLES = 100_000
 MC_BLOCK = 10_000
+# The most bytes one Monte Carlo block's position table (rows * n int32s)
+# and endpoint table (2 * m * rows positions of crossing_counts) may take.
+MC_BLOCK_BYTES = 1 << 30
 _PERM_CHUNK = 100_000
 _TAIL_VERTICES = 8  # 8! = 40,320 rows in the numpy permutation table
 _EDGE_BATCH = 255  # the most edges whose crossings one uint8 count holds
@@ -200,12 +203,22 @@ def monte_carlo_moments(
 
     Sampling is blocked: block b draws its own PCG64 stream seeded with
     SeedSequence([seed, b]), so the result depends only on `seed` and T.
+    Raises BudgetError, before anything is drawn, when one block's tables
+    would exceed MC_BLOCK_BYTES.
     """
     if samples < 2:
         raise ValueError("Monte Carlo needs at least 2 samples")
     import numpy as np
 
-    n = g.n
+    n, m = g.n, g.m
+    rows = min(MC_BLOCK, samples)
+    need = rows * n * 4 + 2 * m * rows * np.min_scalar_type(n).itemsize
+    if need > MC_BLOCK_BYTES:
+        raise BudgetError(
+            f"a Monte Carlo block of {rows} rows on n = {n}, m = {m} needs "
+            f"{need} bytes for its position and endpoint tables, above the "
+            f"budget of {MC_BLOCK_BYTES} bytes"
+        )
     sizes = []
     left = samples
     while left > 0:

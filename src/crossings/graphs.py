@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 # The special families and the least n each accepts (for complete_bipartite,
@@ -126,7 +127,7 @@ class Graph:
 
 def degree_stats(g: Graph) -> Fraction:
     """The second moment of degree <k^2> = sum k^2 / n (0 when n = 0)."""
-    sq = sum(k * k for k in g.degrees)
+    sq = sum(map(mul, g.degrees, g.degrees))
     return Fraction(sq, g.n) if g.n else Fraction(0)
 
 
@@ -136,7 +137,7 @@ def size_q(g: Graph) -> int:
     Uses |Q| = (m(m+1) - sum k^2) / 2; the numerator is always even.
     """
     m = g.m
-    num = m * (m + 1) - sum(k * k for k in g.degrees)
+    num = m * (m + 1) - sum(map(mul, g.degrees, g.degrees))
     if num % 2 or num < 0:
         raise RuntimeError(
             f"internal inconsistency: m(m+1) - sum(k^2) = {num} must be even "
@@ -339,12 +340,14 @@ def read_input_file(path: str, encoding: str) -> str:
     as a missing file or a directory, or that is not `encoding` text, raises
     a GraphFormatError naming the path."""
     try:
-        with open(path, "r", encoding=encoding) as fh:
-            return fh.read()
-    except UnicodeDecodeError as exc:
-        raise GraphFormatError(f"{path}: not {encoding} text ({exc})") from None
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise GraphFormatError(f"{path}: {exc.strerror or exc}") from None
+    try:
+        return data.decode(encoding)
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{path}: not {encoding} text ({exc})") from None
 
 
 def parse_edge_list(text: str) -> Graph:

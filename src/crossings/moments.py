@@ -8,8 +8,9 @@ z-score and in presentation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from types import MappingProxyType
 from typing import Mapping
 
@@ -44,10 +45,16 @@ class LayoutConstants:
     Types 00 and 01 never contribute, and gamma_24 = delta(1 - delta) in any
     admissible layout; both are enforced here. Whether gamma_04 = -delta^2
     holds beyond the linear case is an open question, so it is not enforced.
+
+    The gammas are also kept as integers over one common denominator:
+    gamma_w = gamma_num[i] / gamma_den, with w = PRODUCT_TYPES[i] and
+    gamma_den the least common multiple of their denominators (180 for RLA).
     """
 
     delta: Fraction
     gamma: Mapping[str, Fraction]
+    gamma_den: int = field(init=False, repr=False, compare=False)
+    gamma_num: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         missing = set(PRODUCT_TYPES) - set(self.gamma)
@@ -60,6 +67,11 @@ class LayoutConstants:
             raise ValueError("types 00 and 01 must have zero gamma")
         if gm["24"] != self.delta * (1 - self.delta):
             raise ValueError("gamma[24] must equal delta*(1-delta)")
+        den = math.lcm(*(x.denominator for x in gm.values()))
+        object.__setattr__(self, "gamma_den", den)
+        object.__setattr__(self, "gamma_num", tuple(
+            gm[c].numerator * (den // gm[c].denominator) for c in PRODUCT_TYPES
+        ))
 
 
 RLA = LayoutConstants(DELTA_RLA, GAMMA_RLA)
@@ -71,7 +83,9 @@ def expectation_rla(g: Graph) -> Fraction:
 
 
 def variance_from_freq(fv: FreqVector, constants: LayoutConstants = RLA) -> Fraction:
-    return sum((fv[c] * constants.gamma[c] for c in PRODUCT_TYPES), Fraction(0))
+    """sum_w f_w * gamma_w, summed in integers over the common denominator."""
+    num = sum(map(mul, fv.as_tuple(), constants.gamma_num))
+    return Fraction(num, constants.gamma_den)
 
 
 def variance_rla(g: Graph) -> Fraction:
@@ -85,18 +99,28 @@ def variance_layout(g: Graph, constants: LayoutConstants) -> Fraction:
 
 
 def z_score(mean: Fraction, var: Fraction, observed: int) -> float:
-    """(C - E[C]) / sqrt(Var[C]); undefined when the variance is zero."""
+    """(C - E[C]) / sqrt(Var[C]); undefined when the variance is zero.
+
+    Each ratio of integers is one correctly rounded division, as
+    Fraction.__float__ is, so no Fraction arithmetic is needed.
+    """
     if var == 0:
         raise ValueError("z-score undefined: Var[C] = 0 (C is constant)")
-    return float(Fraction(observed) - mean) / math.sqrt(var)
+    den = mean.denominator
+    dev = (observed * den - mean.numerator) / den
+    return dev / math.sqrt(var.numerator / var.denominator)
 
 
 def chebyshev_pbound(mean: Fraction, var: Fraction, observed: int) -> Fraction:
-    """Chebyshev bound on P(|C - E| >= |observed - E|), clamped to 1."""
-    dev = Fraction(observed) - mean
-    if dev == 0:
+    """Chebyshev bound on P(|C - E| >= |observed - E|), clamped to 1:
+    Var / dev^2 with dev = observed - E = dev_num / den."""
+    den = mean.denominator
+    dev_num = observed * den - mean.numerator
+    if dev_num == 0:
         return Fraction(1)
-    return min(Fraction(1), var / (dev * dev))
+    num = var.numerator * den * den
+    denom = var.denominator * dev_num * dev_num
+    return Fraction(1) if num >= denom else Fraction(num, denom)
 
 
 def format_rational(x: Fraction, digits: int = 12) -> str:

@@ -13,6 +13,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
+from operator import attrgetter, mul
 
 from .graphs import BudgetError, Graph, size_q
 
@@ -60,6 +62,10 @@ GRAPHETTE_MULTIPLIERS = {
 }
 
 
+# The nine counts of a FreqVector, in PRODUCT_TYPES order.
+_FIELDS = attrgetter(*("f" + c for c in PRODUCT_TYPES))
+
+
 @dataclass(frozen=True)
 class FreqVector:
     """Counts f_w of ordered Q x Q pairs per product type."""
@@ -81,7 +87,7 @@ class FreqVector:
         return sum(self.as_tuple())
 
     def as_tuple(self) -> tuple[int, ...]:
-        return tuple(getattr(self, "f" + c) for c in PRODUCT_TYPES)
+        return _FIELDS(self)
 
     def as_dict(self) -> dict[str, int]:
         return {c: getattr(self, "f" + c) for c in PRODUCT_TYPES}
@@ -170,6 +176,14 @@ def freq_fast(g: Graph) -> FreqVector:
     a subgraph F_w of at most four edges, so degrees, triangles and 4-cycles
     suffice (Alemany-Puig & Ferrer-i-Cancho, arXiv 2003.03353).
 
+    Every cycle lies in the 2-core, which one O(n + m) peeling of the
+    vertices of degree < 2 finds (`_two_core`). An edge with an end outside
+    it is on no triangle, so t_uv = 0 there without a set intersection, and
+    the 4-cycle count ranks and walks only core vertices. A forest has an
+    empty core and does no triangle or 4-cycle work. All counts are
+    integers; `moments.variance_from_freq` keeps them so, scaling each
+    gamma_w by the common denominator of the gammas (180 under RLA).
+
     Notation, for a vertex v and an edge e = uv:
 
         k_v  degree;  N_v = sum_{w~v} k_w;  S_v = sum_{w~v} k_w^2
@@ -214,18 +228,17 @@ def freq_fast(g: Graph) -> FreqVector:
     n, m = g.n, g.m
     deg = g.degrees
     adj = g.adj
+    core_deg = _two_core(g)
 
     # per-vertex sums: N_v, S_v and the vertex terms of f13, f03, f022, f01
     p = k3 = sum_k2 = sum_k4 = 0
     f13_v = p5_v = nn_v = sum_qv2 = 0
     nsum = [0] * (n + 1)
-    for v in range(1, n + 1):
+    for v in compress(range(n + 1), deg):  # isolated vertices add nothing
         k = deg[v]
-        if not k:
-            continue
         nbr_deg = [deg[w] for w in adj[v]]
         nv = sum(nbr_deg)
-        sv = sum(d * d for d in nbr_deg)
+        sv = sum(map(mul, nbr_deg, nbr_deg))
         nsum[v] = nv
         c2 = k * (k - 1) // 2
         p += c2
@@ -243,7 +256,7 @@ def freq_fast(g: Graph) -> FreqVector:
     tri = w2 = p4 = d4 = t_deg = sum_qe2 = adj_pairs = t2 = t_kk = 0
     for u, v in g.edges:
         ku, kv = deg[u], deg[v]
-        t = len(adj[u] & adj[v])
+        t = len(adj[u] & adj[v]) if core_deg[u] and core_deg[v] else 0
         mid = (ku - 1) * (kv - 1) - t  # P4s whose middle edge is uv
         qe = m - ku - kv + 1
         kk = ku * kv
@@ -257,7 +270,8 @@ def freq_fast(g: Graph) -> FreqVector:
         t2 += t * t
         t_kk += t * kk
     # tri = 3T counts each triangle once per edge; w2 = 2W likewise
-    c4 = _count_c4_ranked(g)
+    core = list(compress(range(n + 1), core_deg))
+    c4 = _count_c4_ranked(adj, core_deg, core) if core else 0
     d4 -= w2
 
     f24 = m * (m - 1) // 2 - p
@@ -290,22 +304,47 @@ def freq_fast(g: Graph) -> FreqVector:
     )
 
 
-def _count_c4_ranked(g: Graph) -> int:
-    """4-cycles by degree-ordered wedge counting, in O(m * arboricity).
+def _two_core(g: Graph) -> list[int]:
+    """Each vertex's degree in the 2-core, 0 for a vertex outside it.
 
-    Vertices are ranked by (degree, label). From each vertex v, count the
-    wedges v-u-w whose middle u and far end w both rank below v; every pair
-    of such wedges with the same w closes one 4-cycle with v as its
-    top-ranked vertex, so each 4-cycle is counted once. A hub costs its
-    degree, not its degree squared.
+    Peels vertices of degree < 2 until none is left, in O(n + m): a peeled
+    vertex is set to 0 and its remaining neighbours lose one degree each.
+    What is left has minimum degree 2 and holds every cycle of g.
     """
-    deg = g.degrees
-    order = sorted(g.vertices(), key=lambda v: (deg[v], v))
-    rank = [0] * (g.n + 1)
+    core_deg = list(g.degrees)
+    adj = g.adj
+    # a vertex of degree 1 ends exactly one edge
+    leaves = [v for e in g.edges for v in e if core_deg[v] == 1]
+    while leaves:
+        v = leaves.pop()
+        if not core_deg[v]:
+            continue  # its last neighbour was peeled first
+        core_deg[v] = 0
+        for w in adj[v]:
+            k = core_deg[w]
+            if k:
+                core_deg[w] = k - 1
+                if k == 2:
+                    leaves.append(w)
+    return core_deg
+
+
+def _count_c4_ranked(adj, core_deg: list[int], core: list[int]) -> int:
+    """4-cycles by degree-ordered wedge counting over the 2-core `core`,
+    with `core_deg` its degrees, in O(m * arboricity).
+
+    Core vertices are ranked by (core degree, label). From each vertex v,
+    count the wedges v-u-w whose middle u and far end w both rank below v;
+    every pair of such wedges with the same w closes one 4-cycle with v as
+    its top-ranked vertex, so each 4-cycle is counted once, whatever the
+    ranking. A hub costs its degree, not its degree squared.
+    """
+    order = sorted(core, key=lambda v: (core_deg[v], v))
+    rank = [0] * len(core_deg)
     for r, v in enumerate(order):
         rank[v] = r
-    # neighbour ranks of each vertex, in increasing order, indexed by rank
-    below = [sorted(rank[w] for w in g.adj[v]) for v in order]
+    # core neighbour ranks of each vertex, in increasing order, by rank
+    below = [sorted(rank[w] for w in adj[v] if core_deg[w]) for v in order]
     total = 0
     for r, nbrs in enumerate(below):
         ends: list[int] = []

@@ -184,6 +184,25 @@ class TestInputPaths:
         assert err.splitlines()[-1].startswith(f"crossings: parse error: {tmp_path}: ")
 
 
+    @pytest.mark.parametrize("argv", [
+        ("analyze",),
+        ("ztest", "--observed", "1"),
+        ("ztest", "--arrangement", "ARR"),
+    ])
+    def test_crlf_output_equals_lf(self, capsys, tmp_path, argv):
+        text = "5 5\n1 2\n2 3\n3 1\n3 4\n4 5\n"
+        outputs = []
+        for ending in ("\n", "\r\n"):
+            graph, arr = tmp_path / "g.txt", tmp_path / "arr.txt"
+            graph.write_bytes(text.replace("\n", ending).encode())
+            arr.write_bytes(f"3 1 4 5 2{ending}".encode())
+            args = [str(arr) if a == "ARR" else a for a in argv]
+            code, out, _ = run(capsys, *args, "--input", str(graph), "--out", "json")
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
+
 class TestEstimate:
     def test_exhaustive_small(self, capsys):
         code, out, _ = run(capsys, "estimate", "--family", "linear_tree",
@@ -210,6 +229,14 @@ class TestEstimate:
                    for jobs in ((), ("--jobs", "1"), ("--jobs", "4"))]
         assert {(code, out) for code, out, _ in results} == {(0, results[0][1])}
         assert all("jobs=" not in err for _, _, err in results)
+
+    def test_monte_carlo_block_over_budget_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(estimator, "MC_BLOCK_BYTES", 10**4)
+        code, out, err = run(capsys, "estimate", "--family", "cycle", "--n", "15",
+                             "--samples", "4000", "--seed", "7")
+        assert code == 1
+        assert out == ""
+        assert "n = 15, m = 15" in err and "budget of 10000 bytes" in err
 
     def test_cost_warning_counts_class_representatives(self, capsys):
         # 10!/20 = 181440 rows are counted; for the 10-cycle (|Q| = 35) that

@@ -184,6 +184,53 @@ class TestMonteCarlo:
         rep = monte_carlo_moments(g, samples=3, seed=0)
         assert seen == [3] and rep.samples == 3
 
+    def test_block_budget(self, monkeypatch):
+        # 10^4 rows of 30 int32 positions and 2 * 30 uint8 endpoints
+        g = gen_family("cycle", 30)
+        need = 10_000 * 30 * 4 + 2 * 30 * 10_000
+        before = monte_carlo_moments(g, samples=20_000, seed=3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew arrangements over budget")
+
+        monkeypatch.setattr(estimator, "MC_BLOCK_BYTES", need - 1)
+        monkeypatch.setattr(estimator, "crossing_counts", refuse)
+        with pytest.raises(BudgetError) as exc:
+            monte_carlo_moments(g, samples=20_000, seed=3)
+        assert str(exc.value) == (
+            f"a Monte Carlo block of 10000 rows on n = 30, m = 30 needs {need} "
+            f"bytes for its position and endpoint tables, above the budget of "
+            f"{need - 1} bytes"
+        )
+        monkeypatch.undo()
+        monkeypatch.setattr(estimator, "MC_BLOCK_BYTES", need)
+        assert monte_carlo_moments(g, samples=20_000, seed=3) == before
+
+    def test_block_budget_counts_rows_drawn(self, monkeypatch):
+        # fewer samples than a block: the table holds only those rows, and
+        # the endpoints take 2 bytes each above 255 vertices
+        g = gen_family("linear_tree", 300)
+        need = 50 * 300 * 4 + 2 * 299 * 50 * 2
+        monkeypatch.setattr(estimator, "MC_BLOCK_BYTES", need - 1)
+        with pytest.raises(BudgetError, match=f"50 rows on n = 300, m = 299 needs {need} "):
+            monte_carlo_moments(g, samples=50, seed=0)
+        monkeypatch.setattr(estimator, "MC_BLOCK_BYTES", need)
+        assert monte_carlo_moments(g, samples=50, seed=0).samples == 50
+
+    def test_default_budget_refuses_a_large_sparse_graph(self, monkeypatch):
+        # 10^5 edges on 70,000 vertices: 2.8 GB of positions and 8 GB of
+        # endpoints per block, refused before numpy allocates either
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated a block over budget")
+
+        monkeypatch.setattr(np, "tile", refuse)
+        monkeypatch.setattr(estimator, "crossing_counts", refuse)
+        g = Graph(70_000, [(v, v % 70_000 + 1) for v in range(1, 70_001)]
+                  + [(v, v + 2) for v in range(1, 30_001)])
+        assert g.m == 100_000
+        with pytest.raises(BudgetError, match="n = 70000, m = 100000"):
+            monte_carlo_moments(g, samples=100_000, seed=0)
+
     def test_cycle50_within_2pct(self):
         g = gen_family("cycle", 50)
         theory = float(closed_variance(FamilySpec("cycle", 50)))

@@ -20,7 +20,7 @@ from crossings import (
     q_edge,
     size_q,
 )
-from crossings.graphs import BudgetError, GraphFormatError
+from crossings.graphs import BudgetError, GraphFormatError, read_input_file
 
 from conftest import nx_graph6_line
 
@@ -421,6 +421,44 @@ class TestEdgeListFormat:
     def test_negative_vertex_count(self):
         with pytest.raises(GraphFormatError, match="line 2: negative vertex count"):
             parse_edge_list("# comment\n-1 0\n")
+
+
+class TestReadInputFile:
+    """Files are read as bytes and decoded: line endings are left to the
+    parsers, which split on any of them."""
+
+    def test_crlf_edge_list_and_arrangement(self, tmp_path):
+        text = "# paw\n4 4\n1 2\n2 3\n\n1 3\n3 4\n"
+        for name, ending in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+            path = tmp_path / name
+            path.write_bytes(text.replace("\n", ending).encode())
+            assert parse_edge_list(read_input_file(str(path), "utf-8")) == \
+                parse_edge_list(text)
+        path = tmp_path / "arr"
+        path.write_bytes(b"2 4 1 3\r\n")
+        assert parse_arrangement(read_input_file(str(path), "utf-8")).pos == (0, 2, 4, 1, 3)
+
+    def test_crlf_error_keeps_its_line_number(self, tmp_path):
+        path = tmp_path / "bad"
+        path.write_bytes(b"3 2\r\n1 2\r\n2 x\r\n")
+        with pytest.raises(GraphFormatError, match="line 3: expected integers"):
+            parse_edge_list(read_input_file(str(path), "utf-8"))
+
+    @pytest.mark.parametrize("data,encoding", [
+        (b"\xff", "utf-8"),
+        (b"3 2\n1 2\n2 \xe2\x28\n", "utf-8"),  # a truncated 3-byte sequence
+        (b"3 2\n\xc3\xa9\n", "ascii"),
+    ])
+    def test_undecodable(self, tmp_path, data, encoding):
+        path = tmp_path / "bad"
+        path.write_bytes(data)
+        with pytest.raises(GraphFormatError, match=f"not {encoding} text"):
+            read_input_file(str(path), encoding)
+
+    def test_unreadable_paths(self, tmp_path):
+        for path in (tmp_path / "missing", tmp_path):
+            with pytest.raises(GraphFormatError, match=str(path)):
+                read_input_file(str(path), "utf-8")
 
 
 def _small_ints(text) -> bool:

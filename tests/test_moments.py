@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossings import (
     ALPHA_RLA,
@@ -21,7 +23,7 @@ from crossings import (
     variance_rla,
     z_score,
 )
-from crossings.product_types import PRODUCT_TYPES, freq_fast
+from crossings.product_types import PRODUCT_TYPES, FreqVector, freq_fast
 
 
 class TestConstants:
@@ -247,3 +249,100 @@ class TestFormatting:
 
     def test_integer_rendering(self):
         assert format_rational(Fraction(4, 2)) == "2 (2)"
+
+
+# --- the integer-scaled forms against the Fraction formulas they replace ---
+
+
+def fraction_variance(fv, constants):
+    """The reference: sum_w f_w * gamma_w in Fraction arithmetic."""
+    return sum((fv[c] * constants.gamma[c] for c in PRODUCT_TYPES), Fraction(0))
+
+
+def fraction_z(mean, var, observed):
+    return float(Fraction(observed) - mean) / math.sqrt(var)
+
+
+def fraction_pbound(mean, var, observed):
+    dev = Fraction(observed) - mean
+    if dev == 0:
+        return Fraction(1)
+    return min(Fraction(1), var / (dev * dev))
+
+
+# unlike denominators, so the common one is their least common multiple
+CUSTOM = LayoutConstants(
+    delta=Fraction(2, 7),
+    gamma={
+        "00": 0, "24": Fraction(10, 49), "13": Fraction(3, 71),
+        "12": Fraction(-5, 11), "04": Fraction(-1, 13), "03": Fraction(1, 17),
+        "021": Fraction(-4, 19), "022": Fraction(1, 23), "01": 0,
+    },
+)
+
+freq_vectors = st.builds(
+    FreqVector, *(st.integers(min_value=0, max_value=10**40) for _ in PRODUCT_TYPES)
+)
+
+
+class TestScaledVariance:
+    def test_common_denominators(self):
+        assert RLA.gamma_den == 180
+        assert CUSTOM.gamma_den == 49 * 71 * 11 * 13 * 17 * 19 * 23
+        for consts in (RLA, CUSTOM):
+            for c, num in zip(PRODUCT_TYPES, consts.gamma_num):
+                assert Fraction(num, consts.gamma_den) == consts.gamma[c]
+
+    @pytest.mark.parametrize("consts", [RLA, CUSTOM], ids=["rla", "custom"])
+    def test_equals_fraction_sum_on_graphs(self, consts, er_corpus, atlas_graphs):
+        for g in [g for _, g in er_corpus] + atlas_graphs[::7]:
+            fv = freq_fast(g)
+            assert variance_from_freq(fv, consts) == fraction_variance(fv, consts)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(freq_vectors)
+    def test_equals_fraction_sum_on_any_counts(self, fv):
+        for consts in (RLA, CUSTOM):
+            var = variance_from_freq(fv, consts)
+            assert type(var) is Fraction
+            assert var == fraction_variance(fv, consts)
+
+
+means = st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**6))
+variances = st.builds(Fraction, st.integers(0, 10**40), st.integers(1, 10**9))
+
+
+class TestScaledSignificance:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(means, variances, st.integers(-10**30, 10**30))
+    def test_equal_to_fraction_formulas(self, mean, var, observed):
+        bound = chebyshev_pbound(mean, var, observed)
+        assert type(bound) is Fraction
+        assert bound == fraction_pbound(mean, var, observed)
+        if var:
+            # bit for bit, the sign of a zero included
+            assert z_score(mean, var, observed).hex() == fraction_z(
+                mean, var, observed).hex()
+
+    def test_graphs(self, er_corpus):
+        for _, g in er_corpus:
+            mean, var = expectation_rla(g), variance_rla(g)
+            for observed in range(size_q(g) + 1):
+                assert chebyshev_pbound(mean, var, observed) == fraction_pbound(
+                    mean, var, observed)
+                if var:
+                    assert z_score(mean, var, observed).hex() == fraction_z(
+                        mean, var, observed).hex()
+
+    def test_zero_deviation(self):
+        mean, var = Fraction(3), Fraction(28, 15)
+        assert z_score(mean, var, 3).hex() == fraction_z(mean, var, 3).hex() == "0x0.0p+0"
+        assert chebyshev_pbound(mean, var, 3) == fraction_pbound(mean, var, 3) == 1
+
+    def test_zero_variance(self):
+        # |Q| = 0 makes C constant: no z-score, and the bound is 0 off the mean
+        mean, var = Fraction(0), Fraction(0)
+        with pytest.raises(ValueError, match="Var"):
+            z_score(mean, var, 1)
+        assert chebyshev_pbound(mean, var, 0) == fraction_pbound(mean, var, 0) == 1
+        assert chebyshev_pbound(mean, var, 2) == fraction_pbound(mean, var, 2) == 0

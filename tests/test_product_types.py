@@ -207,3 +207,100 @@ def test_freq_fast_is_brute_and_graphette_census(g):
         assert fv[code] == GRAPHETTE_MULTIPLIERS[code] * count_graphette(
             g, GRAPHETTE_SHAPES[code]
         ), code
+
+
+# graphs whose 2-core (what is left after peeling vertices of degree < 2)
+# is neither empty nor the whole graph, each with its core vertices
+PARTIAL_CORES = {
+    "cycle_with_pendant_trees": (
+        Graph(12, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1),
+                   (1, 6), (6, 7), (6, 8), (3, 9), (9, 10), (10, 11), (4, 12)]),
+        {1, 2, 3, 4, 5},
+    ),
+    "two_cycles_joined_by_a_bridge_path": (
+        Graph(11, [(1, 2), (2, 3), (3, 4), (4, 1), (4, 5), (5, 6), (6, 7),
+                   (7, 8), (8, 9), (9, 7), (2, 10), (10, 11)]),
+        {1, 2, 3, 4, 5, 6, 7, 8, 9},
+    ),
+    "triangle_with_pendant_edges": (
+        Graph(6, [(1, 2), (2, 3), (1, 3), (1, 4), (2, 5), (3, 6)]),
+        {1, 2, 3},
+    ),
+    "forest_plus_k4": (
+        Graph(11, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
+                   (5, 6), (6, 7), (6, 8), (9, 10)]),
+        {1, 2, 3, 4},
+    ),
+    "k4_minus_edge_on_a_path_with_isolated_vertices": (
+        Graph(12, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4),
+                   (4, 5), (5, 6), (6, 7)]),
+        {1, 2, 3, 4},
+    ),
+}
+
+
+class TestTwoCore:
+    @pytest.mark.parametrize("name", PARTIAL_CORES)
+    def test_freq_fast_equals_brute(self, name):
+        g, _ = PARTIAL_CORES[name]
+        assert freq_fast(g) == freq_brute(g)
+
+    @pytest.mark.parametrize("name", PARTIAL_CORES)
+    def test_core_vertices(self, name):
+        g, core = PARTIAL_CORES[name]
+        core_deg = product_types._two_core(g)
+        assert {v for v, k in enumerate(core_deg) if k} == core
+        for v in core:  # degree among the core vertices
+            assert core_deg[v] == len(g.adj[v] & core) >= 2
+
+    def test_core_matches_networkx(self, atlas_graphs):
+        from conftest import nx_module, to_nx
+
+        nx = nx_module()
+        for g in atlas_graphs:
+            core_deg = product_types._two_core(g)
+            expected = {v + 1 for v in nx.k_core(to_nx(g), 2)}
+            assert {v for v, k in enumerate(core_deg) if k} == expected
+
+    def test_four_cycles_ranked_only_in_the_core(self, monkeypatch):
+        # ranking every vertex, isolated ones included, took seconds at
+        # n = 10^6: only core vertices may be ranked
+        ranked = []
+        original = product_types._count_c4_ranked
+
+        def spy(adj, core_deg, core):
+            ranked.append(len(core))
+            return original(adj, core_deg, core)
+
+        monkeypatch.setattr(product_types, "_count_c4_ranked", spy)
+        for g in (Graph(10**6, []), gen_family("star", 500),
+                  from_pruefer((3, 3, 7, 1, 9, 9, 2, 5))):
+            ranked.clear()
+            assert freq_fast(g)["04"] == 0
+            assert sum(ranked) == 0
+        g, core = PARTIAL_CORES["cycle_with_pendant_trees"]
+        ranked.clear()
+        freq_fast(g)
+        assert ranked == [len(core)]
+
+
+@st.composite
+def partial_core_graphs(draw):
+    """A small core graph with trees hung on it, plus isolated vertices."""
+    k = draw(st.integers(min_value=0, max_value=6))
+    pairs = list(combinations(range(1, k + 1), 2))
+    picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [e for e, keep in zip(pairs, picks) if keep]
+    n = k
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        if n:  # hang a new vertex on any existing one
+            edges.append((draw(st.integers(min_value=1, max_value=n)), n + 1))
+        n += 1
+    n += draw(st.integers(min_value=0, max_value=2))
+    return Graph(n, edges)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(partial_core_graphs())
+def test_freq_fast_is_brute_with_pendant_trees(g):
+    assert freq_fast(g) == freq_brute(g)

@@ -25,10 +25,12 @@ print(f"probe {rc} {'numpy' in sys.modules}", file=sys.stderr)
 """
 
 
-def fresh(code, *argv):
+def fresh(code, *argv, optimize=False):
+    """Run `code` in a new interpreter, under `python -O` with `optimize`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+    flags = ["-O"] if optimize else []
+    return subprocess.run([sys.executable, *flags, "-c", code, *argv], env=env,
                           capture_output=True, text=True, timeout=120, check=False)
 
 
@@ -76,3 +78,45 @@ def test_array_commands_load_numpy_and_work(argv, expected):
     assert rc == 0
     assert expected in out
     assert loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["ztest", "--input", "GRAPH", "--arrangement", "ARR", "--out", "json"],
+    ["analyze", "--input", "GRAPH", "--out", "json"],
+], ids=["ztest", "analyze"])
+def test_optimized_interpreter_prints_the_same_bytes(argv, tmp_path):
+    graph, arrangement = tmp_path / "g.txt", tmp_path / "arr.txt"
+    graph.write_text("7 8\n1 2\n2 3\n3 1\n3 4\n4 5\n5 6\n6 4\n6 7\n")
+    arrangement.write_text("5 2 7 1 3 6 4\n")
+    argv = [{"GRAPH": str(graph), "ARR": str(arrangement)}.get(a, a) for a in argv]
+    # -O strips assert statements; the program's checks must not rely on them
+    plain, optimized = fresh(PROBE, *argv), fresh(PROBE, *argv, optimize=True)
+    assert plain.stderr.splitlines()[-1] == "probe 0 False", plain.stderr
+    assert optimized.stderr.splitlines()[-1] == "probe 0 False", optimized.stderr
+    assert plain.stdout and optimized.stdout == plain.stdout
+
+
+# a path whose degree table is wrong at one vertex: the f12 self-check
+# must catch it, with or without -O
+SELF_CHECK = """
+from types import SimpleNamespace
+from crossings import freq_fast, gen_family
+g = gen_family("linear_tree", 6)
+degrees = list(g.degrees)
+degrees[3] += 1
+fake = SimpleNamespace(n=g.n, m=g.m, edges=g.edges, adj=g.adj, degrees=tuple(degrees))
+try:
+    freq_fast(fake)
+except RuntimeError as exc:
+    print("raised", exc)
+print("optimized", not __debug__)
+"""
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+def test_self_check_raises_under_both_interpreters(optimize):
+    proc = fresh(SELF_CHECK, optimize=optimize)
+    assert proc.returncode == 0, proc.stderr
+    raised, optimized = proc.stdout.splitlines()
+    assert raised.startswith("raised internal inconsistency: f12 = ")
+    assert optimized == f"optimized {optimize}"

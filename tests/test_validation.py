@@ -59,6 +59,17 @@ class TestCheckGraphBudgets:
         assert all(s["detail"] == "n = 6 above exhaustive limit 5"
                    for s in report.skipped)
 
+    def test_q_enumerated_once(self, monkeypatch):
+        # the size check reads the length of freq_brute's own enumeration
+        g = gen_family("cycle", 6)
+        calls = []
+        original = type(g).q_pairs
+        monkeypatch.setattr(type(g), "q_pairs",
+                            lambda self: calls.append(1) or original(self))
+        report = validation.ValidationReport(corpus="c6")
+        assert validation.check_graph(g, "c6", report) == (9, product_types.freq_fast(g))
+        assert report.success and len(calls) == 1
+
 
 class TestValidateTrees:
     def test_n5_counts_and_success(self):
@@ -206,6 +217,21 @@ class TestValidateEr:
         assert rep.success, rep.failures
         assert {"size_q_formula_vs_enumeration", "freq_fast_vs_brute",
                 "graphette_identities"} <= set(_skipped_checks(rep))
+
+    def test_frequencies_computed_once_per_graph(self, monkeypatch):
+        # the graphette census reuses what check_graph computed
+        calls = {"freq_fast": 0, "size_q": 0}
+        for name in calls:
+            original = getattr(validation, name)
+
+            def counted(g, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(g)
+
+            monkeypatch.setattr(validation, name, counted)
+        rep = validate_er(9, 0.4, trials=3, seed=4)
+        assert rep.success, rep.failures
+        assert calls == {"freq_fast": 3, "size_q": 3}
 
     def test_failures_sorted_by_witness(self):
         rep = validate_er(10, 0.3, trials=3, seed=9)
