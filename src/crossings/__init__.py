@@ -43,7 +43,6 @@ from .graphs import (
 from .moments import (
     ALPHA_RLA,
     DELTA_RLA,
-    GAMMA_RLA,
     RLA,
     LayoutConstants,
     chebyshev_pbound,

@@ -16,6 +16,9 @@ n <= 65,535, uint32 above) checks that against all the later independent
 edges at once. The work stays O(rows * |Q|), in about m numpy calls per
 block, and a block's tables are O(m * rows). Monte Carlo shuffles int32
 positions in place.
+
+Two budgets refuse through `graphs.check_budget` before anything is counted:
+the exhaustive limit on n and MC_BLOCK_BYTES on one Monte Carlo block.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from itertools import islice, permutations
 from typing import TYPE_CHECKING
 
 from .closed_forms import FamilySpec, closed_expectation, closed_freq, closed_variance
-from .graphs import BudgetError, Graph, gen_family, size_q
+from .graphs import Graph, check_budget, gen_family, size_q
 
 if TYPE_CHECKING:
     import numpy as np
@@ -153,12 +156,10 @@ def exhaustive_rows(n: int) -> int:
     return math.factorial(n - 1) // 2 if n >= 3 else math.factorial(n)
 
 
-def _check_exhaustive_limit(n: int, limit: int) -> None:
-    if n > limit:
-        raise BudgetError(
-            f"n = {n} exceeds the exhaustive limit {limit}: "
-            f"n! = {math.factorial(n)} arrangements"
-        )
+def _exhaustive_what(n: int) -> str:
+    # n! is spelled out while it has at most 19 digits
+    count = f" = {math.factorial(n)}" if n <= 20 else ""
+    return f"vertices for exhaustive enumeration of {n}!{count} arrangements"
 
 
 def exhaustive_moments(
@@ -172,7 +173,7 @@ def exhaustive_moments(
     counted. `samples` is n! either way.
     """
     n = g.n
-    _check_exhaustive_limit(n, limit)
+    check_budget(n, limit, _exhaustive_what(n))
     total = math.factorial(n)
     if n >= 3:
         chunks = _class_representatives(n)
@@ -213,12 +214,8 @@ def monte_carlo_moments(
     n, m = g.n, g.m
     rows = min(MC_BLOCK, samples)
     need = rows * n * 4 + 2 * m * rows * np.min_scalar_type(n).itemsize
-    if need > MC_BLOCK_BYTES:
-        raise BudgetError(
-            f"a Monte Carlo block of {rows} rows on n = {n}, m = {m} needs "
-            f"{need} bytes for its position and endpoint tables, above the "
-            f"budget of {MC_BLOCK_BYTES} bytes"
-        )
+    check_budget(need, MC_BLOCK_BYTES,
+                 f"bytes of a Monte Carlo block of {rows} rows on n = {n}, m = {m}")
     sizes = []
     left = samples
     while left > 0:
@@ -279,7 +276,7 @@ def scan_family(
     if mode not in ("auto", "exhaustive", "monte_carlo", "theory"):
         raise ValueError(f"unknown scan mode {mode!r}")
     if mode == "exhaustive" and n_min <= n_max:
-        _check_exhaustive_limit(n_max, exhaustive_limit)
+        check_budget(n_max, exhaustive_limit, _exhaustive_what(n_max))
     rows = []
     for n in range(n_min, n_max + 1):
         try:

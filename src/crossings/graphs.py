@@ -28,6 +28,8 @@ FAMILIES = tuple(_FAMILY_MIN_N)
 # Every graph costs O(n) memory before its edges are read, so n is bounded;
 # 2·10^6 admits any graph with 10^6 edges and no isolated vertex.
 MAX_VERTICES = 2_000_000
+# The generators refuse above this many edges; 2·10^6 admits K_2000.
+MAX_EDGES = 2_000_000
 
 
 class GraphFormatError(ValueError):
@@ -38,9 +40,10 @@ class BudgetError(RuntimeError):
     """A computation was refused because it exceeds its configured budget."""
 
 
-def _check_vertex_count(n: int) -> None:
-    if n > MAX_VERTICES:
-        raise BudgetError(f"{n} vertices exceeds the limit of {MAX_VERTICES}")
+def check_budget(need: int, limit: int, what: str) -> None:
+    """Raise BudgetError when `need` exceeds `limit`: every budget's refusal."""
+    if need > limit:
+        raise BudgetError(f"{what}: {need} exceeds the limit of {limit}")
 
 
 class Graph:
@@ -61,7 +64,7 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
-        _check_vertex_count(n)
+        check_budget(n, MAX_VERTICES, "vertices")
         seen = set()
         for idx, (u, v) in enumerate(edges):
             if u == v:
@@ -209,13 +212,18 @@ def gen_family(
     """Canonical labeled instance of one of the special families.
 
     complete_bipartite takes partition sizes (n, n2); star_plus_isolated
-    takes the star size via `lam` and total vertices via `n`.
+    takes the star size via `lam` and total vertices via `n`. Raises
+    BudgetError above MAX_VERTICES or MAX_EDGES before building anything.
     """
     _check_family(family, n, n2, lam)
-    _check_vertex_count(n + n2 if family == "complete_bipartite" else n)
+    check_budget(n + n2 if family == "complete_bipartite" else n, MAX_VERTICES,
+                 "vertices")
+    # the other families have no more edges than vertices
     if family == "complete":
+        check_budget(n * (n - 1) // 2, MAX_EDGES, "edges")
         return Graph(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)])
     if family == "complete_bipartite":
+        check_budget(n * n2, MAX_EDGES, "edges")
         return Graph(
             n + n2,
             [(u, v) for u in range(1, n + 1) for v in range(n + 1, n + n2 + 1)],
@@ -241,17 +249,20 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     pair in lexicographic order (documented in the README). The draws are
     taken one row (vertex u against u+1..n) at a time, in O(n) memory
     beside the edges; PCG64 gives the same stream drawn in pieces as at once.
+    Each row's edges are counted against MAX_EDGES before they are kept.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be within [0,1], got {p}")
-    _check_vertex_count(n)
+    check_budget(n, MAX_VERTICES, "vertices")
     import numpy as np
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     edges = []
     for u in range(1, n):
         row = rng.random(n - u)  # pairs (u, u+1) .. (u, n)
-        edges += [(u, u + 1 + k) for k in np.flatnonzero(row < p).tolist()]
+        hits = np.flatnonzero(row < p).tolist()
+        check_budget(len(edges) + len(hits), MAX_EDGES, "edges drawn")
+        edges += [(u, u + 1 + k) for k in hits]
     return Graph(n, edges)
 
 

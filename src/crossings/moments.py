@@ -32,11 +32,6 @@ ALPHA_RLA: Mapping[str, Fraction] = MappingProxyType({
     "01": Fraction(1, 9),
 })
 
-# Covariance contribution per type: gamma_w = alpha_w - delta^2.
-GAMMA_RLA: Mapping[str, Fraction] = MappingProxyType(
-    {c: a - DELTA_RLA**2 for c, a in ALPHA_RLA.items()}
-)
-
 
 @dataclass(frozen=True)
 class LayoutConstants:
@@ -74,7 +69,8 @@ class LayoutConstants:
         ))
 
 
-RLA = LayoutConstants(DELTA_RLA, GAMMA_RLA)
+# The covariance contribution per type is gamma_w = alpha_w - delta^2.
+RLA = LayoutConstants(DELTA_RLA, {c: a - DELTA_RLA**2 for c, a in ALPHA_RLA.items()})
 
 
 def expectation_rla(g: Graph) -> Fraction:

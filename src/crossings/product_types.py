@@ -16,10 +16,12 @@ from dataclasses import dataclass
 from itertools import compress
 from operator import attrgetter, mul
 
-from .graphs import BudgetError, Graph, size_q
+from .graphs import Graph, check_budget, size_q
 
 # The largest |Q| that freq_brute classifies: |Q|^2 pairs in pure Python.
 BRUTE_Q_LIMIT = 50_000
+# The largest |Q| at which count_graphette enumerates, in up to ~|Q|^2 steps.
+CENSUS_Q_LIMIT = 20_000
 
 # Fixed serialization order for the nine product types.
 PRODUCT_TYPES = ("00", "24", "13", "12", "04", "03", "021", "022", "01")
@@ -148,11 +150,8 @@ def freq_brute(g: Graph) -> FreqVector:
     pair twice. Refuses, before it builds Q, when |Q| exceeds BRUTE_Q_LIMIT.
     """
     expected = size_q(g)
-    if expected > BRUTE_Q_LIMIT:
-        raise BudgetError(
-            f"|Q| = {expected} exceeds budget {BRUTE_Q_LIMIT}: refusing "
-            f"|Q|^2 = {expected * expected} classifications"
-        )
+    check_budget(expected, BRUTE_Q_LIMIT,
+                 f"|Q| for freq_brute's |Q|^2 = {expected * expected} classifications")
     q = g.q_pairs()
     nq = len(q)  # counted, not taken from the formula: this is the oracle
     masks = [
@@ -367,8 +366,10 @@ def count_graphette(g: Graph, shape: str) -> int:
 
     Shapes: L2+L2, L3+L2, L2+L2+L2, C4, L5, L4+L2, L3+L3, L3+L2+L2,
     L2+L2+L2+L2. Counts are unlabeled-subgraph counts (each subgraph once),
-    independent of the frequency formulas.
+    independent of the frequency formulas. Refuses, before it enumerates,
+    when |Q| exceeds CENSUS_Q_LIMIT.
     """
+    check_budget(size_q(g), CENSUS_Q_LIMIT, "|Q| for the graphette census")
     if shape == "L2+L2":
         return _count_matchings(g, 2)
     if shape == "L2+L2+L2":

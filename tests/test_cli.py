@@ -88,7 +88,44 @@ class TestAnalyze:
         assert time.perf_counter() - started < 1.0
         assert code == 1
         assert out == ""
-        assert "1000000000 vertices exceeds the limit of 2000000" in err
+        assert "vertices: 1000000000 exceeds the limit of 2000000" in err
+
+    def test_complete_family_above_edge_limit_exit_1(self, capsys):
+        # K_4000 has 7,998,000 edges, far under the vertex limit
+        import time
+
+        started = time.perf_counter()
+        code, out, err = run(capsys, "analyze", "--family", "complete", "--n", "4000")
+        assert time.perf_counter() - started < 1.0
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[1:] == [
+            "crossings: error: edges: 7998000 exceeds the limit of 2000000"]
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "--family", "cycle", "--n", "9"),
+        ("ztest", "--family", "cycle", "--n", "9", "--observed", "3"),
+    ])
+    def test_one_frequency_pass_and_no_size_q(self, capsys, monkeypatch, argv):
+        # |Q| and E[C] = |Q|/3 come from freq_fast's f24
+        import sys
+
+        from crossings import graphs, product_types
+
+        calls = {"freq_fast": 0, "size_q": 0}
+        for name, original in (("freq_fast", product_types.freq_fast),
+                               ("size_q", graphs.size_q)):
+            def counted(g, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(g)
+
+            for key, module in list(sys.modules.items()):
+                if key.split(".")[0] == "crossings" and getattr(
+                        module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert calls == {"freq_fast": 1, "size_q": 0}
 
     def test_million_isolated_vertices(self, capsys, tmp_path):
         path = tmp_path / "empty.txt"
@@ -147,6 +184,16 @@ class TestGenerate:
         assert exc.value.code == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "--out" in captured.err
+
+    def test_erdos_renyi_above_edge_limit_exit_1(self, capsys, monkeypatch):
+        from crossings import graphs
+
+        monkeypatch.setattr(graphs, "MAX_EDGES", 10_000)
+        code, out, err = run(capsys, "generate", "--family", "erdos_renyi",
+                             "--n", "2000", "--p", "0.5")
+        assert code == 1
+        assert out == ""
+        assert "exceeds the limit of 10000" in err
 
     def test_erdos_renyi_seeded(self, capsys):
         _, out1, _ = run(capsys, "generate", "--family", "erdos_renyi",
@@ -236,17 +283,7 @@ class TestEstimate:
                              "--samples", "4000", "--seed", "7")
         assert code == 1
         assert out == ""
-        assert "n = 15, m = 15" in err and "budget of 10000 bytes" in err
-
-    def test_cost_warning_counts_class_representatives(self, capsys):
-        # 10!/20 = 181440 rows are counted; for the 10-cycle (|Q| = 35) that
-        # is 6.4e6 pair checks, below the 1e8 warning threshold
-        code, _, err = run(capsys, "estimate", "--family", "cycle", "--n", "10")
-        assert code == 0
-        assert "warning" not in err
-        code, _, err = run(capsys, "estimate", "--family", "complete", "--n", "10")
-        assert code == 0
-        assert "(n-1)!/2 x |Q| = 181440 x 630 = 114307200 pair checks" in err
+        assert "n = 15, m = 15" in err and "limit of 10000" in err
 
 
 class TestNoQ:
@@ -388,6 +425,16 @@ class TestScan:
         assert "39916800" in err
 
 
+    def test_exhaustive_mode_refuses_a_large_n_by_name(self, capsys):
+        # 2000! has more digits than Python converts to text by default
+        code, out, err = run(capsys, "scan", "--family", "cycle",
+                             "--mode", "exhaustive", "--nmin", "4", "--nmax", "2000")
+        assert code == 1
+        assert out == ""
+        assert ("vertices for exhaustive enumeration of 2000! arrangements: "
+                "2000 exceeds the limit of 10") in err
+
+
 class TestValidateCmd:
     def test_trees_success_exit_0(self, capsys):
         code, out, _ = run(capsys, "validate", "trees", "--nmax", "5")
@@ -437,8 +484,9 @@ class TestValidateCmd:
         data = json.loads(out)
         assert data["success"] is True
         assert [(s["check"], s["detail"]) for s in data["skipped"]] == [
-            ("exhaustive_mean_vs_theory", "n = 11 above exhaustive limit 10"),
-            ("exhaustive_variance_vs_theory", "n = 11 above exhaustive limit 10"),
+            (check, "vertices for exhaustive enumeration of 11! = 39916800 "
+                    "arrangements: 11 exceeds the limit of 10")
+            for check in ("exhaustive_mean_vs_theory", "exhaustive_variance_vs_theory")
         ]
 
     @pytest.mark.parametrize("out", ["table", "csv"])

@@ -198,9 +198,8 @@ class TestMonteCarlo:
         with pytest.raises(BudgetError) as exc:
             monte_carlo_moments(g, samples=20_000, seed=3)
         assert str(exc.value) == (
-            f"a Monte Carlo block of 10000 rows on n = 30, m = 30 needs {need} "
-            f"bytes for its position and endpoint tables, above the budget of "
-            f"{need - 1} bytes"
+            f"bytes of a Monte Carlo block of 10000 rows on n = 30, m = 30: {need} "
+            f"exceeds the limit of {need - 1}"
         )
         monkeypatch.undo()
         monkeypatch.setattr(estimator, "MC_BLOCK_BYTES", need)
@@ -212,7 +211,7 @@ class TestMonteCarlo:
         g = gen_family("linear_tree", 300)
         need = 50 * 300 * 4 + 2 * 299 * 50 * 2
         monkeypatch.setattr(estimator, "MC_BLOCK_BYTES", need - 1)
-        with pytest.raises(BudgetError, match=f"50 rows on n = 300, m = 299 needs {need} "):
+        with pytest.raises(BudgetError, match=f"50 rows on n = 300, m = 299: {need} exceeds"):
             monte_carlo_moments(g, samples=50, seed=0)
         monkeypatch.setattr(estimator, "MC_BLOCK_BYTES", need)
         assert monte_carlo_moments(g, samples=50, seed=0).samples == 50

@@ -92,7 +92,7 @@ class TestVertexLimit:
 
         monkeypatch.setattr(graphs, "MAX_VERTICES", 5)
         assert Graph(5, [(1, 5)]).n == 5
-        with pytest.raises(BudgetError, match="6 vertices exceeds the limit of 5"):
+        with pytest.raises(BudgetError, match="vertices: 6 exceeds the limit of 5"):
             Graph(6, [])
 
     def test_generators_check_before_building(self, monkeypatch):
@@ -114,6 +114,44 @@ class TestVertexLimit:
         monkeypatch.setattr(np.random, "Generator", no_draws)
         with pytest.raises(BudgetError):
             erdos_renyi(10**9, 0.0, 0)
+
+
+class TestEdgeLimit:
+    def test_generators_at_and_above_limit(self, monkeypatch):
+        from crossings import graphs
+
+        monkeypatch.setattr(graphs, "MAX_EDGES", 9)
+        assert gen_family("complete_bipartite", 3, n2=3).m == 9
+        # the other families have no more edges than vertices
+        assert gen_family("cycle", 40).m == 40
+        monkeypatch.setattr(graphs, "Graph", None)  # refused before building
+        for args, kwargs, need in [(("complete", 5), {}, 10),
+                                   (("complete_bipartite", 2), {"n2": 5}, 10)]:
+            with pytest.raises(BudgetError, match=f"edges: {need} exceeds the limit of 9"):
+                gen_family(*args, **kwargs)
+
+    def test_erdos_renyi_at_and_above_limit(self, monkeypatch):
+        from crossings import graphs
+
+        g = erdos_renyi(30, 0.5, seed=3)
+        monkeypatch.setattr(graphs, "MAX_EDGES", g.m)
+        assert erdos_renyi(30, 0.5, seed=3) == g
+        monkeypatch.setattr(graphs, "MAX_EDGES", g.m - 1)
+        with pytest.raises(BudgetError, match=f"edges drawn: {g.m} exceeds the limit of "
+                                              f"{g.m - 1}"):
+            erdos_renyi(30, 0.5, seed=3)
+
+    def test_erdos_renyi_refuses_at_the_first_row_over(self, monkeypatch):
+        # the edges kept never pass the limit: the row that would pass it
+        # is refused before its edges are added, and no graph is built
+        from crossings import graphs
+
+        monkeypatch.setattr(graphs, "MAX_EDGES", 1000)
+        monkeypatch.setattr(graphs, "Graph", None)
+        with pytest.raises(BudgetError) as exc:
+            erdos_renyi(400, 0.5, seed=1)
+        need = int(str(exc.value).split(": ")[1].split()[0])
+        assert 1000 < need <= 1000 + 399
 
 
 class TestDegreeStats:

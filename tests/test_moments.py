@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from crossings import (
     ALPHA_RLA,
     DELTA_RLA,
-    GAMMA_RLA,
     RLA,
     LayoutConstants,
     chebyshev_pbound,
@@ -29,19 +28,19 @@ from crossings.product_types import PRODUCT_TYPES, FreqVector, freq_fast
 class TestConstants:
     def test_gamma_is_alpha_minus_delta_squared(self):
         for code in PRODUCT_TYPES:
-            assert GAMMA_RLA[code] == ALPHA_RLA[code] - DELTA_RLA**2
+            assert RLA.gamma[code] == ALPHA_RLA[code] - DELTA_RLA**2
 
     def test_rla_delta(self):
         assert DELTA_RLA == Fraction(1, 3)
 
     def test_zero_contributors(self):
-        assert GAMMA_RLA["00"] == GAMMA_RLA["01"] == 0
+        assert RLA.gamma["00"] == RLA.gamma["01"] == 0
 
     def test_gamma24_identity(self):
-        assert GAMMA_RLA["24"] == DELTA_RLA * (1 - DELTA_RLA)
+        assert RLA.gamma["24"] == DELTA_RLA * (1 - DELTA_RLA)
 
     def test_table_values(self):
-        assert GAMMA_RLA["022"] == Fraction(1, 180)
+        assert RLA.gamma["022"] == Fraction(1, 180)
         assert ALPHA_RLA["022"] == Fraction(7, 60)
         assert ALPHA_RLA["04"] == 0
 
@@ -52,7 +51,6 @@ class TestConstants:
             "12": Fraction(1, 45), "04": Fraction(-1, 9), "03": Fraction(-1, 36),
             "021": Fraction(-1, 90), "022": Fraction(1, 180), "01": 0,
         }
-        assert dict(GAMMA_RLA) == paper
         assert RLA.gamma == paper
 
     def test_alpha_rederived_for_022(self):
@@ -78,19 +76,19 @@ class TestLayoutConstants:
         assert ALPHA_RLA["24"] == Fraction(1, 3)
 
     def test_rejects_nonzero_00(self):
-        gamma = dict(GAMMA_RLA)
+        gamma = dict(RLA.gamma)
         gamma["00"] = Fraction(1, 10)
         with pytest.raises(ValueError):
             LayoutConstants(delta=Fraction(1, 3), gamma=gamma)
 
     def test_rejects_wrong_24(self):
-        gamma = dict(GAMMA_RLA)
+        gamma = dict(RLA.gamma)
         gamma["24"] = Fraction(1, 5)
         with pytest.raises(ValueError):
             LayoutConstants(delta=Fraction(1, 3), gamma=gamma)
 
     def test_missing_type_rejected(self):
-        gamma = dict(GAMMA_RLA)
+        gamma = dict(RLA.gamma)
         del gamma["03"]
         with pytest.raises(ValueError):
             LayoutConstants(delta=Fraction(1, 3), gamma=gamma)

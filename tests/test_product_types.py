@@ -114,7 +114,7 @@ class TestFreqBrute:
     def test_budget_checked_before_q_is_built(self, monkeypatch):
         g = gen_family("complete", 30)  # |Q| = 82,215
         refuse_q_pairs(monkeypatch)
-        with pytest.raises(BudgetError, match="82215 exceeds budget 50000"):
+        with pytest.raises(BudgetError, match="82215 exceeds the limit of 50000"):
             freq_brute(g)
 
     def test_diagonal_counted_once(self):
@@ -174,6 +174,12 @@ class TestCountGraphette:
     def test_l2l2_is_q(self, atlas_graphs):
         for g in atlas_graphs[::25]:
             assert count_graphette(g, "L2+L2") == size_q(g)
+
+    def test_census_refuses_before_enumerating(self, monkeypatch):
+        # K30: |Q| = 82,215, and about 6e8 4-matchings for L2+L2+L2+L2
+        monkeypatch.setattr(product_types, "_count_matchings", None)
+        with pytest.raises(BudgetError, match="82215 exceeds the limit of 20000"):
+            count_graphette(gen_family("complete", 30), "L2+L2+L2+L2")
 
     def test_unknown_shape(self):
         with pytest.raises(ValueError):

@@ -51,6 +51,23 @@ def test_q_pairs_only_in_oracles():
     assert not found, f"q_pairs outside the oracles: {found}"
 
 
+def test_budget_error_raised_only_by_check_budget():
+    # one policy: every budget refuses through graphs.check_budget, so each
+    # refusal has the same wording and no step grows a check of its own
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (path.name, getattr(top, "name", None)) == ("graphs.py", "check_budget"):
+                continue
+            # BudgetError(...) constructs one, and a bare `raise BudgetError` too
+            made = [node.func if isinstance(node, ast.Call) else node.exc
+                    for node in ast.walk(top) if isinstance(node, (ast.Call, ast.Raise))]
+            found += [f"{path.name}:{node.lineno}" for node in made
+                      if "BudgetError" in (getattr(node, "id", None),
+                                           getattr(node, "attr", None))]
+    assert not found, f"BudgetError constructed outside check_budget: {found}"
+
+
 def _imported(node) -> list[str]:
     """The absolute module names an import statement names; [] for any
     other node."""

@@ -5,6 +5,8 @@ from itertools import product
 import pytest
 
 from crossings import (
+    exhaustive_moments,
+    freq_brute,
     from_pruefer,
     gen_family,
     validate_er,
@@ -15,6 +17,7 @@ from crossings import (
 )
 
 from crossings import product_types, validation
+from crossings.graphs import BudgetError
 
 from conftest import nx_graph6_line, refuse_q_pairs
 
@@ -33,7 +36,8 @@ class TestCheckGraphBudgets:
         assert report.success, report.failures
         assert _skipped_checks(report) == [
             "size_q_formula_vs_enumeration", "freq_fast_vs_brute"]
-        assert all("|Q| = 9 exceeds budget 8" in s["detail"] for s in report.skipped)
+        assert all(s["detail"] == "|Q| for freq_brute's |Q|^2 = 81 classifications: "
+                   "9 exceeds the limit of 8" for s in report.skipped)
 
     def test_at_brute_limit_runs_both_q_checks(self, monkeypatch):
         monkeypatch.setattr(product_types, "BRUTE_Q_LIMIT", 9)
@@ -56,8 +60,25 @@ class TestCheckGraphBudgets:
                                exhaustive_limit=5)
         assert _skipped_checks(report) == [
             "exhaustive_mean_vs_theory", "exhaustive_variance_vs_theory"]
-        assert all(s["detail"] == "n = 6 above exhaustive limit 5"
-                   for s in report.skipped)
+        assert all(s["detail"] == "vertices for exhaustive enumeration of 6! = 720 "
+                   "arrangements: 6 exceeds the limit of 5" for s in report.skipped)
+
+    def test_skips_carry_each_refusal(self):
+        # K30: |Q| = 82,215 is over the brute-force limit and n over the
+        # exhaustive limit; each skip records the oracle's own error
+        g = gen_family("complete", 30)
+        report = validation.ValidationReport(corpus="k30")
+        validation.check_graph(g, "k30", report)
+        with pytest.raises(BudgetError) as brute:
+            freq_brute(g)
+        with pytest.raises(BudgetError) as exhaustive:
+            exhaustive_moments(g)
+        assert [(s["check"], s["detail"]) for s in report.skipped] == [
+            ("size_q_formula_vs_enumeration", str(brute.value)),
+            ("freq_fast_vs_brute", str(brute.value)),
+            ("exhaustive_mean_vs_theory", str(exhaustive.value)),
+            ("exhaustive_variance_vs_theory", str(exhaustive.value)),
+        ]
 
     def test_q_enumerated_once(self, monkeypatch):
         # the size check reads the length of freq_brute's own enumeration
@@ -103,7 +124,7 @@ class TestValidateTrees:
         # paper's tree formula no longer matches it
         from crossings import moments, validation
 
-        gamma = dict(moments.GAMMA_RLA)
+        gamma = dict(moments.RLA.gamma)
         gamma["03"] += Fraction(1, 1000)
         wrong = moments.LayoutConstants(moments.DELTA_RLA, gamma)
         original = moments.variance_from_freq
@@ -205,10 +226,13 @@ class TestValidateEr:
             validate_er(10, 0.2, trials=trials, seed=0)
 
     def test_census_budget_skip(self, monkeypatch):
-        monkeypatch.setattr(validation, "CENSUS_Q_LIMIT", 1)
+        monkeypatch.setattr(product_types, "CENSUS_Q_LIMIT", 1)
         rep = validate_er(12, 0.5, trials=1, seed=2)
         assert rep.success
-        assert any(s["check"] == "graphette_identities" for s in rep.skipped)
+        census = [s["detail"] for s in rep.skipped if s["check"] == "graphette_identities"]
+        assert len(census) == 1
+        assert census[0].startswith("|Q| for the graphette census: ")
+        assert census[0].endswith(" exceeds the limit of 1")
 
     def test_large_graph_builds_no_q(self, monkeypatch):
         # |Q| is far above the brute-force limit, so Q is never enumerated
