@@ -42,12 +42,6 @@ from .moments import (
     z_score,
 )
 from .product_types import PRODUCT_TYPES, freq_fast
-from .validation import (
-    validate_er,
-    validate_families,
-    validate_graph6_corpus,
-    validate_trees,
-)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -270,6 +264,14 @@ def cmd_scan(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    # imported on first use, so that no other command loads the battery
+    from .validation import (
+        validate_er,
+        validate_families,
+        validate_graph6_corpus,
+        validate_trees,
+    )
+
     if args.what == "trees":
         report = validate_trees(args.nmax, exhaustive_limit=args.exhaustive_limit)
     elif args.what == "graph6":

@@ -24,12 +24,11 @@ the exhaustive limit on n and MC_BLOCK_BYTES on one Monte Carlo block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import islice, permutations
 from typing import TYPE_CHECKING
 
-from .closed_forms import FamilySpec, closed_expectation, closed_freq, closed_variance
 from .graphs import Graph, check_budget, gen_family, size_q
 
 if TYPE_CHECKING:
@@ -46,16 +45,13 @@ _TAIL_VERTICES = 8  # 8! = 40,320 rows in the numpy permutation table
 _EDGE_BATCH = 255  # the most edges whose crossings one uint8 count holds
 
 
-@dataclass(frozen=True)
-class EstimateReport:
-    """Empirical mean/variance of C with provenance."""
+class EstimateReport(namedtuple(
+        "EstimateReport", "mean variance mode samples seed exact")):
+    """Empirical mean/variance of C with provenance: mean and variance are
+    Fractions when exact, else floats; mode is "exhaustive" or
+    "monte_carlo"; seed is None for an exhaustive report."""
 
-    mean: Fraction | float
-    variance: Fraction | float
-    mode: str  # "exhaustive" | "monte_carlo"
-    samples: int
-    seed: int | None
-    exact: bool
+    __slots__ = ()
 
 
 def crossing_counts(g: Graph, pos: np.ndarray) -> np.ndarray:
@@ -241,20 +237,12 @@ def monte_carlo_moments(
     )
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    """One row of a family scan: exact theory plus an optional estimate."""
+class ScanRow(namedtuple("ScanRow", "family n q e_theory var_theory e_est var_est "
+                                    "mode samples seed")):
+    """One row of a family scan: exact theory plus an optional estimate
+    (e_est, var_est, samples and seed are None without one)."""
 
-    family: str
-    n: int
-    q: int
-    e_theory: Fraction
-    var_theory: Fraction
-    e_est: Fraction | float | None
-    var_est: Fraction | float | None
-    mode: str
-    samples: int | None
-    seed: int | None
+    __slots__ = ()
 
 
 def scan_family(
@@ -273,6 +261,9 @@ def scan_family(
     `n_max` is above it; "theory" emits no estimates. Sizes invalid for the family (odd
     one-regular n) yield a row with mode "skipped".
     """
+    # imported on first use, so that no other command loads the closed forms
+    from .closed_forms import FamilySpec, closed_expectation, closed_freq, closed_variance
+
     if mode not in ("auto", "exhaustive", "monte_carlo", "theory"):
         raise ValueError(f"unknown scan mode {mode!r}")
     if mode == "exhaustive" and n_min <= n_max:

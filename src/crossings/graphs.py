@@ -296,13 +296,28 @@ def from_pruefer(code: Sequence[int]) -> Graph:
     return Graph(n, edges)
 
 
-# --- graph6 decoder (n <= 62) -------------------------------------------
+# --- graph6 decoder (n <= 258,047) ---------------------------------------
 
 _G6_HEADER = ">>graph6<<"
+_G6_MAX_N = 258_047  # the largest n of the one-'~' size form
+# each graph6 character, 63 + a 6-bit value, as its six bits, high bit first
+_G6_BITS = {chr(63 + v): format(v, "06b") for v in range(64)}
+
+
+def _g6_bits(chars: str, what: str) -> str:
+    try:
+        return "".join(map(_G6_BITS.__getitem__, chars))
+    except KeyError as exc:
+        raise GraphFormatError(f"invalid graph6 {what} character {exc.args[0]!r}") from None
 
 
 def from_graph6(text: str | bytes) -> Graph:
-    """Decode one graph6-encoded line (standard format, n <= 62)."""
+    """Decode one graph6-encoded line (standard format, n <= 258,047).
+
+    The set bits of the body are counted against MAX_EDGES before any edge
+    is built, since one bit per vertex pair lets a short line stand for
+    millions of edges.
+    """
     if isinstance(text, bytes):
         try:
             text = text.decode("ascii")
@@ -313,33 +328,43 @@ def from_graph6(text: str | bytes) -> Graph:
         s = s[len(_G6_HEADER):]
     if not s:
         raise GraphFormatError("empty graph6 string")
-    first = ord(s[0])
-    if first == 126:
-        raise GraphFormatError("graph6 with n > 62 is not supported")
-    if not 63 <= first <= 126:
-        raise GraphFormatError(f"invalid graph6 size character {s[0]!r}")
-    n = first - 63
-    need = (n * (n - 1) // 2 + 5) // 6
-    body = s[1:]
+    if s.startswith("~~"):
+        raise GraphFormatError(
+            f"graph6 with n > {_G6_MAX_N} (the '~~' size form) is not supported; "
+            f"the supported range is 0 <= n <= {_G6_MAX_N}"
+        )
+    if s[0] == "~":
+        if len(s) < 4:
+            raise GraphFormatError(
+                f"truncated graph6 size: n > 62 takes 3 size characters after '~', "
+                f"got {len(s) - 1}"
+            )
+        n, body = int(_g6_bits(s[1:4], "size"), 2), s[4:]
+        if n < 63:
+            raise GraphFormatError(
+                f"graph6 long size form holds n = {n}; n <= 62 takes one size character"
+            )
+    else:
+        n, body = int(_g6_bits(s[0], "size"), 2), s[1:]
+    pairs = n * (n - 1) // 2
+    need = (pairs + 5) // 6
     if len(body) < need:
         raise GraphFormatError(
             f"truncated graph6 string: need {need} data characters, got {len(body)}"
         )
     if len(body) > need:
         raise GraphFormatError("trailing characters after graph6 data")
-    bits = []
-    for ch in body:
-        val = ord(ch) - 63
-        if not 0 <= val < 64:
-            raise GraphFormatError(f"invalid graph6 data character {ch!r}")
-        bits.extend((val >> k) & 1 for k in range(5, -1, -1))
+    bits = _g6_bits(body, "data")
+    check_budget(bits.count("1", 0, pairs), MAX_EDGES, "edges")
     edges = []
-    idx = 0
+    start = 0
     for v in range(2, n + 1):  # column-major upper triangle, 1-based
-        for u in range(1, v):
-            if bits[idx]:
-                edges.append((u, v))
-            idx += 1
+        end = start + v - 1  # the bits of pairs (1, v) .. (v - 1, v)
+        i = bits.find("1", start, end)
+        while i >= 0:
+            edges.append((i - start + 1, v))
+            i = bits.find("1", i + 1, end)
+        start = end
     return Graph(n, edges)
 
 

@@ -8,7 +8,6 @@ z-score and in presentation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from types import MappingProxyType
@@ -33,7 +32,6 @@ ALPHA_RLA: Mapping[str, Fraction] = MappingProxyType({
 })
 
 
-@dataclass(frozen=True)
 class LayoutConstants:
     """delta_* and the per-type variance constants E_*[gamma_w] of a layout.
 
@@ -44,29 +42,42 @@ class LayoutConstants:
     The gammas are also kept as integers over one common denominator:
     gamma_w = gamma_num[i] / gamma_den, with w = PRODUCT_TYPES[i] and
     gamma_den the least common multiple of their denominators (180 for RLA).
+    Instances are immutable and compare equal on delta and gamma.
     """
 
-    delta: Fraction
-    gamma: Mapping[str, Fraction]
-    gamma_den: int = field(init=False, repr=False, compare=False)
-    gamma_num: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("delta", "gamma", "gamma_den", "gamma_num")
 
-    def __post_init__(self):
-        missing = set(PRODUCT_TYPES) - set(self.gamma)
+    def __init__(self, delta: Fraction, gamma: Mapping[str, Fraction]):
+        missing = set(PRODUCT_TYPES) - set(gamma)
         if missing:
             raise ValueError(f"gamma missing types {sorted(missing)}")
-        gm = {c: Fraction(v) for c, v in self.gamma.items()}
-        object.__setattr__(self, "gamma", MappingProxyType(gm))
-        object.__setattr__(self, "delta", Fraction(self.delta))
+        gm = {c: Fraction(v) for c, v in gamma.items()}
+        delta = Fraction(delta)
         if gm["00"] != 0 or gm["01"] != 0:
             raise ValueError("types 00 and 01 must have zero gamma")
-        if gm["24"] != self.delta * (1 - self.delta):
+        if gm["24"] != delta * (1 - delta):
             raise ValueError("gamma[24] must equal delta*(1-delta)")
         den = math.lcm(*(x.denominator for x in gm.values()))
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "gamma", MappingProxyType(gm))
         object.__setattr__(self, "gamma_den", den)
         object.__setattr__(self, "gamma_num", tuple(
             gm[c].numerator * (den // gm[c].denominator) for c in PRODUCT_TYPES
         ))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LayoutConstants is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("LayoutConstants is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, LayoutConstants):
+            return NotImplemented
+        return (self.delta, self.gamma) == (other.delta, other.gamma)
+
+    def __repr__(self) -> str:
+        return f"LayoutConstants(delta={self.delta!r}, gamma={self.gamma!r})"
 
 
 # The covariance contribution per type is gamma_w = alpha_w - delta^2.
@@ -80,7 +91,7 @@ def expectation_rla(g: Graph) -> Fraction:
 
 def variance_from_freq(fv: FreqVector, constants: LayoutConstants = RLA) -> Fraction:
     """sum_w f_w * gamma_w, summed in integers over the common denominator."""
-    num = sum(map(mul, fv.as_tuple(), constants.gamma_num))
+    num = sum(map(mul, fv, constants.gamma_num))
     return Fraction(num, constants.gamma_den)
 
 

@@ -11,10 +11,9 @@ one edge meets both edges of the counterpart pair.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import compress
-from operator import attrgetter, mul
+from operator import mul
 
 from .graphs import Graph, check_budget, size_q
 
@@ -64,42 +63,33 @@ GRAPHETTE_MULTIPLIERS = {
 }
 
 
-# The nine counts of a FreqVector, in PRODUCT_TYPES order.
-_FIELDS = attrgetter(*("f" + c for c in PRODUCT_TYPES))
+class FreqVector(namedtuple("FreqVector", ["f" + c for c in PRODUCT_TYPES],
+                            defaults=(0,) * len(PRODUCT_TYPES))):
+    """Counts f_w of ordered Q x Q pairs per product type, in PRODUCT_TYPES
+    order; `fv["021"]` reads one count by its type code."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class FreqVector:
-    """Counts f_w of ordered Q x Q pairs per product type."""
-
-    f00: int = 0
-    f24: int = 0
-    f13: int = 0
-    f12: int = 0
-    f04: int = 0
-    f03: int = 0
-    f021: int = 0
-    f022: int = 0
-    f01: int = 0
-
-    def __getitem__(self, code: str) -> int:
-        return getattr(self, "f" + code)
+    def __getitem__(self, code):
+        if isinstance(code, str):
+            return getattr(self, "f" + code)
+        return tuple.__getitem__(self, code)
 
     def total(self) -> int:
-        return sum(self.as_tuple())
+        return sum(self)
 
     def as_tuple(self) -> tuple[int, ...]:
-        return _FIELDS(self)
+        return tuple(self)
 
     def as_dict(self) -> dict[str, int]:
-        return {c: getattr(self, "f" + c) for c in PRODUCT_TYPES}
+        return dict(zip(PRODUCT_TYPES, self))
 
     @classmethod
     def from_dict(cls, counts: dict[str, int]) -> "FreqVector":
         unknown = set(counts) - set(PRODUCT_TYPES)
         if unknown:
             raise ValueError(f"unknown product types {sorted(unknown)}")
-        return cls(**{"f" + c: counts.get(c, 0) for c in PRODUCT_TYPES})
+        return cls(*(counts.get(c, 0) for c in PRODUCT_TYPES))
 
 
 def classify(q1, q2) -> str:

@@ -6,10 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from crossings import estimator
+from crossings import estimator, gen_family
 from crossings.cli import main
 
-from conftest import refuse_q_pairs
+from conftest import nx_graph6_line, refuse_q_pairs
 
 
 def run(capsys, *argv):
@@ -46,6 +46,26 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", "--graph6", str(path), "--out", "json")
         assert code == 0
         assert json.loads(out)["m"] == "6"
+
+    def test_graph6_long_form_input(self, capsys, tmp_path):
+        # the 63-vertex path: 62 edges under the '~' size form
+        path = tmp_path / "p63.g6"
+        path.write_text(nx_graph6_line(gen_family("linear_tree", 63)) + "\n")
+        code, out, _ = run(capsys, "analyze", "--graph6", str(path), "--out", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert (data["n"], data["m"]) == ("63", "62")
+
+    def test_graph6_above_edge_limit_exit_1(self, capsys, monkeypatch, tmp_path):
+        from crossings import graphs
+
+        monkeypatch.setattr(graphs, "MAX_EDGES", 5)
+        path = tmp_path / "k4.g6"
+        path.write_text("C~\n")
+        code, out, err = run(capsys, "analyze", "--graph6", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[1:] == ["crossings: error: edges: 6 exceeds the limit of 5"]
 
     def test_graph6_file_with_two_graphs_rejected(self, capsys, tmp_path):
         # C5 then K6: analyzing only the first would hide the second

@@ -107,6 +107,22 @@ class TestExhaustive:
         rep = exhaustive_moments(gen_family("complete", 5))
         assert rep.mean == 5 and rep.variance == 0
 
+    def test_report_record(self):
+        rep = estimator.EstimateReport(Fraction(1), Fraction(5, 6), "exhaustive", 120,
+                                       None, True)
+        assert rep == exhaustive_moments(gen_family("linear_tree", 5))
+        assert rep == estimator.EstimateReport(mean=Fraction(1), variance=Fraction(5, 6),
+                                               mode="exhaustive", samples=120,
+                                               seed=None, exact=True)
+        assert rep != rep._replace(samples=1)
+        assert repr(rep) == (
+            "EstimateReport(mean=Fraction(1, 1), variance=Fraction(5, 6), "
+            "mode='exhaustive', samples=120, seed=None, exact=True)")
+        with pytest.raises(AttributeError):
+            rep.mean = 0
+        with pytest.raises(TypeError):
+            estimator.EstimateReport(1, 2, "exhaustive")  # no defaults
+
     def test_quasi_star_5(self):
         assert exhaustive_moments(gen_family("quasi_star", 5)).variance == Fraction(5, 9)
 
@@ -259,6 +275,22 @@ class TestScanFamily:
         modes = {r.n: r.mode for r in rows}
         assert modes[5] == modes[7] == modes[9] == "skipped"
         assert modes[4] == modes[6] == modes[8] == "theory"
+
+    def test_row_record(self):
+        row = scan_family("cycle", 4, 4, mode="theory")[0]
+        assert row == estimator.ScanRow("cycle", 4, 2, Fraction(2, 3), Fraction(2, 9),
+                                        None, None, "theory", None, None)
+        assert row == estimator.ScanRow(
+            family="cycle", n=4, q=2, e_theory=Fraction(2, 3), var_theory=Fraction(2, 9),
+            e_est=None, var_est=None, mode="theory", samples=None, seed=None)
+        assert repr(row) == (
+            "ScanRow(family='cycle', n=4, q=2, e_theory=Fraction(2, 3), "
+            "var_theory=Fraction(2, 9), e_est=None, var_est=None, mode='theory', "
+            "samples=None, seed=None)")
+        with pytest.raises(AttributeError):
+            row.mode = "skipped"
+        with pytest.raises(TypeError):
+            estimator.ScanRow("cycle", 4)  # no defaults
 
     def test_cycle4_row(self):
         rows = scan_family("cycle", 4, 4, mode="theory")

@@ -428,6 +428,43 @@ class TestGraph6:
         with pytest.raises(GraphFormatError, match="not ASCII"):
             from_graph6(b"\xff")
 
+    @pytest.mark.parametrize("header", [False, True], ids=["bare", "header"])
+    @pytest.mark.parametrize("n", [63, 64, 100, 300])
+    def test_long_form_matches_independent_encoder(self, n, header):
+        # oracle: networkx writes the '~' size form for n >= 63
+        nx = pytest.importorskip("networkx")
+        G = nx.gnp_random_graph(n, 0.1, seed=n)
+        line = nx.to_graph6_bytes(G, header=header).strip()
+        assert line.startswith(b">>graph6<<~" if header else b"~")
+        want = Graph(n, [(u + 1, v + 1) for u, v in G.edges()])
+        assert from_graph6(line) == want
+
+    def test_long_form_truncated_size(self):
+        with pytest.raises(GraphFormatError, match="truncated graph6 size"):
+            from_graph6("~?@")
+
+    def test_long_form_small_n_refused(self):
+        # n = 5 belongs in the one-character size form
+        with pytest.raises(GraphFormatError, match="n = 5"):
+            from_graph6("~??D?{")
+
+    def test_double_tilde_names_range(self):
+        with pytest.raises(GraphFormatError, match="0 <= n <= 258047"):
+            from_graph6("~~??????")
+
+    def test_edges_counted_before_decoding(self, monkeypatch):
+        from crossings import graphs
+
+        line = nx_graph6_line(gen_family("complete", 100))  # 4,950 edges
+        monkeypatch.setattr(graphs, "MAX_EDGES", 4_949)
+
+        def no_graph(*args):
+            raise AssertionError("built a graph")
+
+        monkeypatch.setattr(graphs, "Graph", no_graph)
+        with pytest.raises(BudgetError, match="edges: 4950 exceeds the limit of 4949"):
+            from_graph6(line)
+
     def test_five_vertex_decode(self):
         g = from_graph6("D?{")
         assert g.n == 5

@@ -78,20 +78,34 @@ class TestLayoutConstants:
     def test_rejects_nonzero_00(self):
         gamma = dict(RLA.gamma)
         gamma["00"] = Fraction(1, 10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="zero gamma"):
             LayoutConstants(delta=Fraction(1, 3), gamma=gamma)
 
     def test_rejects_wrong_24(self):
         gamma = dict(RLA.gamma)
         gamma["24"] = Fraction(1, 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"gamma\[24\]"):
             LayoutConstants(delta=Fraction(1, 3), gamma=gamma)
 
     def test_missing_type_rejected(self):
         gamma = dict(RLA.gamma)
         del gamma["03"]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="missing types"):
             LayoutConstants(delta=Fraction(1, 3), gamma=gamma)
+
+    def test_equality_and_immutability(self):
+        same = LayoutConstants(Fraction(1, 3), dict(RLA.gamma))
+        assert same == RLA and same is not RLA
+        gamma = dict(RLA.gamma)
+        gamma["04"] = Fraction(-1, 10)
+        assert LayoutConstants(delta=Fraction(1, 3), gamma=gamma) != RLA
+        assert (RLA.gamma_den, RLA.gamma_num[1]) == (180, 40)
+        with pytest.raises(AttributeError):
+            RLA.delta = Fraction(1, 2)
+        with pytest.raises(AttributeError):
+            del RLA.gamma
+        with pytest.raises(TypeError):
+            RLA.gamma["00"] = 1
 
 
 class TestExpectation:

@@ -87,6 +87,20 @@ class TestFreqVector:
     def test_getitem(self):
         assert FreqVector(f021=5)["021"] == 5
 
+    def test_record(self):
+        fv = FreqVector(1, 2, 3, 4, 5, 6, 7, 8, 9)
+        assert fv == FreqVector(f00=1, f24=2, f13=3, f12=4, f04=5, f03=6,
+                                f021=7, f022=8, f01=9)
+        assert FreqVector() == FreqVector.from_dict({}) == (0,) * 9
+        assert fv != FreqVector(f00=1)
+        assert fv[0] == 1 and len(fv) == 9 and fv.total() == 45
+        assert repr(FreqVector(f24=3)) == (
+            "FreqVector(f00=0, f24=3, f13=0, f12=0, f04=0, f03=0, f021=0, f022=0, f01=0)")
+        with pytest.raises(AttributeError):
+            fv.f00 = 0
+        with pytest.raises(AttributeError):
+            fv.extra = 0
+
 
 APPENDIX_FIXTURES = [
     ("linear_tree", 5, {"24": 3, "13": 4, "03": 2}),

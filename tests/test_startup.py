@@ -1,5 +1,6 @@
-"""Which commands load numpy, each run in a fresh interpreter: the exact
-commands need no arrays and must start without it."""
+"""Which modules each command loads, each run in a fresh interpreter: the
+exact commands need no arrays and must start without numpy, and only `scan`
+and `validate` load the closed forms and the validation battery."""
 
 import os
 import subprocess
@@ -41,6 +42,59 @@ def probe(*argv):
     return int(rc), proc.stdout, loaded == "True"
 
 
+# the modules every command shares; bench/tracer.py patches all six after
+# importing crossings.cli
+CLI_MODULES = ["crossings.arrangement", "crossings.cli", "crossings.estimator",
+               "crossings.graphs", "crossings.moments", "crossings.product_types"]
+
+LOADED = """
+import sys
+import crossings.cli
+print(sorted(k for k in sys.modules if k.startswith("crossings.")))
+print(sorted(k for k in ("crossings.closed_forms", "crossings.validation",
+                         "dataclasses", "numpy") if k in sys.modules))
+"""
+
+
+def test_cli_import_loads_only_shared_modules():
+    proc = fresh(LOADED)
+    assert proc.returncode == 0, proc.stderr
+    loaded, unwanted = proc.stdout.splitlines()
+    assert loaded == repr(CLI_MODULES)
+    assert unwanted == "[]"
+
+
+# the package's public names, the same before and after closed_forms and
+# validation became lazy
+PUBLIC = [
+    "ALPHA_RLA", "BudgetError", "DELTA_RLA", "EstimateReport", "FAMILIES",
+    "FamilySpec", "FreqVector", "GRAPHETTE_MULTIPLIERS", "GRAPHETTE_SHAPES",
+    "Graph", "GraphFormatError", "LayoutConstants", "LinearArrangement",
+    "PRODUCT_TYPES", "RLA", "ScanRow", "TYPE_VERTEX_COUNT", "ValidationReport",
+    "chebyshev_pbound", "check_graph", "classify", "closed_expectation",
+    "closed_freq", "closed_variance", "count_graphette", "crossings",
+    "degree_stats", "erdos_renyi", "exhaustive_moments", "expectation_rla",
+    "format_edge_list", "format_rational", "freq_brute", "freq_fast",
+    "from_graph6", "from_pruefer", "gen_family", "is_q_zero",
+    "monte_carlo_moments", "parse_arrangement", "parse_edge_list", "q_edge",
+    "random_arrangement", "scan_family", "size_q", "validate_er",
+    "validate_families", "validate_graph6_corpus", "validate_trees",
+    "variance_from_freq", "variance_layout", "variance_rla", "z_score",
+]
+
+
+def test_public_names():
+    assert crossings.__all__ == PUBLIC
+    assert dir(crossings) == PUBLIC
+    for name in PUBLIC:
+        assert getattr(crossings, name) is not None
+    namespace = {}
+    exec("from crossings import *", namespace)
+    assert set(PUBLIC) <= set(namespace)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        crossings.no_such_name  # noqa: B018
+
+
 def test_import_leaves_numpy_unloaded():
     proc = fresh("import sys, crossings; print('numpy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
@@ -72,7 +126,9 @@ def test_exact_commands_leave_numpy_unloaded(argv, tmp_path):
     (["generate", "--family", "erdos_renyi", "--n", "12", "--p", "0.3",
       "--seed", "4"], "12 "),
     (["validate", "er", "--n", "8", "--p", "0.3", "--trials", "2"], '"success": true'),
-], ids=["estimate-exhaustive", "estimate-mc", "generate-er", "validate-er"])
+    (["validate", "families", "--nmax", "5"], '"success": true'),
+], ids=["estimate-exhaustive", "estimate-mc", "generate-er", "validate-er",
+        "validate-families"])
 def test_array_commands_load_numpy_and_work(argv, expected):
     rc, out, loaded = probe(*argv)
     assert rc == 0
