@@ -63,8 +63,10 @@ def _add_graph_args(p: argparse.ArgumentParser):
                         "use 'crossings validate graph6 --path')")
     p.add_argument("--family", help="special family name")
     p.add_argument("--n", type=int, help="family size")
-    p.add_argument("--n1", type=int, help="first partition size / star size")
-    p.add_argument("--n2", type=int, help="second partition size (bipartite)")
+    p.add_argument("--n1", type=int,
+                   help="first part of complete_bipartite (or give --n), or "
+                        "star size of star_plus_isolated")
+    p.add_argument("--n2", type=int, help="second part of complete_bipartite")
     p.add_argument("--p", type=float, help="edge probability (erdos_renyi)")
 
 
@@ -103,20 +105,11 @@ def _load_graph(args):
         if args.n is None or args.p is None:
             raise _UsageError("erdos_renyi requires --n and --p")
         return erdos_renyi(args.n, args.p, args.seed)
-    if args.n is None and args.n1 is None:
-        raise _UsageError(f"--family {family} requires --n")
+    # gen_family checks the sizes; --n1, or else --n, is complete_bipartite's
+    # first part, and for any other family --n1 is the star size lam
     if family == "complete_bipartite":
-        n1 = args.n1 if args.n1 is not None else args.n
-        if n1 is None or args.n2 is None:
-            raise _UsageError("complete_bipartite requires --n1 and --n2")
-        return gen_family(family, n1, n2=args.n2)
-    if family == "star_plus_isolated":
-        if args.n1 is None or args.n is None:
-            raise _UsageError(
-                "star_plus_isolated requires --n1 (star size) and --n (total)"
-            )
-        return gen_family(family, args.n, lam=args.n1)
-    return gen_family(family, args.n)
+        return gen_family(family, args.n if args.n1 is None else args.n1, n2=args.n2)
+    return gen_family(family, args.n, n2=args.n2, lam=args.n1)
 
 
 class _UsageError(Exception):

@@ -25,6 +25,8 @@ class FamilySpec:
 
     `n` is the vertex count (for complete_bipartite, n = n1 + n2 with the
     partition sizes in n1/n2; for star_plus_isolated, `lam` is the star size).
+    The sizes are checked as gen_family checks them, n1 standing for
+    complete_bipartite's first part and being refused by every other family.
     """
 
     family: str
@@ -35,12 +37,10 @@ class FamilySpec:
 
     def __post_init__(self):
         if self.family == "complete_bipartite":
-            if self.n1 is None or self.n2 is None:
-                raise ValueError("complete_bipartite requires n1 and n2")
-            _check_family(self.family, self.n1, self.n2)
+            _check_family(self.family, self.n1, n2=self.n2, lam=self.lam)
             object.__setattr__(self, "n", self.n1 + self.n2)
         else:
-            _check_family(self.family, self.n, lam=self.lam)
+            _check_family(self.family, self.n, n1=self.n1, n2=self.n2, lam=self.lam)
 
 
 def closed_freq(spec: FamilySpec) -> FreqVector:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import islice, permutations
 from typing import TYPE_CHECKING
 
-from .graphs import Graph, check_budget, gen_family, size_q
+from .graphs import Graph, _family_extra, check_budget, gen_family, size_q
 
 if TYPE_CHECKING:
     import numpy as np
@@ -258,12 +258,17 @@ def scan_family(
 
     mode "auto" enumerates exhaustively up to `exhaustive_limit` and samples
     above it; "exhaustive" raises BudgetError, before any enumeration, when
-    `n_max` is above it; "theory" emits no estimates. Sizes invalid for the family (odd
-    one-regular n) yield a row with mode "skipped".
+    `n_max` is above it; "theory" emits no estimates. An unknown family, or
+    one that takes a second size, raises ValueError; sizes invalid for the
+    family (odd one-regular n) yield a row with mode "skipped".
     """
     # imported on first use, so that no other command loads the closed forms
     from .closed_forms import FamilySpec, closed_expectation, closed_freq, closed_variance
 
+    extra = _family_extra(family)
+    if extra is not None:
+        raise ValueError(f"scan takes a family of one size, and {family} "
+                         f"also takes {extra}")
     if mode not in ("auto", "exhaustive", "monte_carlo", "theory"):
         raise ValueError(f"unknown scan mode {mode!r}")
     if mode == "exhaustive" and n_min <= n_max:
@@ -272,7 +277,7 @@ def scan_family(
     for n in range(n_min, n_max + 1):
         try:
             spec = FamilySpec(family, n)
-        except ValueError:
+        except ValueError:  # a known one-size family: n is out of its range
             rows.append(
                 ScanRow(family, n, 0, Fraction(0), Fraction(0),
                         None, None, "skipped", None, None)

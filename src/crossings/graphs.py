@@ -11,19 +11,23 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
 
-# The special families and the least n each accepts (for complete_bipartite,
-# the least size of each part).
-_FAMILY_MIN_N = {
-    "complete": 1,
-    "complete_bipartite": 1,
-    "cycle": 3,
-    "one_regular": 2,
-    "star": 1,
-    "quasi_star": 4,
-    "linear_tree": 1,
-    "star_plus_isolated": 0,
+# The special families: the least size each takes, and the one parameter
+# it takes besides n, or None. complete_bipartite's parts n and n2 both have
+# the least size; one_regular's n is even; star_plus_isolated's star size
+# lam lies within 0..n.
+_FAMILY_TABLE = {
+    "complete": (1, None),
+    "complete_bipartite": (1, "n2"),
+    "cycle": (3, None),
+    "one_regular": (2, None),
+    "star": (1, None),
+    "quasi_star": (4, None),
+    "linear_tree": (1, None),
+    "star_plus_isolated": (0, "lam"),
 }
-FAMILIES = tuple(_FAMILY_MIN_N)
+FAMILIES = tuple(_FAMILY_TABLE)
+# what each size besides n stands for, in the refusals of _check_family
+_SIZE_ROLES = {"n1": "first part n1", "n2": "second part n2", "lam": "star size lam"}
 
 # Every graph costs O(n) memory before its edges are read, so n is bounded;
 # 2·10^6 admits any graph with 10^6 edges and no isolated vertex.
@@ -183,27 +187,36 @@ def is_q_zero(g: Graph) -> str | None:
     return None
 
 
-def _check_family(
-    family: str, n: int, n2: int | None = None, lam: int | None = None
-) -> None:
-    """Raise ValueError unless gen_family(family, n, n2, lam) is defined."""
-    if family not in _FAMILY_MIN_N:
+def _family_extra(family: str) -> str | None:
+    """The parameter `family` takes besides n, or None; ValueError if unknown."""
+    if family not in _FAMILY_TABLE:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
-    least = _FAMILY_MIN_N[family]
-    if family == "complete_bipartite":
-        if n2 is None:
-            raise ValueError("complete_bipartite requires n2")
-        if min(n, n2) < least:
-            raise ValueError("complete_bipartite requires n1, n2 >= 1")
-    elif family == "one_regular" and (n < least or n % 2):
-        raise ValueError("one_regular requires even n >= 2")
-    elif family == "star_plus_isolated":
-        if lam is None:
-            raise ValueError("star_plus_isolated requires lam (star size)")
-        if not 0 <= lam <= n:
-            raise ValueError(f"star size {lam} must be within 0..{n}")
-    elif n < least:
+    return _FAMILY_TABLE[family][1]
+
+
+def _check_family(family: str, n: int | None, **params: int | None) -> None:
+    """Raise ValueError unless gen_family(family, n, **params) is defined.
+
+    `params` holds the sizes given besides n, by name, None for one not
+    given: the family's own parameter must be given, and no other.
+    """
+    extra = _family_extra(family)
+    if n is None:
+        raise ValueError(f"{family} requires n")
+    if extra is not None and params.get(extra) is None:
+        raise ValueError(f"{family} requires a {_SIZE_ROLES[extra]}")
+    for name, value in params.items():
+        if value is not None and name != extra:
+            raise ValueError(f"{family} takes no {_SIZE_ROLES[name]}")
+    least = _FAMILY_TABLE[family][0]
+    if extra == "n2" and min(n, params["n2"]) < least:
+        raise ValueError(f"{family} requires n, n2 >= {least}")
+    if n < least:
         raise ValueError(f"{family} requires n >= {least}")
+    if family == "one_regular" and n % 2:
+        raise ValueError("one_regular requires even n")
+    if extra == "lam" and not 0 <= params["lam"] <= n:
+        raise ValueError(f"star size {params['lam']} must be within 0..{n}")
 
 
 def gen_family(
@@ -211,13 +224,15 @@ def gen_family(
 ) -> Graph:
     """Canonical labeled instance of one of the special families.
 
-    complete_bipartite takes partition sizes (n, n2); star_plus_isolated
-    takes the star size via `lam` and total vertices via `n`. Raises
-    BudgetError above MAX_VERTICES or MAX_EDGES before building anything.
+    Every family takes the size n. complete_bipartite also takes n2, its
+    parts being n and n2; star_plus_isolated also takes the star size lam,
+    with n vertices in all. No other family takes n2 or lam. An unknown
+    family, a missing or unwanted size, or one out of range raises
+    ValueError; BudgetError above MAX_VERTICES or MAX_EDGES comes before
+    anything is built.
     """
-    _check_family(family, n, n2, lam)
-    check_budget(n + n2 if family == "complete_bipartite" else n, MAX_VERTICES,
-                 "vertices")
+    _check_family(family, n, n2=n2, lam=lam)
+    check_budget(n + (n2 or 0), MAX_VERTICES, "vertices")
     # the other families have no more edges than vertices
     if family == "complete":
         check_budget(n * (n - 1) // 2, MAX_EDGES, "edges")

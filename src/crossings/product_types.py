@@ -22,44 +22,27 @@ BRUTE_Q_LIMIT = 50_000
 # The largest |Q| at which count_graphette enumerates, in up to ~|Q|^2 steps.
 CENSUS_Q_LIMIT = 20_000
 
-# Fixed serialization order for the nine product types.
-PRODUCT_TYPES = ("00", "24", "13", "12", "04", "03", "021", "022", "01")
-
-# Number of distinct vertices in each type's representative configuration.
+# One row per product type, in the fixed serialization order: its code,
+# graphette shape F_w and multiplier a_w, with f_w = a_w * n_G(F_w).
+_TYPE_ROWS = (
+    ("00", "L2+L2+L2+L2", 6),
+    ("24", "L2+L2", 1),
+    ("13", "L3+L2", 2),
+    ("12", "L2+L2+L2", 6),
+    ("04", "C4", 2),
+    ("03", "L5", 2),
+    ("021", "L4+L2", 2),
+    ("022", "L3+L3", 4),
+    ("01", "L3+L2+L2", 4),
+)
+PRODUCT_TYPES = tuple(code for code, _, _ in _TYPE_ROWS)
+GRAPHETTE_SHAPES = {code: shape for code, shape, _ in _TYPE_ROWS}
+GRAPHETTE_MULTIPLIERS = {code: a for code, _, a in _TYPE_ROWS}
+# Number of distinct vertices in each type's representative configuration:
+# its graphette's component sizes summed ("L3+L2+L2" has 7, "C4" has 4).
 TYPE_VERTEX_COUNT = {
-    "00": 8,
-    "24": 4,
-    "13": 5,
-    "12": 6,
-    "04": 4,
-    "03": 5,
-    "021": 6,
-    "022": 6,
-    "01": 7,
-}
-
-# Graphette shape and multiplier for f_w = a_w * n_G(F_w).
-GRAPHETTE_SHAPES = {
-    "00": "L2+L2+L2+L2",
-    "24": "L2+L2",
-    "13": "L3+L2",
-    "12": "L2+L2+L2",
-    "04": "C4",
-    "03": "L5",
-    "021": "L4+L2",
-    "022": "L3+L3",
-    "01": "L3+L2+L2",
-}
-GRAPHETTE_MULTIPLIERS = {
-    "00": 6,
-    "24": 1,
-    "13": 2,
-    "12": 6,
-    "04": 2,
-    "03": 2,
-    "021": 2,
-    "022": 4,
-    "01": 4,
+    code: sum(int(part[1:]) for part in shape.split("+"))
+    for code, shape, _ in _TYPE_ROWS
 }
 
 

@@ -533,12 +533,80 @@ class TestValidateCmd:
         assert out == ""
         assert f"parse error: {path}: line 2: " in err
 
+    def test_graph6_corpus_line_over_edge_budget_named(self, capsys, monkeypatch,
+                                                        tmp_path):
+        from crossings import graphs
+
+        monkeypatch.setattr(graphs, "MAX_EDGES", 7)
+        path = tmp_path / "c.g6"
+        path.write_text("C~\nD~{\n")  # K4, then K5 with 10 edges
+        code, out, err = run(capsys, "validate", "graph6", "--path", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[1:] == [
+            f"crossings: error: {path}: line 2: edges: 10 exceeds the limit of 7"]
+
     def test_graph6_corpus_not_ascii_exit_2(self, capsys, tmp_path):
         path = tmp_path / "c.g6"
         path.write_bytes(b"\xff")
         code, _, err = run(capsys, "validate", "graph6", "--path", str(path))
         assert code == 2
         assert f"parse error: {path}: not ascii text" in err
+
+
+class TestFamilySizes:
+    def test_complete_bipartite_n1_n2(self, capsys):
+        code, out, _ = run(capsys, "analyze", "--family", "complete_bipartite",
+                           "--n1", "3", "--n2", "4", "--out", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert (data["n"], data["m"], data["Q"], data["Var"]) == ("7", "12", "36", "56/5")
+        # --n stands in for --n1
+        code, out_n, _ = run(capsys, "analyze", "--family", "complete_bipartite",
+                             "--n", "3", "--n2", "4", "--out", "json")
+        assert code == 0
+        assert out_n == out
+
+    def test_star_plus_isolated_n_n1(self, capsys):
+        code, out, _ = run(capsys, "analyze", "--family", "star_plus_isolated",
+                           "--n", "7", "--n1", "4", "--out", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert (data["n"], data["m"], data["Q"]) == ("7", "3", "0")
+        assert data["q_zero_family"] == "star_with_isolated"
+
+    @pytest.mark.parametrize("argv,message", [
+        (("analyze", "--family", "cycle", "--n1", "5"), "cycle requires n"),
+        (("analyze", "--family", "star", "--n", "5", "--n2", "4"),
+         "star takes no second part n2"),
+        (("analyze", "--family", "cycle", "--n", "5", "--n1", "3"),
+         "cycle takes no star size lam"),
+        (("analyze", "--family", "complete_bipartite", "--n1", "3"),
+         "complete_bipartite requires a second part n2"),
+        (("analyze", "--family", "complete_bipartite", "--n2", "3"),
+         "complete_bipartite requires n"),
+        (("analyze", "--family", "complete_bipartite", "--n1", "0", "--n2", "3"),
+         "complete_bipartite requires n, n2 >= 1"),
+        (("analyze", "--family", "star_plus_isolated", "--n", "7"),
+         "star_plus_isolated requires a star size lam"),
+        (("analyze", "--family", "star_plus_isolated", "--n1", "4"),
+         "star_plus_isolated requires n"),
+        (("generate", "--family", "star_plus_isolated", "--n", "3", "--n1", "4"),
+         "star size 4 must be within 0..3"),
+        (("scan", "--family", "nosuch", "--nmin", "4", "--nmax", "5"),
+         "unknown family 'nosuch'"),
+        (("scan", "--family", "complete_bipartite", "--nmin", "4", "--nmax", "5"),
+         "complete_bipartite also takes n2"),
+        (("scan", "--family", "star_plus_isolated", "--nmin", "4", "--nmax", "5"),
+         "star_plus_isolated also takes lam"),
+    ])
+    def test_sizes_refused_exit_1(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        [line] = err.splitlines()[1:]  # after the configuration line
+        assert line.startswith("crossings: error: ")
+        assert message in line
 
 
 class TestRepeatedMain:

@@ -43,13 +43,18 @@ class TestFamilySpec:
             return True
 
         for family in FAMILIES + ("wheel",):
-            for n in range(-1, 9):
+            for n in (None, *range(-1, 9)):
+                lams = (None, -1, 0, 1) + (() if n is None else (n, n + 1))
                 for n2 in (None, -1, 0, 1, 2):
-                    for lam in (None, -1, 0, 1, n, n + 1):
+                    for lam in lams:
                         if family == "complete_bipartite":
                             spec = accepts(FamilySpec, family, n1=n, n2=n2, lam=lam)
                         else:
                             spec = accepts(FamilySpec, family, n, n2=n2, lam=lam)
+                            # n1 is complete_bipartite's first part; gen_family
+                            # takes no n1, and FamilySpec refuses one elsewhere
+                            assert not accepts(FamilySpec, family, n, n1=1, n2=n2,
+                                               lam=lam), (family, n, n2, lam)
                         gen = accepts(gen_family, family, n, n2=n2, lam=lam)
                         assert spec == gen, (family, n, n2, lam)
 

@@ -313,3 +313,13 @@ class TestScanFamily:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             scan_family("cycle", 4, 6, mode="warp")
+
+    @pytest.mark.parametrize("family,message", [
+        ("nosuch", "unknown family 'nosuch'"),
+        ("complete_bipartite", "complete_bipartite also takes n2"),
+        ("star_plus_isolated", "star_plus_isolated also takes lam"),
+    ])
+    def test_family_not_of_one_size_refused(self, family, message):
+        # refused up front, not turned into a column of skipped rows
+        with pytest.raises(ValueError, match=message):
+            scan_family(family, 4, 5, mode="theory")

@@ -200,6 +200,25 @@ class TestFamilies:
         with pytest.raises(ValueError):
             gen_family("petersen", 10)
 
+    @pytest.mark.parametrize("args,kwargs,message", [
+        (("cycle", None), {}, "cycle requires n"),
+        (("complete_bipartite", None), {"n2": 3}, "complete_bipartite requires n"),
+        (("complete_bipartite", 3), {}, "requires a second part n2"),
+        (("star_plus_isolated", 7), {}, "requires a star size lam"),
+        (("cycle", 5), {"n2": 3, "lam": 2}, "cycle takes no second part n2"),
+        (("star", 5), {"lam": 2}, "star takes no star size lam"),
+        (("complete_bipartite", 3), {"n2": 4, "lam": 2}, "takes no star size lam"),
+        (("star_plus_isolated", 7), {"n2": 1, "lam": 2}, "takes no second part n2"),
+        (("complete_bipartite", 3), {"n2": 0}, "requires n, n2 >= 1"),
+        (("one_regular", 0), {}, "one_regular requires n >= 2"),
+        (("one_regular", 5), {}, "one_regular requires even n"),
+        (("star_plus_isolated", 3), {"lam": 4}, "star size 4 must be within 0..3"),
+    ])
+    def test_sizes_refused_with_value_error(self, args, kwargs, message):
+        # each family takes n and at most one more size, from one table
+        with pytest.raises(ValueError, match=message):
+            gen_family(*args, **kwargs)
+
 
 class TestDisjointUnion:
     def test_star_plus_isolated_decomposition(self):

@@ -59,6 +59,17 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(((1, 2), (2, 3)), ((4, 5), (6, 7)))
 
+    def test_type_tables(self):
+        # one row per type yields all four tables, in serialization order
+        assert PRODUCT_TYPES == ("00", "24", "13", "12", "04", "03", "021", "022", "01")
+        assert list(TYPE_VERTEX_COUNT.values()) == [8, 4, 5, 6, 4, 5, 6, 6, 7]
+        assert list(GRAPHETTE_SHAPES.values()) == [
+            "L2+L2+L2+L2", "L2+L2", "L3+L2", "L2+L2+L2", "C4", "L5", "L4+L2",
+            "L3+L3", "L3+L2+L2"]
+        assert list(GRAPHETTE_MULTIPLIERS.values()) == [6, 1, 2, 6, 2, 2, 2, 4, 4]
+        for table in (TYPE_VERTEX_COUNT, GRAPHETTE_SHAPES, GRAPHETTE_MULTIPLIERS):
+            assert tuple(table) == PRODUCT_TYPES
+
     def test_vertex_counts_match_table(self):
         for code, (q1, q2) in REPRESENTATIVES.items():
             verts = {v for e in (*q1, *q2) for v in e}

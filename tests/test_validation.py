@@ -191,6 +191,16 @@ class TestValidateGraph6Corpus:
         with pytest.raises(GraphFormatError):
             validate_graph6_corpus(str(path))
 
+    def test_line_over_edge_budget_named(self, tmp_path, monkeypatch):
+        from crossings import graphs
+
+        monkeypatch.setattr(graphs, "MAX_EDGES", 7)
+        path = tmp_path / "c.g6"
+        path.write_text("C~\nD~{\n")  # K4, then K5 with 10 edges
+        with pytest.raises(graphs.BudgetError,
+                           match=f"^{path}: line 2: edges: 10 exceeds the limit of 7$"):
+            validate_graph6_corpus(str(path))
+
 
 class TestValidateFamilies:
     def test_small_range_passes(self):
