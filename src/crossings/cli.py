@@ -26,6 +26,7 @@ from .estimator import (
 from .graphs import (
     BudgetError,
     GraphFormatError,
+    _family_extra,
     degree_stats,
     erdos_renyi,
     format_edge_list,
@@ -82,13 +83,23 @@ def _resolve_seed(args) -> int:
         raise _UsageError(f"CROSSINGS_SEED must be an integer, got {env!r}") from None
 
 
+def _refuse_unread(args, source: str, *read: str) -> None:
+    """Raise _UsageError naming each graph flag given that `source` does not read."""
+    stray = [f"--{k}" for k in ("n", "n1", "n2", "p")
+             if k not in read and getattr(args, k) is not None]
+    if stray:
+        raise _UsageError(f"{source} takes no {', '.join(stray)}")
+
+
 def _load_graph(args):
     sources = [s for s in (args.input, args.graph6, args.family) if s]
     if len(sources) != 1:
         raise _UsageError("exactly one of --input, --graph6, --family is required")
     if args.input:
+        _refuse_unread(args, "--input")
         return parse_edge_list(read_input_file(args.input, "utf-8"))
     if args.graph6:
+        _refuse_unread(args, "--graph6")
         text = read_input_file(args.graph6, "ascii")
         lines = [line for line in map(str.strip, text.splitlines()) if line]
         if not lines:
@@ -102,12 +113,19 @@ def _load_graph(args):
         return from_graph6(lines[0])
     family = args.family
     if family == "erdos_renyi":
+        _refuse_unread(args, family, "n", "p")
         if args.n is None or args.p is None:
             raise _UsageError("erdos_renyi requires --n and --p")
         return erdos_renyi(args.n, args.p, args.seed)
+    _family_extra(family)  # an unknown family is named before its flags
+    _refuse_unread(args, family, "n", "n1", "n2")
     # gen_family checks the sizes; --n1, or else --n, is complete_bipartite's
     # first part, and for any other family --n1 is the star size lam
     if family == "complete_bipartite":
+        if args.n is not None and args.n1 is not None:
+            raise _UsageError(
+                "complete_bipartite takes its first part from --n or --n1, not both"
+            )
         return gen_family(family, args.n if args.n1 is None else args.n1, n2=args.n2)
     return gen_family(family, args.n, n2=args.n2, lam=args.n1)
 

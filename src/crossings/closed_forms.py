@@ -24,7 +24,8 @@ class FamilySpec:
     """A special family plus its size parameters.
 
     `n` is the vertex count (for complete_bipartite, n = n1 + n2 with the
-    partition sizes in n1/n2; for star_plus_isolated, `lam` is the star size).
+    partition sizes in n1/n2, and a given n other than 0 or n1 + n2 is
+    refused; for star_plus_isolated, `lam` is the star size).
     The sizes are checked as gen_family checks them, n1 standing for
     complete_bipartite's first part and being refused by every other family.
     """
@@ -38,7 +39,13 @@ class FamilySpec:
     def __post_init__(self):
         if self.family == "complete_bipartite":
             _check_family(self.family, self.n1, n2=self.n2, lam=self.lam)
-            object.__setattr__(self, "n", self.n1 + self.n2)
+            total = self.n1 + self.n2
+            if self.n not in (0, total):
+                raise ValueError(
+                    f"complete_bipartite with parts {self.n1} and {self.n2} has "
+                    f"n = {total}, got n = {self.n}"
+                )
+            object.__setattr__(self, "n", total)
         else:
             _check_family(self.family, self.n, n1=self.n1, n2=self.n2, lam=self.lam)
 

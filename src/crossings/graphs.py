@@ -56,14 +56,16 @@ class Graph:
     Attributes:
         n: number of vertices.
         edges: tuple of (u, v) pairs with u < v, sorted.
-        adj: neighbor sets indexed by vertex (index 0 unused).
-        degrees: degree of each vertex (index 0 unused).
+        degrees: degree of each vertex (index 0 unused), counted from edges.
+        adj: neighbour sets indexed by vertex (index 0 unused), built from
+            the edges on first access and kept; isolated vertices share one
+            empty set. A forest's moments need only `edges` and `degrees`.
 
     The constructor deduplicates unordered pairs; it raises ValueError on a
     self-loop or a vertex outside 1..n and BudgetError above MAX_VERTICES.
     """
 
-    __slots__ = ("n", "edges", "adj", "degrees")
+    __slots__ = ("n", "edges", "degrees", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -76,18 +78,31 @@ class Graph:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValueError(f"pair #{idx} ({u},{v}) out of range 1..{n}")
             seen.add((u, v) if u < v else (v, u))
+        edges = tuple(sorted(seen))
+        degrees = [0] * (n + 1)
+        for u, v in edges:
+            degrees[u] += 1
+            degrees[v] += 1
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(sorted(seen)))
-        # sets only for vertices with edges; isolated ones share one empty set
-        nbrs: defaultdict[int, set[int]] = defaultdict(set)
-        for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        adj: list[frozenset[int]] = [frozenset()] * (n + 1)
-        for v, s in nbrs.items():
-            adj[v] = frozenset(s)
-        object.__setattr__(self, "adj", tuple(adj))
-        object.__setattr__(self, "degrees", tuple(map(len, adj)))
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "degrees", tuple(degrees))
+        object.__setattr__(self, "_adj", None)
+
+    @property
+    def adj(self) -> tuple[frozenset[int], ...]:
+        adj = self._adj
+        if adj is None:
+            # sets only for vertices with edges; isolated ones share one empty set
+            nbrs: defaultdict[int, set[int]] = defaultdict(set)
+            for u, v in self.edges:
+                nbrs[u].add(v)
+                nbrs[v].add(u)
+            adj = [frozenset()] * (self.n + 1)
+            for v, s in nbrs.items():
+                adj[v] = frozenset(s)
+            adj = tuple(adj)
+            object.__setattr__(self, "_adj", adj)
+        return adj
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -171,11 +186,9 @@ def is_q_zero(g: Graph) -> str | None:
     m = g.m
     if m == 0:
         return "star_with_isolated"
-    linked = sorted({v for e in g.edges for v in e})
-    if m == 3 and len(linked) == 3:
-        a, b, c = linked
-        if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c):
-            return "triangle_with_isolated"
+    # three distinct edges on three vertices are the triangle
+    if m == 3 and len({v for e in g.edges for v in e}) == 3:
+        return "triangle_with_isolated"
     # star: some vertex lies on every edge
     candidates = set(g.edges[0])
     for u, v in g.edges:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter, namedtuple
 from itertools import compress
-from operator import mul
 
 from .graphs import Graph, check_budget, size_q
 
@@ -148,13 +147,17 @@ def freq_fast(g: Graph) -> FreqVector:
     a subgraph F_w of at most four edges, so degrees, triangles and 4-cycles
     suffice (Alemany-Puig & Ferrer-i-Cancho, arXiv 2003.03353).
 
-    Every cycle lies in the 2-core, which one O(n + m) peeling of the
-    vertices of degree < 2 finds (`_two_core`). An edge with an end outside
-    it is on no triangle, so t_uv = 0 there without a set intersection, and
-    the 4-cycle count ranks and walks only core vertices. A forest has an
-    empty core and does no triangle or 4-cycle work. All counts are
-    integers; `moments.variance_from_freq` keeps them so, scaling each
-    gamma_w by the common denominator of the gammas (180 under RLA).
+    N_v comes from one pass over the edges, and S_v enters only summed,
+    as sum_v S_v = sum_v k_v^3. Every cycle lies in the 2-core, which one
+    O(n + m) peeling of the vertices of degree 1 finds from the edges and
+    degrees (`_two_core`). An edge with an end outside it is on no
+    triangle, so t_uv = 0 there without a set intersection, and the
+    4-cycle count ranks and walks only core vertices. `g.adj` is read only
+    when the core is non-empty: a forest, whose core is empty, needs only
+    g.n, g.m, g.edges and g.degrees, and builds no neighbour sets and does
+    no triangle or 4-cycle work. All counts are integers;
+    `moments.variance_from_freq` keeps them so, scaling each gamma_w by the
+    common denominator of the gammas (180 under RLA).
 
     Notation, for a vertex v and an edge e = uv:
 
@@ -199,34 +202,44 @@ def freq_fast(g: Graph) -> FreqVector:
     """
     n, m = g.n, g.m
     deg = g.degrees
-    adj = g.adj
+    edges = g.edges
     core_deg = _two_core(g)
+    core = list(compress(range(n + 1), core_deg))
+    # neighbour sets only for the triangles and 4-cycles of a non-empty core
+    adj = g.adj if core else None
 
-    # per-vertex sums: N_v, S_v and the vertex terms of f13, f03, f022, f01
-    p = k3 = sum_k2 = sum_k4 = 0
-    f13_v = p5_v = nn_v = sum_qv2 = 0
+    # N_v from one pass over the edges
     nsum = [0] * (n + 1)
+    for u, v in edges:
+        nsum[u] += deg[v]
+        nsum[v] += deg[u]
+
+    # per-vertex sums: the vertex terms of f13, f03, f022 and f01
+    p = k3 = sum_k2 = sum_k3 = sum_k4 = 0
+    f13_v = dev2 = sum_n2 = sum_qv2 = 0
     for v in compress(range(n + 1), deg):  # isolated vertices add nothing
         k = deg[v]
-        nbr_deg = [deg[w] for w in adj[v]]
-        nv = sum(nbr_deg)
-        sv = sum(map(mul, nbr_deg, nbr_deg))
-        nsum[v] = nv
+        nv = nsum[v]
         c2 = k * (k - 1) // 2
         p += c2
         k3 += c2 * (k - 2) // 3
         k2 = k * k
         sum_k2 += k2
+        sum_k3 += k2 * k
         sum_k4 += k2 * k2
         f13_v += c2 * (m - k + 2) - (k - 1) * nv
-        p5_v += ((nv - k) ** 2 - (sv - 2 * nv + k)) // 2
-        nn_v += (nv * nv - sv) // 2
+        dev2 += (nv - k) ** 2
+        sum_n2 += nv * nv
         qv = k * (m - k + 1) - nv
         sum_qv2 += qv * qv
+    # S_v enters only summed: sum_v S_v = sum k^3, with sum_v N_v = sum k^2
+    # and sum_v k_v = 2m
+    p5_v = (dev2 - (sum_k3 - 2 * sum_k2 + 2 * m)) // 2
+    nn_v = (sum_n2 - sum_k3) // 2
 
     # per-edge sums; t_uv costs the smaller of the two neighbour sets
     tri = w2 = p4 = d4 = t_deg = sum_qe2 = adj_pairs = t2 = t_kk = 0
-    for u, v in g.edges:
+    for u, v in edges:
         ku, kv = deg[u], deg[v]
         t = len(adj[u] & adj[v]) if core_deg[u] and core_deg[v] else 0
         mid = (ku - 1) * (kv - 1) - t  # P4s whose middle edge is uv
@@ -242,7 +255,6 @@ def freq_fast(g: Graph) -> FreqVector:
         t2 += t * t
         t_kk += t * kk
     # tri = 3T counts each triangle once per edge; w2 = 2W likewise
-    core = list(compress(range(n + 1), core_deg))
     c4 = _count_c4_ranked(adj, core_deg, core) if core else 0
     d4 -= w2
 
@@ -279,25 +291,31 @@ def freq_fast(g: Graph) -> FreqVector:
 def _two_core(g: Graph) -> list[int]:
     """Each vertex's degree in the 2-core, 0 for a vertex outside it.
 
-    Peels vertices of degree < 2 until none is left, in O(n + m): a peeled
-    vertex is set to 0 and its remaining neighbours lose one degree each.
-    What is left has minimum degree 2 and holds every cycle of g.
+    Peels vertices of degree 1 until none is left, in O(n + m), from the
+    edges and degrees alone (Batagelj & Zaversnik, "An O(m) algorithm for
+    cores decomposition of networks", 2003). Each vertex keeps the XOR of
+    its remaining neighbours, so a vertex of degree 1 holds its last
+    neighbour there; peeling it sets it to 0, takes it out of that
+    neighbour's XOR and lowers that neighbour's degree by one. What is left
+    has minimum degree 2 and holds every cycle of g.
     """
     core_deg = list(g.degrees)
-    adj = g.adj
-    # a vertex of degree 1 ends exactly one edge
-    leaves = [v for e in g.edges for v in e if core_deg[v] == 1]
+    nbr_xor = [0] * (g.n + 1)
+    for u, v in g.edges:
+        nbr_xor[u] ^= v
+        nbr_xor[v] ^= u
+    leaves = [v for v, k in enumerate(core_deg) if k == 1]
     while leaves:
         v = leaves.pop()
         if not core_deg[v]:
             continue  # its last neighbour was peeled first
         core_deg[v] = 0
-        for w in adj[v]:
-            k = core_deg[w]
-            if k:
-                core_deg[w] = k - 1
-                if k == 2:
-                    leaves.append(w)
+        w = nbr_xor[v]
+        nbr_xor[w] ^= v
+        k = core_deg[w]
+        core_deg[w] = k - 1
+        if k == 2:
+            leaves.append(w)
     return core_deg
 
 

@@ -599,9 +599,24 @@ class TestFamilySizes:
          "complete_bipartite also takes n2"),
         (("scan", "--family", "star_plus_isolated", "--nmin", "4", "--nmax", "5"),
          "star_plus_isolated also takes lam"),
+        # a flag that the graph source does not read is refused, not dropped
+        (("analyze", "--family", "cycle", "--n", "5", "--p", "0.3"),
+         "cycle takes no --p"),
+        (("generate", "--family", "erdos_renyi", "--n", "4", "--p", "0.5",
+          "--n1", "2", "--n2", "3"),
+         "erdos_renyi takes no --n1, --n2"),
+        (("analyze", "--input", "INPUT", "--n", "7", "--p", "0.2"),
+         "--input takes no --n, --p"),
+        (("analyze", "--graph6", "INPUT", "--n2", "3"), "--graph6 takes no --n2"),
+        (("analyze", "--family", "complete_bipartite", "--n", "9", "--n1", "3",
+          "--n2", "4"),
+         "complete_bipartite takes its first part from --n or --n1, not both"),
     ])
-    def test_sizes_refused_exit_1(self, capsys, argv, message):
-        code, out, err = run(capsys, *argv)
+    def test_sizes_refused_exit_1(self, capsys, tmp_path, argv, message):
+        # the input file holds a valid graph, so only the stray flag is wrong
+        path = tmp_path / "graph.txt"
+        path.write_text("3 1\n1 2\n" if "--input" in argv else "Bw\n")
+        code, out, err = run(capsys, *(str(path) if a == "INPUT" else a for a in argv))
         assert code == 1
         assert out == ""
         [line] = err.splitlines()[1:]  # after the configuration line

@@ -33,6 +33,12 @@ class TestFamilySpec:
 
     def test_bipartite_total(self):
         assert FamilySpec("complete_bipartite", n1=3, n2=4).n == 7
+        assert FamilySpec("complete_bipartite", 7, n1=3, n2=4).n == 7
+
+    @pytest.mark.parametrize("n", [5, 6, 8, 12, -1])
+    def test_bipartite_contradictory_n_refused(self, n):
+        with pytest.raises(ValueError, match=f"has n = 7, got n = {n}"):
+            FamilySpec("complete_bipartite", n, n1=3, n2=4)
 
     def test_same_rules_as_gen_family(self):
         def accepts(make, *args, **kwargs):

@@ -1,4 +1,5 @@
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -313,6 +314,27 @@ class TestTwoCore:
         ranked.clear()
         freq_fast(g)
         assert ranked == [len(core)]
+
+
+FORESTS = {
+    "path": gen_family("linear_tree", 40),
+    "star": gen_family("star", 30),
+    "random_tree": from_pruefer((3, 3, 7, 1, 9, 9, 2, 5, 12, 12, 4, 11)),
+    "k2_components_and_isolated_vertices": Graph(
+        15, [(1, 2), (4, 5), (5, 6), (5, 7), (9, 10), (12, 14)]
+    ),
+}
+
+
+class TestForestContract:
+    # a forest's moments come from its edge list and degree table alone:
+    # freq_fast must not read neighbour sets when the 2-core is empty
+    @pytest.mark.parametrize("name", FORESTS)
+    def test_freq_fast_without_adj(self, name):
+        g = FORESTS[name]
+        bare = SimpleNamespace(n=g.n, m=g.m, edges=g.edges, degrees=g.degrees)
+        assert freq_fast(bare) == freq_fast(g) == freq_brute(g)
+        assert not any(product_types._two_core(g))
 
 
 @st.composite
