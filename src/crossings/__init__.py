@@ -3,7 +3,7 @@ whose vertices are placed uniformly at random on a line, with brute-force
 oracles, closed forms for special families, empirical estimators and a
 z-score significance test.
 
-The names of `closed_forms` (`FamilySpec`, `closed_*`) and of `validation`
+The names of `closed_forms` (`closed_*`) and of `validation`
 (`ValidationReport`, `check_graph`, `validate_*`) load their module on first
 access, so that commands which never use them do not pay for importing
 them. Every other public name is imported with the package.
@@ -67,8 +67,8 @@ from .product_types import (
 
 # public name -> the submodule that defines it, imported on first access
 _LAZY = {
-    **dict.fromkeys(("FamilySpec", "closed_expectation", "closed_freq",
-                     "closed_variance"), "closed_forms"),
+    **dict.fromkeys(("closed_expectation", "closed_freq", "closed_variance"),
+                    "closed_forms"),
     **dict.fromkeys(("ValidationReport", "check_graph", "validate_er",
                      "validate_families", "validate_graph6_corpus",
                      "validate_trees"), "validation"),

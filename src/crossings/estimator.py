@@ -263,7 +263,7 @@ def scan_family(
     family (odd one-regular n) yield a row with mode "skipped".
     """
     # imported on first use, so that no other command loads the closed forms
-    from .closed_forms import FamilySpec, closed_expectation, closed_freq, closed_variance
+    from .closed_forms import closed_expectation, closed_freq, closed_variance
 
     extra = _family_extra(family)
     if extra is not None:
@@ -276,16 +276,15 @@ def scan_family(
     rows = []
     for n in range(n_min, n_max + 1):
         try:
-            spec = FamilySpec(family, n)
+            q = closed_freq(family, n).f24
         except ValueError:  # a known one-size family: n is out of its range
             rows.append(
                 ScanRow(family, n, 0, Fraction(0), Fraction(0),
                         None, None, "skipped", None, None)
             )
             continue
-        q = closed_freq(spec).f24
-        e_th = closed_expectation(spec)
-        v_th = closed_variance(spec)
+        e_th = closed_expectation(family, n)
+        v_th = closed_variance(family, n)
         if mode == "theory":
             rows.append(ScanRow(family, n, q, e_th, v_th, None, None,
                                 "theory", None, None))

@@ -27,7 +27,7 @@ _FAMILY_TABLE = {
 }
 FAMILIES = tuple(_FAMILY_TABLE)
 # what each size besides n stands for, in the refusals of _check_family
-_SIZE_ROLES = {"n1": "first part n1", "n2": "second part n2", "lam": "star size lam"}
+_SIZE_ROLES = {"n2": "second part n2", "lam": "star size lam"}
 
 # Every graph costs O(n) memory before its edges are read, so n is bounded;
 # 2·10^6 admits any graph with 10^6 edges and no isolated vertex.
@@ -418,44 +418,54 @@ def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list text format: `n m` header then m `u v` lines.
 
     Lines starting with `#` are ignored. Raises GraphFormatError with the
-    offending line number on malformed input.
+    offending line number on malformed input: the header's error first, then
+    a mismatch with the declared edge count, then the first bad edge line.
+    One pass over the lines keeps only the edges, so the first bad line's
+    error is held until the count is known.
     """
-    rows = []
+    n = m = None
+    edges = []
+    found = 0
+    error = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        rows.append((lineno, line))
-    if not rows:
-        raise GraphFormatError("empty edge-list input")
-    lineno, header = rows[0]
-    parts = header.split()
-    if len(parts) != 2:
-        raise GraphFormatError(f"line {lineno}: expected header 'n m'")
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise GraphFormatError(f"line {lineno}: expected integers in header") from None
-    if n < 0:
-        raise GraphFormatError(f"line {lineno}: negative vertex count {n}")
-    if len(rows) - 1 != m:
-        raise GraphFormatError(
-            f"header declares {m} edges but {len(rows) - 1} edge lines found"
-        )
-    edges = []
-    for lineno, line in rows[1:]:
         parts = line.split()
+        if n is None:  # the header
+            if len(parts) != 2:
+                raise GraphFormatError(f"line {lineno}: expected header 'n m'")
+            try:
+                n, m = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise GraphFormatError(
+                    f"line {lineno}: expected integers in header") from None
+            if n < 0:
+                raise GraphFormatError(f"line {lineno}: negative vertex count {n}")
+            continue
+        found += 1
+        if error is not None:
+            continue
         if len(parts) != 2:
-            raise GraphFormatError(f"line {lineno}: expected 'u v'")
+            error = f"line {lineno}: expected 'u v'"
+            continue
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise GraphFormatError(f"line {lineno}: expected integers") from None
+            error = f"line {lineno}: expected integers"
+            continue
         if u == v:
-            raise GraphFormatError(f"line {lineno}: self-loop ({u},{v})")
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise GraphFormatError(f"line {lineno}: vertex out of range 1..{n}")
-        edges.append((u, v))
+            error = f"line {lineno}: self-loop ({u},{v})"
+        elif not (1 <= u <= n and 1 <= v <= n):
+            error = f"line {lineno}: vertex out of range 1..{n}"
+        else:
+            edges.append((u, v))
+    if n is None:
+        raise GraphFormatError("empty edge-list input")
+    if found != m:
+        raise GraphFormatError(f"header declares {m} edges but {found} edge lines found")
+    if error is not None:
+        raise GraphFormatError(error)
     return Graph(n, edges)
 
 

@@ -130,7 +130,7 @@ def chebyshev_pbound(mean: Fraction, var: Fraction, observed: int) -> Fraction:
     return Fraction(1) if num >= denom else Fraction(num, denom)
 
 
-def format_rational(x: Fraction, digits: int = 12) -> str:
-    """Exact fraction plus a decimal rendering with `digits` significant
-    digits, e.g. '347/90 (3.85555555556)'."""
-    return f"{x} ({float(x):.{digits}g})"
+def format_rational(x: Fraction) -> str:
+    """Exact fraction plus a decimal rendering with 12 significant digits,
+    e.g. '347/90 (3.85555555556)'."""
+    return f"{x} ({float(x):.12g})"

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import product
 
 from . import moments
-from .closed_forms import FamilySpec, closed_freq, closed_variance
+from .closed_forms import closed_freq, closed_variance
 from .estimator import DEFAULT_EXHAUSTIVE_LIMIT, exhaustive_moments, monte_carlo_moments
 from .graphs import (
     FAMILIES,
@@ -274,62 +274,67 @@ def validate_families(
 ) -> ValidationReport:
     """Closed forms vs the general path for all special families.
 
-    Exact equality of frequency vectors and variances across the size range;
-    one Monte Carlo spot check per family at the largest size (relative
-    tolerance recorded in the check detail).
+    Exact equality of frequency vectors and variances for every instance
+    gen_family accepts with n <= n_max (complete_bipartite: both parts
+    <= bipartite_max; star_plus_isolated: every star size lam in 0..n), the
+    same arguments going to gen_family and the closed forms; one Monte Carlo
+    spot check per one-size family at its largest size (relative tolerance
+    recorded in the check detail).
     """
     started = time.perf_counter()
     report = ValidationReport(
         corpus=f"families-n<={n_max}",
         checks=["closed_freq_vs_fast", "closed_variance_vs_general", "mc_spot"],
     )
-
-    def check_spec(spec: FamilySpec, g: Graph, witness: str):
-        fv = freq_fast(g)
-        cf = closed_freq(spec)
-        if fv != cf:
-            report.fail(
-                witness, "closed_freq_vs_fast",
-                f"closed {cf.as_tuple()} != fast {fv.as_tuple()}",
-            )
-        cv = closed_variance(spec)
-        gv = moments.variance_from_freq(fv)
-        if cv != gv or cv != moments.variance_from_freq(cf):
-            report.fail(
-                witness, "closed_variance_vs_general",
-                f"closed {cv} != general {gv}",
-            )
-        report.graphs_checked += 1
-
     for family in FAMILIES:
-        if _family_extra(family) is not None:
-            continue  # a second size; complete_bipartite has its grid below
-        spec = None
-        for n in range(n_max + 1):
-            try:
-                spec = FamilySpec(family, n)
+        extra = _family_extra(family)
+        if extra == "n2":  # both parts up to bipartite_max
+            sizes = [(n, {"n2": n2}) for n in range(bipartite_max + 1)
+                     for n2 in range(n, bipartite_max + 1)]
+        elif extra == "lam":  # every star size of each n
+            sizes = [(n, {"lam": lam}) for n in range(n_max + 1)
+                     for lam in range(n + 1)]
+        else:
+            sizes = [(n, {}) for n in range(n_max + 1)]
+        checked = None
+        for n, params in sizes:
+            try:  # gen_family and the closed forms refuse the same sizes
+                g = gen_family(family, n, **params)
             except ValueError:
                 continue
-            check_spec(spec, gen_family(family, n), f"{family}-{n}")
-        # one Monte Carlo spot check, at the largest size if it is >= 5 and
-        # Var[C] > 0 there
-        theory = closed_variance(spec) if spec is not None and spec.n >= 5 else 0
+            witness = "-".join([family, str(n)] + [f"{k}={v}" for k, v in params.items()])
+            fv = freq_fast(g)
+            cf = closed_freq(family, n, **params)
+            if fv != cf:
+                report.fail(
+                    witness, "closed_freq_vs_fast",
+                    f"closed {cf.as_tuple()} != fast {fv.as_tuple()}",
+                )
+            cv = closed_variance(family, n, **params)
+            gv = moments.variance_from_freq(fv)
+            if cv != gv or cv != moments.variance_from_freq(cf):
+                report.fail(
+                    witness, "closed_variance_vs_general",
+                    f"closed {cv} != general {gv}",
+                )
+            report.graphs_checked += 1
+            checked = n
+        # one Monte Carlo spot check per one-size family, at the largest size
+        # if it is >= 5 and Var[C] > 0 there
+        if extra is not None or checked is None or checked < 5:
+            continue
+        theory = closed_variance(family, checked)
         if theory == 0:
             continue
-        rep = monte_carlo_moments(gen_family(family, spec.n), samples=mc_samples,
+        rep = monte_carlo_moments(gen_family(family, checked), samples=mc_samples,
                                   seed=seed)
         rel = abs(rep.variance - float(theory)) / float(theory)
         if rel > MC_SPOT_REL_TOL:
             report.fail(
-                f"{family}-{spec.n}", "mc_spot",
+                f"{family}-{checked}", "mc_spot",
                 f"relative error {rel:.4f} above tolerance {MC_SPOT_REL_TOL} "
                 f"(T={mc_samples}, seed={seed})",
             )
-    for n1 in range(1, bipartite_max + 1):
-        for n2 in range(n1, bipartite_max + 1):
-            spec = FamilySpec("complete_bipartite", n1=n1, n2=n2)
-            g = gen_family("complete_bipartite", n1, n2=n2)
-            check_spec(spec, g, f"complete_bipartite-{n1}x{n2}")
     return report.finish(started)
 
 

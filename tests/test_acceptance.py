@@ -15,7 +15,6 @@ import numpy as np
 
 from crossings import (
     ALPHA_RLA,
-    FamilySpec,
     FreqVector,
     closed_expectation,
     closed_freq,
@@ -170,17 +169,15 @@ def test_criterion_5_closed_forms_vs_general_path():
     ]
     for family, ns in combos:
         for n in ns:
-            spec = FamilySpec(family, n)
             g = gen_family(family, n)
-            ok &= closed_freq(spec) == freq_fast(g)
-            ok &= closed_variance(spec) == variance_rla(g)
+            ok &= closed_freq(family, n) == freq_fast(g)
+            ok &= closed_variance(family, n) == variance_rla(g)
             count += 1
     for n1 in range(2, 11):
         for n2 in range(n1, 11):
-            spec = FamilySpec("complete_bipartite", n1=n1, n2=n2)
             g = gen_family("complete_bipartite", n1, n2=n2)
-            ok &= closed_freq(spec) == freq_fast(g)
-            ok &= closed_variance(spec) == variance_rla(g)
+            ok &= closed_freq("complete_bipartite", n1, n2=n2) == freq_fast(g)
+            ok &= closed_variance("complete_bipartite", n1, n2=n2) == variance_rla(g)
             count += 1
     elapsed = time.perf_counter() - started
     assert report(5, ok, f"closed forms == general path on {count} instances, "
@@ -191,30 +188,20 @@ def test_criterion_6_theory_vs_exhaustive_enumeration():
     started = time.perf_counter()
     ok = True
     count = 0
-    instances = []
+    instances = []  # gen_family's arguments, handed to the closed forms too
     for n in range(4, 9):
-        instances.append(("complete", gen_family("complete", n),
-                          FamilySpec("complete", n)))
-        instances.append(("cycle", gen_family("cycle", n), FamilySpec("cycle", n)))
-        instances.append(("linear_tree", gen_family("linear_tree", n),
-                          FamilySpec("linear_tree", n)))
-        instances.append(("quasi_star", gen_family("quasi_star", n),
-                          FamilySpec("quasi_star", n)))
-        instances.append(("star", gen_family("star", n), FamilySpec("star", n)))
+        for family in ("complete", "cycle", "linear_tree", "quasi_star", "star"):
+            instances.append((family, n, {}))
         if n % 2 == 0:
-            instances.append(("one_regular", gen_family("one_regular", n),
-                              FamilySpec("one_regular", n)))
+            instances.append(("one_regular", n, {}))
     for n1 in range(2, 5):
         for n2 in range(n1, 9 - n1):
-            instances.append((
-                "complete_bipartite",
-                gen_family("complete_bipartite", n1, n2=n2),
-                FamilySpec("complete_bipartite", n1=n1, n2=n2),
-            ))
-    for family, g, spec in instances:
+            instances.append(("complete_bipartite", n1, {"n2": n2}))
+    for family, n, params in instances:
+        g = gen_family(family, n, **params)
         rep = exhaustive_moments(g)
-        ok &= rep.mean == Fraction(size_q(g), 3) == closed_expectation(spec)
-        ok &= rep.variance == variance_rla(g) == closed_variance(spec)
+        ok &= rep.mean == Fraction(size_q(g), 3) == closed_expectation(family, n, **params)
+        ok &= rep.variance == variance_rla(g) == closed_variance(family, n, **params)
         count += 1
     elapsed = time.perf_counter() - started
     assert report(6, ok, f"population moments == theory for {count} family "
@@ -227,7 +214,7 @@ def test_criterion_7_monte_carlo_regime():
     details = []
     for family, seed in [("cycle", 7), ("linear_tree", 7)]:
         g = gen_family(family, 50)
-        theory = float(closed_variance(FamilySpec(family, 50)))
+        theory = float(closed_variance(family, 50))
         rep = monte_carlo_moments(g, samples=100_000, seed=seed)
         rel = abs(rep.variance - theory) / theory
         details.append(f"{family}(50) rel err {rel:.4f}")
@@ -241,14 +228,13 @@ def test_criterion_8_scaling_laws():
     started = time.perf_counter()
 
     def slope(family, stat):
+        closed = closed_variance if stat == "var" else closed_expectation
         ns, ys = [], []
         for n in range(50, 101):
             if family == "one_regular" and n % 2:
                 continue
-            spec = FamilySpec(family, n)
-            y = closed_variance(spec) if stat == "var" else closed_expectation(spec)
             ns.append(math.log(n))
-            ys.append(math.log(float(y)))
+            ys.append(math.log(float(closed(family, n))))
         return float(np.polyfit(ns, ys, 1)[0])
 
     # Each expected exponent is the degree in n of the closed form.

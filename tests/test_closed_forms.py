@@ -1,3 +1,4 @@
+import inspect
 import math
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -6,7 +7,6 @@ import pytest
 
 from crossings import (
     FAMILIES,
-    FamilySpec,
     closed_expectation,
     closed_freq,
     closed_variance,
@@ -18,82 +18,78 @@ from crossings.moments import variance_from_freq
 from crossings.product_types import freq_fast
 
 
-class TestFamilySpec:
+CLOSED_FORMS = (closed_freq, closed_expectation, closed_variance)
+
+
+class TestFamilyArguments:
+    def test_signature_is_gen_family(self):
+        expected = inspect.signature(gen_family).parameters
+        for closed in CLOSED_FORMS:
+            assert inspect.signature(closed).parameters == expected, closed
+
     def test_bipartite_requires_partitions(self):
-        with pytest.raises(ValueError):
-            FamilySpec("complete_bipartite", 6)
+        for closed in CLOSED_FORMS:
+            with pytest.raises(ValueError, match="requires a second part n2"):
+                closed("complete_bipartite", 6)
 
     def test_one_regular_parity(self):
-        with pytest.raises(ValueError):
-            FamilySpec("one_regular", 7)
+        for closed in CLOSED_FORMS:
+            with pytest.raises(ValueError, match="even n"):
+                closed("one_regular", 7)
 
     def test_unknown_family(self):
-        with pytest.raises(ValueError):
-            FamilySpec("wheel", 5)
-
-    def test_bipartite_total(self):
-        assert FamilySpec("complete_bipartite", n1=3, n2=4).n == 7
-        assert FamilySpec("complete_bipartite", 7, n1=3, n2=4).n == 7
-
-    @pytest.mark.parametrize("n", [5, 6, 8, 12, -1])
-    def test_bipartite_contradictory_n_refused(self, n):
-        with pytest.raises(ValueError, match=f"has n = 7, got n = {n}"):
-            FamilySpec("complete_bipartite", n, n1=3, n2=4)
+        for closed in CLOSED_FORMS:
+            with pytest.raises(ValueError, match="unknown family 'wheel'"):
+                closed("wheel", 5)
 
     def test_same_rules_as_gen_family(self):
-        def accepts(make, *args, **kwargs):
+        def refusal(make, *args, **kwargs):
             try:
                 make(*args, **kwargs)
-            except ValueError:
-                return False
-            return True
+            except ValueError as exc:
+                return str(exc)
+            return None
 
         for family in FAMILIES + ("wheel",):
             for n in (None, *range(-1, 9)):
                 lams = (None, -1, 0, 1) + (() if n is None else (n, n + 1))
                 for n2 in (None, -1, 0, 1, 2):
                     for lam in lams:
-                        if family == "complete_bipartite":
-                            spec = accepts(FamilySpec, family, n1=n, n2=n2, lam=lam)
-                        else:
-                            spec = accepts(FamilySpec, family, n, n2=n2, lam=lam)
-                            # n1 is complete_bipartite's first part; gen_family
-                            # takes no n1, and FamilySpec refuses one elsewhere
-                            assert not accepts(FamilySpec, family, n, n1=1, n2=n2,
-                                               lam=lam), (family, n, n2, lam)
-                        gen = accepts(gen_family, family, n, n2=n2, lam=lam)
-                        assert spec == gen, (family, n, n2, lam)
+                        gen = refusal(gen_family, family, n, n2=n2, lam=lam)
+                        for closed in CLOSED_FORMS:
+                            got = refusal(closed, family, n, n2=n2, lam=lam)
+                            assert got == gen, (closed, family, n, n2, lam)
 
     def test_star_plus_isolated_empty(self):
         # n = 0 with an empty star is a graph, so it is a family instance too
         assert gen_family("star_plus_isolated", 0, lam=0).n == 0
-        assert closed_variance(FamilySpec("star_plus_isolated", 0, lam=0)) == 0
+        assert closed_variance("star_plus_isolated", 0, lam=0) == 0
 
 
 class TestClosedFreq:
     def test_cycle7_values(self):
-        fv = closed_freq(FamilySpec("cycle", 7))
+        fv = closed_freq("cycle", 7)
         assert fv["03"] == 14
         assert fv["021"] == fv["022"] == 28
 
     def test_linear_tree7_f01(self):
-        assert closed_freq(FamilySpec("linear_tree", 7))["01"] == 12
+        assert closed_freq("linear_tree", 7)["01"] == 12
 
     def test_complete5_f13(self):
-        assert closed_freq(FamilySpec("complete", 5))["13"] == 60
+        assert closed_freq("complete", 5)["13"] == 60
 
     def test_bipartite_f04(self):
-        fv = closed_freq(FamilySpec("complete_bipartite", n1=3, n2=3))
+        fv = closed_freq("complete_bipartite", 3, n2=3)
         assert fv["04"] == 18
 
     def test_cycle4_overrides(self):
-        fv = closed_freq(FamilySpec("cycle", 4))
+        fv = closed_freq("cycle", 4)
         assert fv["04"] == 2
         assert fv["01"] == 0 and fv["03"] == 0  # below the |v| thresholds
         assert fv.total() == size_q(gen_family("cycle", 4)) ** 2
 
     def test_star_all_zero(self):
-        assert closed_freq(FamilySpec("star", 9)).total() == 0
+        assert closed_freq("star", 9).total() == 0
 
 
 EXACT_RANGES = [
@@ -110,33 +106,32 @@ class TestClosedVsGeneral:
     @pytest.mark.parametrize("family,ns", EXACT_RANGES, ids=lambda v: str(v))
     def test_freq_and_variance_match(self, family, ns):
         for n in ns:
-            spec = FamilySpec(family, n)
             g = gen_family(family, n)
             fv = freq_fast(g)
-            assert closed_freq(spec) == fv, (family, n)
-            assert closed_freq(spec).f24 == size_q(g)
-            cv = closed_variance(spec)
+            cf = closed_freq(family, n)
+            assert cf == fv, (family, n)
+            assert cf.f24 == size_q(g)
+            cv = closed_variance(family, n)
             assert cv == variance_from_freq(fv), (family, n)
-            assert cv == variance_from_freq(closed_freq(spec))
+            assert cv == variance_from_freq(cf)
 
     def test_bipartite_grid(self):
         for n1 in range(1, 11):
             for n2 in range(n1, 11):
-                spec = FamilySpec("complete_bipartite", n1=n1, n2=n2)
                 g = gen_family("complete_bipartite", n1, n2=n2)
-                assert closed_freq(spec) == freq_fast(g), (n1, n2)
-                assert closed_variance(spec) == variance_rla(g), (n1, n2)
+                assert closed_freq("complete_bipartite", n1, n2=n2) == freq_fast(g)
+                assert closed_variance("complete_bipartite", n1, n2=n2) == variance_rla(g)
 
 
 class TestClosedVariance:
     def test_one_regular_8(self):
-        assert closed_variance(FamilySpec("one_regular", 8)) == Fraction(28, 15)
+        assert closed_variance("one_regular", 8) == Fraction(28, 15)
 
     def test_quasi_star_5(self):
-        assert closed_variance(FamilySpec("quasi_star", 5)) == Fraction(5, 9)
+        assert closed_variance("quasi_star", 5) == Fraction(5, 9)
 
     def test_cycle_4_override(self):
-        assert closed_variance(FamilySpec("cycle", 4)) == Fraction(2, 9)
+        assert closed_variance("cycle", 4) == Fraction(2, 9)
 
     def test_cycle_5_by_brute_force(self):
         # oracle: population variance over all 5! arrangements
@@ -157,22 +152,21 @@ class TestClosedVariance:
         mean = Fraction(tot, 120)
         var = Fraction(tot2, 120) - mean * mean
         assert var == Fraction(25, 18)
-        assert closed_variance(FamilySpec("cycle", 5)) == var
+        assert closed_variance("cycle", 5) == var
         # the linear tree of the same size coincidentally has 5/6
-        assert closed_variance(FamilySpec("linear_tree", 5)) == Fraction(5, 6)
+        assert closed_variance("linear_tree", 5) == Fraction(5, 6)
 
     def test_complete_always_zero(self):
         for n in range(1, 30):
-            assert closed_variance(FamilySpec("complete", n)) == 0
+            assert closed_variance("complete", n) == 0
 
     def test_star_plus_isolated_zero(self):
-        spec = FamilySpec("star_plus_isolated", 9, lam=5)
-        assert closed_variance(spec) == 0
-        assert closed_expectation(spec) == 0
+        assert closed_variance("star_plus_isolated", 9, lam=5) == 0
+        assert closed_expectation("star_plus_isolated", 9, lam=5) == 0
 
     def test_zero_below_4(self):
-        assert closed_variance(FamilySpec("linear_tree", 3)) == 0
-        assert closed_variance(FamilySpec("cycle", 3)) == 0
+        assert closed_variance("linear_tree", 3) == 0
+        assert closed_variance("cycle", 3) == 0
 
     def test_bipartite_polynomial(self):
         for n1, n2 in [(2, 2), (3, 5), (4, 4), (2, 9)]:
@@ -180,21 +174,20 @@ class TestClosedVariance:
                 math.comb(n1, 2) * math.comb(n2, 2)
                 * ((n1 + n2) ** 2 + n1 + n2), 90,
             )
-            spec = FamilySpec("complete_bipartite", n1=n1, n2=n2)
-            assert closed_variance(spec) == expected
+            assert closed_variance("complete_bipartite", n1, n2=n2) == expected
 
 
 class TestClosedExpectation:
     def test_values(self):
-        assert closed_expectation(FamilySpec("quasi_star", 6)) == 1
-        assert closed_expectation(FamilySpec("complete", 6)) == 15
-        assert closed_expectation(FamilySpec("cycle", 6)) == 3
-        assert closed_expectation(FamilySpec("linear_tree", 5)) == 1
+        assert closed_expectation("quasi_star", 6) == 1
+        assert closed_expectation("complete", 6) == 15
+        assert closed_expectation("cycle", 6) == 3
+        assert closed_expectation("linear_tree", 5) == 1
 
     def test_pairs_to_crossings_ratio(self):
         # P(K_n)/C(K_n) = 3(n+1)/(n-3)
         for n in range(4, 25):
             m = math.comb(n, 2)
             pairs = math.comb(m, 2)
-            cr = closed_expectation(FamilySpec("complete", n))
+            cr = closed_expectation("complete", n)
             assert Fraction(pairs) / cr == Fraction(3 * (n + 1), n - 3)

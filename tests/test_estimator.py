@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossings import (
-    FamilySpec,
     Graph,
     LinearArrangement,
     closed_variance,
@@ -248,7 +247,7 @@ class TestMonteCarlo:
 
     def test_cycle50_within_2pct(self):
         g = gen_family("cycle", 50)
-        theory = float(closed_variance(FamilySpec("cycle", 50)))
+        theory = float(closed_variance("cycle", 50))
         rep = monte_carlo_moments(g, samples=100_000, seed=7)
         assert abs(rep.variance - theory) / theory < 0.02
 
@@ -268,7 +267,7 @@ class TestScanFamily:
         var_by_n = {r.n: r.var_theory for r in rows}
         assert var_by_n[7] == Fraction(347, 90)
         for r in rows:
-            assert r.var_theory == closed_variance(FamilySpec("linear_tree", r.n))
+            assert r.var_theory == closed_variance("linear_tree", r.n)
 
     def test_one_regular_odd_skipped(self):
         rows = scan_family("one_regular", 4, 9, mode="theory")

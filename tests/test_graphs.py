@@ -516,6 +516,24 @@ class TestEdgeListFormat:
         with pytest.raises(GraphFormatError, match="line 2: negative vertex count"):
             parse_edge_list("# comment\n-1 0\n")
 
+    @pytest.mark.parametrize("text,message", [
+        # a header error comes before the edge count and the edge lines
+        ("x\n1 2\nnope\n", "line 1: expected header 'n m'"),
+        ("a b\n1 2\n", "line 1: expected integers in header"),
+        # a wrong count comes before a bad line, wherever that line is
+        ("3 3\n1 2\nnope\n", "header declares 3 edges but 2 edge lines found"),
+        ("3 1\n1 9\n2 2\n", "header declares 1 edges but 2 edge lines found"),
+        # with the count right, the first bad line is named
+        ("3 3\n1 2\n2 2\n1 9\n", "line 3: self-loop (2,2)"),
+        ("3 2\n1 9\n2 2\n", "line 2: vertex out of range 1..3"),
+        ("3 2\n1 x\n1 3\n", "line 2: expected integers"),
+        ("3 2\n1 2 3\n1 3\n", "line 2: expected 'u v'"),
+    ])
+    def test_error_precedence(self, text, message):
+        with pytest.raises(GraphFormatError) as info:
+            parse_edge_list(text)
+        assert str(info.value) == message
+
 
 class TestReadInputFile:
     """Files are read as bytes and decoded: line endings are left to the

@@ -64,11 +64,11 @@ def test_cli_import_loads_only_shared_modules():
     assert unwanted == "[]"
 
 
-# the package's public names, the same before and after closed_forms and
-# validation became lazy
+# the package's public names, those of closed_forms and validation loading
+# on first access
 PUBLIC = [
     "ALPHA_RLA", "BudgetError", "DELTA_RLA", "EstimateReport", "FAMILIES",
-    "FamilySpec", "FreqVector", "GRAPHETTE_MULTIPLIERS", "GRAPHETTE_SHAPES",
+    "FreqVector", "GRAPHETTE_MULTIPLIERS", "GRAPHETTE_SHAPES",
     "Graph", "GraphFormatError", "LayoutConstants", "LinearArrangement",
     "PRODUCT_TYPES", "RLA", "ScanRow", "TYPE_VERTEX_COUNT", "ValidationReport",
     "chebyshev_pbound", "check_graph", "classify", "closed_expectation",

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from crossings import (
+    FAMILIES,
     exhaustive_moments,
     freq_brute,
     from_pruefer,
@@ -214,6 +215,22 @@ class TestValidateFamilies:
                                 mc_samples=2000, seed=1)
         assert "closed_freq_vs_fast" in rep.checks
         assert rep.success
+
+    def test_every_family_reaches_both_sides(self, monkeypatch):
+        # each instance's arguments go to gen_family and to the closed forms
+        calls = {name: [] for name in ("gen_family", "closed_freq", "closed_variance")}
+        for name, log in calls.items():
+            def spy(*args, _real=getattr(validation, name), _log=log, **kwargs):
+                _log.append((args, kwargs))
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(validation, name, spy)
+        rep = validation.validate_families(n_max=6, bipartite_max=3, mc_samples=500)
+        assert rep.success
+        for name, log in calls.items():
+            assert {args[0] for args, _ in log} == set(FAMILIES), name
+        star_sizes = {(args[1], kwargs["lam"]) for args, kwargs in calls["closed_freq"]
+                      if args[0] == "star_plus_isolated"}
+        assert star_sizes == {(n, lam) for n in range(7) for lam in range(n + 1)}
 
 
 class TestValidateEr:
