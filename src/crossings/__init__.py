@@ -15,7 +15,6 @@ from .arrangement import (
     LinearArrangement,
     crossings,
     parse_arrangement,
-    random_arrangement,
 )
 from .estimator import (
     EstimateReport,
@@ -46,10 +45,10 @@ from .moments import (
     RLA,
     LayoutConstants,
     chebyshev_pbound,
+    exact_moments,
     expectation_rla,
     format_rational,
     variance_from_freq,
-    variance_layout,
     variance_rla,
     z_score,
 )

@@ -1,14 +1,11 @@
-"""Linear arrangements (vertex-to-position bijections), the crossing
-counter C and a uniform random arrangement source."""
+"""Linear arrangements (vertex-to-position bijections), their one-line text
+format and the crossing counter C."""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .graphs import Graph, GraphFormatError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class LinearArrangement:
@@ -77,15 +74,6 @@ def crossings(g: Graph, arr: LinearArrangement) -> int:
             tree[i] += 1
             i += i & -i
     return c
-
-
-def random_arrangement(n: int, rng: np.random.Generator) -> LinearArrangement:
-    """Uniform arrangement via Fisher-Yates on the position vector."""
-    pos = list(range(1, n + 1))
-    for i in range(n - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
-        pos[i], pos[j] = pos[j], pos[i]
-    return LinearArrangement(pos)
 
 
 def parse_arrangement(text: str) -> LinearArrangement:

@@ -12,7 +12,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .arrangement import crossings, parse_arrangement
@@ -36,13 +35,8 @@ from .graphs import (
     parse_edge_list,
     read_input_file,
 )
-from .moments import (
-    chebyshev_pbound,
-    format_rational,
-    variance_from_freq,
-    z_score,
-)
-from .product_types import PRODUCT_TYPES, freq_fast
+from .moments import chebyshev_pbound, exact_moments, format_rational, z_score
+from .product_types import PRODUCT_TYPES
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -156,9 +150,7 @@ def _emit_mapping(pairs: list[tuple[str, str]], out: str):
 
 def cmd_analyze(args) -> int:
     g = _load_graph(args)
-    fv = freq_fast(g)
-    e = Fraction(fv.f24, 3)  # E[C] = |Q|/3
-    var = variance_from_freq(fv)
+    fv, e, var = exact_moments(g)
     pairs = [
         ("n", str(g.n)),
         ("m", str(g.m)),
@@ -211,18 +203,17 @@ def cmd_ztest(args) -> int:
     g = _load_graph(args)
     if (args.arrangement is None) == (args.observed is None):
         raise _UsageError("provide exactly one of --arrangement or --observed")
-    fv = freq_fast(g)
-    if args.arrangement:
-        arr = parse_arrangement(read_input_file(args.arrangement, "utf-8"))
-        observed = crossings(g, arr)
-    else:
-        observed = args.observed
-        if not 0 <= observed <= fv.f24:
-            raise _UsageError(
-                f"--observed must be within 0..|Q| = 0..{fv.f24}, got {observed}"
-            )
-    e = Fraction(fv.f24, 3)  # E[C] = |Q|/3
-    var = variance_from_freq(fv)
+    observed = args.observed
+    if args.arrangement is not None:
+        # read and counted before the moments, so that a malformed file is
+        # refused before the costly frequency pass
+        observed = crossings(g, parse_arrangement(
+            read_input_file(args.arrangement, "utf-8")))
+    fv, e, var = exact_moments(g)
+    if args.observed is not None and not 0 <= observed <= fv.f24:
+        raise _UsageError(
+            f"--observed must be within 0..|Q| = 0..{fv.f24}, got {observed}"
+        )
     pairs = [
         ("C", str(observed)),
         ("E", str(e)),

@@ -6,6 +6,7 @@ Vertices are labeled 1..n. Graphs are immutable after construction.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 from fractions import Fraction
 from operator import mul
@@ -111,12 +112,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
-    def vertices(self) -> range:
-        return range(1, self.n + 1)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Graph)
@@ -169,8 +164,13 @@ def size_q(g: Graph) -> int:
 
 
 def q_edge(g: Graph, s: int, t: int) -> int:
-    """q(s,t) = m - k_s - k_t + 1: edges sharing no endpoint with {s,t}."""
-    if not g.has_edge(s, t):
+    """q(s,t) = m - k_s - k_t + 1: edges sharing no endpoint with {s,t}.
+
+    The edge is found by bisection in the sorted `g.edges`, so no neighbour
+    set is built."""
+    edge = (s, t) if s < t else (t, s)
+    i = bisect_left(g.edges, edge)
+    if i == len(g.edges) or g.edges[i] != edge:
         raise ValueError(f"({s},{t}) is not an edge")
     return g.m - g.degrees[s] - g.degrees[t] + 1
 

@@ -1,5 +1,5 @@
 """Exact moments of the crossing count under uniformly random linear
-arrangements, the layout-parameterized variance, and significance helpers.
+arrangements or any layout given by its constants, and significance helpers.
 
 All theoretical values are exact rationals; floats appear only in the
 z-score and in presentation.
@@ -85,7 +85,7 @@ RLA = LayoutConstants(DELTA_RLA, {c: a - DELTA_RLA**2 for c, a in ALPHA_RLA.item
 
 
 def expectation_rla(g: Graph) -> Fraction:
-    """E[C] = |Q| / 3."""
+    """E[C] = |Q| / 3, with |Q| read from the degrees."""
     return Fraction(size_q(g), 3)
 
 
@@ -95,14 +95,18 @@ def variance_from_freq(fv: FreqVector, constants: LayoutConstants = RLA) -> Frac
     return Fraction(num, constants.gamma_den)
 
 
+def exact_moments(
+    g: Graph, constants: LayoutConstants = RLA
+) -> tuple[FreqVector, Fraction, Fraction]:
+    """(f, E[C], Var[C]) in the layout of `constants`, from one freq_fast
+    pass: E[C] = delta * |Q| with |Q| = f24, and Var[C] = sum_w f_w gamma_w."""
+    fv = freq_fast(g)
+    return fv, constants.delta * fv.f24, variance_from_freq(fv, constants)
+
+
 def variance_rla(g: Graph) -> Fraction:
     """Var[C] under random linear arrangements, exact."""
-    return variance_from_freq(freq_fast(g), RLA)
-
-
-def variance_layout(g: Graph, constants: LayoutConstants) -> Fraction:
-    """Var[C] = sum_w f_w * gamma_w for a user-supplied layout."""
-    return variance_from_freq(freq_fast(g), constants)
+    return exact_moments(g)[2]
 
 
 def z_score(mean: Fraction, var: Fraction, observed: int) -> float:

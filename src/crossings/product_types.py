@@ -57,12 +57,6 @@ class FreqVector(namedtuple("FreqVector", ["f" + c for c in PRODUCT_TYPES],
             return getattr(self, "f" + code)
         return tuple.__getitem__(self, code)
 
-    def total(self) -> int:
-        return sum(self)
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return tuple(self)
-
     def as_dict(self) -> dict[str, int]:
         return dict(zip(PRODUCT_TYPES, self))
 
@@ -409,7 +403,7 @@ def _count_matchings(g: Graph, k: int) -> int:
 def _p3_list(g: Graph) -> list[int]:
     """Vertex masks of all 3-vertex paths (one per unordered leaf pair)."""
     out = []
-    for c in g.vertices():
+    for c in range(1, g.n + 1):
         nbrs = sorted(g.adj[c])
         for i in range(len(nbrs)):
             for j in range(i + 1, len(nbrs)):
@@ -457,7 +451,7 @@ def _count_paths(g: Graph, k: int) -> int:
             if not used & bit:
                 extend(w, used | bit, depth + 1)
 
-    for v in g.vertices():
+    for v in range(1, g.n + 1):
         extend(v, 1 << v, 1)
     if count % 2:
         raise RuntimeError(f"internal inconsistency: {count} path walks is odd")
@@ -467,7 +461,7 @@ def _count_paths(g: Graph, k: int) -> int:
 def _p4_list(g: Graph) -> list[int]:
     """Vertex masks of all 4-vertex paths (each path once)."""
     seen = []
-    for a in g.vertices():
+    for a in range(1, g.n + 1):
         for b in g.adj[a]:
             for c in g.adj[b]:
                 if c == a:
@@ -494,7 +488,7 @@ def _count_c4(g: Graph) -> int:
     """4-cycles via antipodal pairs: each C4 has two vertex pairs at
     distance two, so sum binom(common_neighbors, 2) over pairs, halved."""
     total = 0
-    for u in g.vertices():
+    for u in range(1, g.n + 1):
         for v in range(u + 1, g.n + 1):
             c = len(g.adj[u] & g.adj[v])
             total += c * (c - 1) // 2

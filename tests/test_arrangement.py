@@ -14,7 +14,6 @@ from crossings import (
     exhaustive_moments,
     gen_family,
     parse_arrangement,
-    random_arrangement,
     size_q,
 )
 from crossings.estimator import _class_representatives, crossing_counts, exhaustive_rows
@@ -104,7 +103,7 @@ class TestCrossings:
 
         for seed in range(10):
             g = erdos_renyi(9, 0.4, seed)
-            arr = random_arrangement(9, rng)
+            arr = LinearArrangement((rng.permutation(9) + 1).tolist())
             assert crossings(g, arr) == crossings(g, reflect(arr))
 
     def test_oriented_equals_unoriented(self):
@@ -113,7 +112,7 @@ class TestCrossings:
         rng = np.random.Generator(np.random.PCG64(11))
         for seed in range(10):
             g = erdos_renyi(10, 0.35, seed)
-            arr = random_arrangement(10, rng)
+            arr = LinearArrangement((rng.permutation(10) + 1).tolist())
             assert crossings(g, arr) == crossings_unoriented(g, arr)
 
     def test_bounded_by_q_and_pairs(self):
@@ -122,7 +121,7 @@ class TestCrossings:
         rng = np.random.Generator(np.random.PCG64(17))
         for seed in range(10):
             g = erdos_renyi(9, 0.5, seed)
-            arr = random_arrangement(9, rng)
+            arr = LinearArrangement((rng.permutation(9) + 1).tolist())
             c = crossings(g, arr)
             assert c <= size_q(g) <= math.comb(g.m, 2)
 
@@ -215,20 +214,6 @@ class TestPermutationSources:
         g = gen_family("linear_tree", 5)
         total = sum(crossings(g, LinearArrangement(p)) for p in permutations(range(1, 6)))
         assert Fraction(total, math.factorial(5)) == 1  # |Q|/3 with |Q| = 3
-
-    def test_random_arrangement_reproducible(self):
-        a = random_arrangement(12, np.random.Generator(np.random.PCG64(33)))
-        b = random_arrangement(12, np.random.Generator(np.random.PCG64(33)))
-        assert a == b
-
-    def test_random_arrangement_uniform_smoke(self):
-        rng = np.random.Generator(np.random.PCG64(0))
-        counts = {}
-        for _ in range(6000):
-            key = random_arrangement(3, rng).pos
-            counts[key] = counts.get(key, 0) + 1
-        assert len(counts) == 6  # all 3! patterns appear
-        assert min(counts.values()) > 800  # ~1000 each under uniformity
 
 
 class TestArrangementFormat:

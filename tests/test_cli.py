@@ -18,6 +18,24 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def count_calls(monkeypatch, *functions):
+    """Count the calls of each function, under every name a crossings module
+    holds it by; returns the counts by function name."""
+    import sys
+
+    calls = dict.fromkeys((f.__name__ for f in functions), 0)
+    for original in functions:
+        def counted(*args, _original=original):
+            calls[_original.__name__] += 1
+            return _original(*args)
+
+        for key, module in list(sys.modules.items()):
+            if key.split(".")[0] == "crossings" and getattr(
+                    module, original.__name__, None) is original:
+                monkeypatch.setattr(module, original.__name__, counted)
+    return calls
+
+
 class TestAnalyze:
     def test_linear_tree_7(self, capsys):
         code, out, err = run(capsys, "analyze", "--family", "linear_tree", "--n", "7")
@@ -128,21 +146,9 @@ class TestAnalyze:
     ])
     def test_one_frequency_pass_and_no_size_q(self, capsys, monkeypatch, argv):
         # |Q| and E[C] = |Q|/3 come from freq_fast's f24
-        import sys
-
         from crossings import graphs, product_types
 
-        calls = {"freq_fast": 0, "size_q": 0}
-        for name, original in (("freq_fast", product_types.freq_fast),
-                               ("size_q", graphs.size_q)):
-            def counted(g, _original=original, _name=name):
-                calls[_name] += 1
-                return _original(g)
-
-            for key, module in list(sys.modules.items()):
-                if key.split(".")[0] == "crossings" and getattr(
-                        module, name, None) is original:
-                    monkeypatch.setattr(module, name, counted)
+        calls = count_calls(monkeypatch, product_types.freq_fast, graphs.size_q)
         code, _, _ = run(capsys, *argv)
         assert code == 0
         assert calls == {"freq_fast": 1, "size_q": 0}
@@ -389,6 +395,28 @@ class TestZtest:
                            "--arrangement", str(path))
         assert code == 2
         assert f"parse error: {path}: not utf-8 text" in err
+
+    @pytest.mark.parametrize("text,expected,message", [
+        ("1 2 x\n", 2, "parse error: arrangement entries must be integers"),
+        ("1 2 3\n", 1, "error: arrangement covers 3 vertices, graph has 5"),
+    ])
+    def test_bad_arrangement_refused_before_moments(
+            self, capsys, monkeypatch, tmp_path, text, expected, message):
+        from crossings import product_types
+
+        path = tmp_path / "arr.txt"
+        path.write_text(text)
+        calls = count_calls(monkeypatch, product_types.freq_fast)
+        code, out, err = run(capsys, "ztest", "--family", "cycle", "--n", "5",
+                             "--arrangement", str(path))
+        assert (code, out, calls) == (expected, "", {"freq_fast": 0})
+        assert err.splitlines()[1:] == [f"crossings: {message}"]
+
+    def test_empty_arrangement_path_is_a_parse_error(self, capsys):
+        code, out, err = run(capsys, "ztest", "--family", "cycle", "--n", "5",
+                             "--arrangement", "")
+        assert (code, out) == (2, "")
+        assert "crossings: parse error: " in err
 
     def test_requires_exactly_one_source(self, capsys):
         code, _, _ = run(capsys, "ztest", "--family", "cycle", "--n", "6")

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -169,6 +170,33 @@ class TestMonteCarlo:
         a = monte_carlo_moments(g, samples=5000, seed=7)
         b = monte_carlo_moments(g, samples=5000, seed=7)
         assert a == b
+
+    @staticmethod
+    def drawn_rows(monkeypatch, g, samples, seed):
+        # the position rows monte_carlo_moments hands to the counter
+        blocks = []
+
+        def spy(graph, pos):
+            blocks.append(pos.copy())
+            return crossing_counts(graph, pos)
+
+        monkeypatch.setattr(estimator, "crossing_counts", spy)
+        monte_carlo_moments(g, samples=samples, seed=seed)
+        return np.concatenate(blocks)
+
+    def test_rows_reproducible(self, monkeypatch):
+        # two blocks of rows, each from its own stream of the seed
+        g = gen_family("linear_tree", 3)
+        a = self.drawn_rows(monkeypatch, g, 12_000, 33)
+        assert a.shape == (12_000, 3)
+        assert np.array_equal(a, self.drawn_rows(monkeypatch, g, 12_000, 33))
+        assert not np.array_equal(a, self.drawn_rows(monkeypatch, g, 12_000, 34))
+
+    def test_rows_uniform(self, monkeypatch):
+        rows = self.drawn_rows(monkeypatch, gen_family("linear_tree", 3), 12_000, 0)
+        counts = Counter(map(tuple, rows.tolist()))
+        assert len(counts) == 6  # all 3! arrangements appear
+        assert min(counts.values()) > 1600  # ~2000 each under uniformity
 
     def test_star_degenerate(self):
         rep = monte_carlo_moments(gen_family("star", 20), samples=500, seed=1)

@@ -55,7 +55,7 @@ class TestFromEdgeList:
 
     def test_adjacency_symmetric(self):
         g = Graph(5, [(1, 2), (2, 3), (4, 5)])
-        for u in g.vertices():
+        for u in range(1, g.n + 1):
             for v in g.adj[u]:
                 assert u in g.adj[v]
 
@@ -340,6 +340,17 @@ class TestQEdge:
     def test_sum_is_twice_q(self, atlas_graphs):
         for g in atlas_graphs:
             assert sum(q_edge(g, u, v) for u, v in g.edges) == 2 * size_q(g)
+
+    def test_either_orientation(self):
+        g = gen_family("linear_tree", 5)
+        assert q_edge(g, 3, 2) == q_edge(g, 2, 3) == 1
+
+    def test_builds_no_neighbour_sets(self):
+        g = from_pruefer([3, 3, 4, 6])
+        assert [q_edge(g, u, v) for u, v in g.edges] == [2, 2, 1, 2, 3]
+        with pytest.raises(ValueError):
+            q_edge(g, 1, 2)
+        assert g._adj is None
 
 
 class TestIsQZero:

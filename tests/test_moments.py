@@ -12,13 +12,13 @@ from crossings import (
     RLA,
     LayoutConstants,
     chebyshev_pbound,
+    exact_moments,
     exhaustive_moments,
     expectation_rla,
     format_rational,
     gen_family,
     size_q,
     variance_from_freq,
-    variance_layout,
     variance_rla,
     z_score,
 )
@@ -183,7 +183,7 @@ class TestVarianceRla:
 class TestVarianceLayout:
     def test_rla_constants_reproduce_variance_rla(self, atlas_graphs):
         for g in atlas_graphs[::50]:
-            assert variance_layout(g, RLA) == variance_rla(g)
+            assert exact_moments(g, RLA)[2] == variance_rla(g)
 
     def test_one_regular_reduction(self):
         # any admissible constants: Var(1-regular) collapses to
@@ -207,18 +207,37 @@ class TestVarianceLayout:
                 Fraction(n * (n - 2), 8)
                 * ((n - 4) * gamma["12"] + gamma["24"])
             )
-            assert variance_layout(g, consts) == expected
+            assert exact_moments(g, consts)[2] == expected
 
     def test_star_zero_for_any_constants(self):
         delta = Fraction(1, 2)
         gamma = {c: Fraction(0) for c in PRODUCT_TYPES}
         gamma["24"] = delta * (1 - delta)
         consts = LayoutConstants(delta=delta, gamma=gamma)
-        assert variance_layout(gen_family("star", 9), consts) == 0
+        assert exact_moments(gen_family("star", 9), consts)[2] == 0
 
     def test_variance_from_freq_matches(self):
         g = gen_family("cycle", 8)
         assert variance_from_freq(freq_fast(g)) == variance_rla(g)
+
+
+class TestExactMoments:
+    def test_rla_matches_the_single_moments(self, atlas_graphs):
+        for g in atlas_graphs:
+            assert exact_moments(g) == (freq_fast(g), expectation_rla(g),
+                                        variance_rla(g))
+
+    def test_custom_layout_mean_is_delta_q(self):
+        delta = Fraction(2, 7)
+        gamma = {c: Fraction(1, 11) for c in PRODUCT_TYPES}
+        gamma.update({"00": 0, "01": 0, "24": delta * (1 - delta)})
+        consts = LayoutConstants(delta=delta, gamma=gamma)
+        for family, n in (("cycle", 8), ("complete", 6), ("star", 5)):
+            g = gen_family(family, n)
+            fv, e, var = exact_moments(g, consts)
+            assert fv == freq_fast(g)
+            assert e == delta * size_q(g)
+            assert var == variance_from_freq(fv, consts)
 
 
 def _moments(g):

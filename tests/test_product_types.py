@@ -89,7 +89,7 @@ class TestFreqVector:
     def test_serialization_order(self):
         fv = FreqVector(f00=1, f24=2, f13=3, f12=4, f04=5, f03=6,
                         f021=7, f022=8, f01=9)
-        assert fv.as_tuple() == (1, 2, 3, 4, 5, 6, 7, 8, 9)
+        assert tuple(fv) == (1, 2, 3, 4, 5, 6, 7, 8, 9)
         assert list(fv.as_dict()) == list(PRODUCT_TYPES)
 
     def test_from_dict_rejects_unknown(self):
@@ -105,7 +105,7 @@ class TestFreqVector:
                                 f021=7, f022=8, f01=9)
         assert FreqVector() == FreqVector.from_dict({}) == (0,) * 9
         assert fv != FreqVector(f00=1)
-        assert fv[0] == 1 and len(fv) == 9 and fv.total() == 45
+        assert fv[0] == 1 and len(fv) == 9 and sum(fv) == 45
         assert repr(FreqVector(f24=3)) == (
             "FreqVector(f00=0, f24=3, f13=0, f12=0, f04=0, f03=0, f021=0, f022=0, f01=0)")
         with pytest.raises(AttributeError):
@@ -146,7 +146,7 @@ class TestFreqBrute:
     def test_diagonal_counted_once(self):
         g = gen_family("linear_tree", 4)
         fv = freq_brute(g)
-        assert fv["24"] == 1 and fv.total() == 1
+        assert fv["24"] == 1 and sum(fv) == 1
 
 
 class TestFreqFast:
@@ -166,7 +166,7 @@ class TestFreqFast:
         for _, g in er_corpus:
             fv = freq_fast(g)
             q = size_q(g)
-            assert fv.total() == q * q
+            assert sum(fv) == q * q
             assert fv["24"] == q
             assert all(fv[c] % 2 == 0 for c in PRODUCT_TYPES if c != "24")
 

@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import crossings
@@ -102,3 +103,14 @@ def test_numpy_not_imported_at_module_level():
                       for stmt in stmts for node in _import_time_nodes(stmt)
                       for name in _imported(node) if name.split(".")[0] == "numpy"]
     assert not found, f"module-level numpy imports in the library: {found}"
+
+
+def test_readme_library_example_runs():
+    # the README's python example must keep running, so that no name it
+    # uses is deleted or renamed while the README still shows it
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme.read_text(encoding="utf-8"),
+                        flags=re.M | re.S)
+    assert blocks, "README has no python example"
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

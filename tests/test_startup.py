@@ -73,13 +73,13 @@ PUBLIC = [
     "PRODUCT_TYPES", "RLA", "ScanRow", "TYPE_VERTEX_COUNT", "ValidationReport",
     "chebyshev_pbound", "check_graph", "classify", "closed_expectation",
     "closed_freq", "closed_variance", "count_graphette", "crossings",
-    "degree_stats", "erdos_renyi", "exhaustive_moments", "expectation_rla",
-    "format_edge_list", "format_rational", "freq_brute", "freq_fast",
-    "from_graph6", "from_pruefer", "gen_family", "is_q_zero",
+    "degree_stats", "erdos_renyi", "exact_moments", "exhaustive_moments",
+    "expectation_rla", "format_edge_list", "format_rational", "freq_brute",
+    "freq_fast", "from_graph6", "from_pruefer", "gen_family", "is_q_zero",
     "monte_carlo_moments", "parse_arrangement", "parse_edge_list", "q_edge",
-    "random_arrangement", "scan_family", "size_q", "validate_er",
-    "validate_families", "validate_graph6_corpus", "validate_trees",
-    "variance_from_freq", "variance_layout", "variance_rla", "z_score",
+    "scan_family", "size_q", "validate_er", "validate_families",
+    "validate_graph6_corpus", "validate_trees", "variance_from_freq",
+    "variance_rla", "z_score",
 ]
 
 

@@ -148,6 +148,22 @@ class TestValidateTrees:
         assert data["failures"] == []
 
 
+class TestReportChecks:
+    def test_each_report_owns_its_checks(self, tmp_path):
+        # appending to one report's checks changes no later report's
+        path = tmp_path / "k3.g6"
+        path.write_text("Bw\n")
+        runs = [lambda: validate_trees(3),
+                lambda: validate_graph6_corpus(str(path)),
+                lambda: validate_er(5, 0.5, trials=1, seed=0)]
+        for run in runs:
+            first = run()
+            expected = list(first.checks)
+            first.checks.append("bogus")
+            assert run().checks == expected
+        assert "bogus" not in validation.CORE_CHECKS
+
+
 class TestValidateGraph6Corpus:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.g6"
