@@ -12,6 +12,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .arrangement import crossings, parse_arrangement
@@ -45,6 +46,8 @@ EXIT_VALIDATION = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, _Parser]  # the subcommand parsers by name, top level only
+
     # usage errors exit 1 (argparse default is 2, reserved here for parse errors)
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -138,7 +141,11 @@ def _config_line(args) -> str:
 
 def _emit_mapping(pairs: list[tuple[str, str]], out: str):
     if out == "json":
-        print(json.dumps(dict(pairs), indent=2))
+        # json.dumps(dict(pairs), indent=2), but with the C string encoder:
+        # given an indent, json.dumps runs the pure-Python encoder
+        enc = encode_basestring_ascii
+        print("{\n" + ",\n".join(f"  {enc(k)}: {enc(v)}" for k, v in dict(pairs).items())
+              + "\n}")
     elif out == "csv":
         print(",".join(k for k, _ in pairs))
         print(",".join(v for _, v in pairs))
@@ -299,6 +306,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version",
                         version=f"crossings {__version__}")
     sub = parser.add_subparsers(dest="cmd", required=True)
+    parser.commands = sub.choices
 
     def common(p, graph=True, out=True):
         if graph:
@@ -362,9 +370,30 @@ def build_parser() -> _Parser:
     return parser
 
 
-def main(argv=None) -> int:
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), parsing a known command's arguments once.
+
+    The top-level parser would parse the whole command line and then have
+    the command's parser parse the rest again, so a command line that starts
+    with a command goes straight to that parser; leftovers are refused by
+    the top-level parser, as argparse does. Every other command line goes
+    through the top-level parser, as does one holding an argument that
+    starts with "--=": the top-level parser refuses that as an ambiguous
+    abbreviation of --help and --version.
+    """
     parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv and argv[0] in parser.commands and not any(
+            a.startswith("--=") for a in argv):
+        args, extras = parser.commands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(cmd=argv[0]))
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        return args
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         args.seed = _resolve_seed(args)
         print(_config_line(args), file=sys.stderr)

@@ -141,15 +141,16 @@ def freq_fast(g: Graph) -> FreqVector:
     a subgraph F_w of at most four edges, so degrees, triangles and 4-cycles
     suffice (Alemany-Puig & Ferrer-i-Cancho, arXiv 2003.03353).
 
-    N_v comes from one pass over the edges, and S_v enters only summed,
-    as sum_v S_v = sum_v k_v^3. Every cycle lies in the 2-core, which one
-    O(n + m) peeling of the vertices of degree 1 finds from the edges and
-    degrees (`_two_core`). An edge with an end outside it is on no
-    triangle, so t_uv = 0 there without a set intersection, and the
-    4-cycle count ranks and walks only core vertices. `g.adj` is read only
-    when the core is non-empty: a forest, whose core is empty, needs only
-    g.n, g.m, g.edges and g.degrees, and builds no neighbour sets and does
-    no triangle or 4-cycle work. All counts are integers;
+    N_v and the XOR of each vertex's neighbours come from one pass over the
+    edges, and S_v enters only summed, as sum_v S_v = sum_v k_v^3. Every
+    cycle lies in the 2-core, which peeling the vertices of degree 1 finds
+    from the degrees and those XORs in O(n) more (`_two_core`). An edge
+    with an end outside it is on no triangle, so t_uv = 0 there without a
+    set intersection, and the 4-cycle count ranks and walks only core
+    vertices. `g.adj` is read only when the core is non-empty: a forest,
+    whose core is empty, needs only g.n, g.m, g.edges and g.degrees, and
+    builds no neighbour sets and does no triangle or 4-cycle work. All
+    counts are integers;
     `moments.variance_from_freq` keeps them so, scaling each gamma_w by the
     common denominator of the gammas (180 under RLA).
 
@@ -197,16 +198,19 @@ def freq_fast(g: Graph) -> FreqVector:
     n, m = g.n, g.m
     deg = g.degrees
     edges = g.edges
-    core_deg = _two_core(g)
-    core = list(compress(range(n + 1), core_deg))
-    # neighbour sets only for the triangles and 4-cycles of a non-empty core
-    adj = g.adj if core else None
 
-    # N_v from one pass over the edges
+    # N_v and the XOR of each vertex's neighbours from one pass over the edges
     nsum = [0] * (n + 1)
+    nbr_xor = [0] * (n + 1)
     for u, v in edges:
         nsum[u] += deg[v]
         nsum[v] += deg[u]
+        nbr_xor[u] ^= v
+        nbr_xor[v] ^= u
+    core_deg = _two_core(deg, nbr_xor)
+    core = list(compress(range(n + 1), core_deg))
+    # neighbour sets only for the triangles and 4-cycles of a non-empty core
+    adj = g.adj if core else None
 
     # per-vertex sums: the vertex terms of f13, f03, f022 and f01
     p = k3 = sum_k2 = sum_k3 = sum_k4 = 0
@@ -282,22 +286,19 @@ def freq_fast(g: Graph) -> FreqVector:
     )
 
 
-def _two_core(g: Graph) -> list[int]:
+def _two_core(degrees: tuple[int, ...], nbr_xor: list[int]) -> list[int]:
     """Each vertex's degree in the 2-core, 0 for a vertex outside it.
 
-    Peels vertices of degree 1 until none is left, in O(n + m), from the
-    edges and degrees alone (Batagelj & Zaversnik, "An O(m) algorithm for
-    cores decomposition of networks", 2003). Each vertex keeps the XOR of
-    its remaining neighbours, so a vertex of degree 1 holds its last
-    neighbour there; peeling it sets it to 0, takes it out of that
-    neighbour's XOR and lowers that neighbour's degree by one. What is left
-    has minimum degree 2 and holds every cycle of g.
+    `nbr_xor[v]` is the XOR of v's neighbours, which `freq_fast` fills in
+    its pass over the edges; the peel uses it up. Peels vertices of degree
+    1 until none is left, in O(n) beyond that pass (Batagelj & Zaversnik,
+    "An O(m) algorithm for cores decomposition of networks", 2003). A
+    vertex of degree 1 holds its last neighbour in its XOR; peeling it sets
+    its degree to 0, takes it out of that neighbour's XOR and lowers that
+    neighbour's degree by one. What is left has minimum degree 2 and holds
+    every cycle of the graph.
     """
-    core_deg = list(g.degrees)
-    nbr_xor = [0] * (g.n + 1)
-    for u, v in g.edges:
-        nbr_xor[u] ^= v
-        nbr_xor[v] ^= u
+    core_deg = list(degrees)
     leaves = [v for v, k in enumerate(core_deg) if k == 1]
     while leaves:
         v = leaves.pop()

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from crossings import estimator, gen_family
+from crossings import __version__, cli, estimator, gen_family
 from crossings.cli import main
 
 from conftest import nx_graph6_line, refuse_q_pairs
@@ -434,6 +434,32 @@ class TestZtest:
             assert out == ""
 
 
+class TestJsonOutput:
+    PAIRS = [
+        ("n", "7"),
+        ('say "hi"', 'a "quoted" value'),
+        ("back\\slash", "C:\\path\\"),
+        ("tab\there", "line\nbreak\r\x00\x1f\x7f\b\f"),
+        ("naïve", "日本語 \u00e9 \U0001f600 \u2028"),
+        ("", ""),
+        ("/", "</script>"),
+    ]
+
+    @pytest.mark.parametrize("pairs", [PAIRS, PAIRS[:1], PAIRS[5:6],
+                                       [("k", "first"), ("j", ""), ("k", "last")]])
+    def test_matches_json_dumps(self, capsys, pairs):
+        cli._emit_mapping(pairs, "json")
+        assert capsys.readouterr().out == json.dumps(dict(pairs), indent=2) + "\n"
+
+    def test_scan_json_is_json_dumps(self, capsys):
+        code, out, _ = run(capsys, "scan", "--family", "cycle", "--nmin", "3",
+                           "--nmax", "5", "--mode", "theory", "--out", "json")
+        assert code == 0
+        rows = json.loads(out)
+        assert [r["n"] for r in rows] == ["3", "4", "5"]
+        assert out == json.dumps(rows, indent=2) + "\n"
+
+
 class TestScan:
     def test_csv_round_trip(self, capsys):
         code, out, _ = run(capsys, "scan", "--family", "quasi_star",
@@ -689,3 +715,102 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+    def test_known_command_parsed_once(self, capsys, monkeypatch):
+        # the top-level parser hands a known subcommand's arguments straight
+        # to its parser; it does not parse them first itself
+        parsed_by = []
+        original = cli._Parser.parse_known_args
+
+        def spy(self, *args, **kwargs):
+            parsed_by.append(self.prog)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "parse_known_args", spy)
+        code, out, _ = run(capsys, "ztest", "--family", "cycle", "--n", "6",
+                           "--observed", "3", "--out", "json")
+        assert code == 0
+        assert json.loads(out)["Var"] == "16/5"
+        assert parsed_by == ["crossings ztest"]
+
+
+TOP_USAGE = ("usage: crossings [-h] [--version]\n"
+             "                 {analyze,generate,estimate,ztest,scan,validate} ...\n")
+COMMANDS = "'analyze', 'generate', 'estimate', 'ztest', 'scan', 'validate'"
+ANALYZE_USAGE = (
+    "usage: crossings analyze [-h] [--input INPUT] [--graph6 GRAPH6]\n"
+    "                         [--family FAMILY] [--n N] [--n1 N1] [--n2 N2] [--p P]\n"
+    "                         [--seed SEED] [--out {table,csv,json}]\n")
+ESTIMATE_USAGE = (
+    "usage: crossings estimate [-h] [--input INPUT] [--graph6 GRAPH6]\n"
+    "                          [--family FAMILY] [--n N] [--n1 N1] [--n2 N2]\n"
+    "                          [--p P] [--seed SEED] [--out {table,csv,json}]\n"
+    "                          [--samples SAMPLES]\n"
+    "                          [--exhaustive-limit EXHAUSTIVE_LIMIT]\n")
+STAR = ["--family", "star", "--n", "5"]
+# argv: (exit code, start of stdout, stderr); argparse ends each with SystemExit
+ARGPARSE_EXITS = {
+    "empty": ([], 1, "", TOP_USAGE + "crossings: error: the following "
+              "arguments are required: cmd\n"),
+    "help": (["-h"], 0, TOP_USAGE + "\nCommand-line front end", ""),
+    "version": (["--version"], 0, f"crossings {__version__}\n", ""),
+    "version before a command": (["--version", "ztest"], 0,
+                                 f"crossings {__version__}\n", ""),
+    "unknown command": (["nope"], 1, "", TOP_USAGE + "crossings: error: "
+                        f"argument cmd: invalid choice: 'nope' (choose from {COMMANDS})\n"),
+    "command prefix": (["an"], 1, "", TOP_USAGE + "crossings: error: "
+                       f"argument cmd: invalid choice: 'an' (choose from {COMMANDS})\n"),
+    "command help": (["ztest", "-h"], 0,
+                     "usage: crossings ztest [-h] [--input INPUT] [--graph6 GRAPH6]\n", ""),
+    "trailing option": (["ztest", *STAR, "--observed", "1", "--bogus"], 1, "",
+                        TOP_USAGE + "crossings: error: unrecognized arguments: --bogus\n"),
+    "trailing positional": (["ztest", *STAR, "--observed", "1", "extra"], 1, "",
+                            TOP_USAGE + "crossings: error: unrecognized arguments: extra\n"),
+    "top-level option after a command": (
+        ["analyze", *STAR, "--version"], 1, "",
+        TOP_USAGE + "crossings: error: unrecognized arguments: --version\n"),
+    "double dash and an extra argument": (
+        ["analyze", *STAR, "--", "x"], 1, "",
+        TOP_USAGE + "crossings: error: unrecognized arguments: -- x\n"),
+    # the top-level parser reads "--=x" as an abbreviation of both its options
+    "ambiguous at the top level": (
+        ["analyze", *STAR, "--=x"], 1, "",
+        TOP_USAGE + "crossings: error: ambiguous option: --=x could match --help, --version\n"),
+    "ambiguous after a double dash": (
+        ["analyze", *STAR, "--", "--=x"], 1, "",
+        TOP_USAGE + "crossings: error: unrecognized arguments: -- --=x\n"),
+    "bad choice": (["analyze", *STAR, "--out", "xml"], 1, "", ANALYZE_USAGE
+                   + "crossings analyze: error: argument --out: invalid choice: "
+                   "'xml' (choose from 'table', 'csv', 'json')\n"),
+    "bad int": (["estimate", *STAR, "--jobs", "x"], 1, "", ESTIMATE_USAGE
+                + "crossings estimate: error: argument --jobs: invalid int value: 'x'\n"),
+}
+
+
+class TestArgparseEdgeCases:
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+
+    @pytest.mark.parametrize("case", ARGPARSE_EXITS)
+    def test_exit_code_and_stderr(self, capsys, case):
+        argv, code, out_start, err = ARGPARSE_EXITS[case]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == code
+        assert captured.err == err
+        assert captured.out.startswith(out_start)
+        if not out_start:
+            assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["--inp", "{path}"], ["--input={path}"],
+                                      ["--input", "{path}"]])
+    def test_input_spellings(self, capsys, tmp_path, argv):
+        path = tmp_path / "paw.txt"
+        path.write_text("4 4\n1 2\n2 3\n1 3\n3 4\n")
+        code, out, err = run(capsys, "analyze",
+                             *(a.format(path=path) for a in argv), "--out", "csv")
+        assert code == 0
+        assert err == f"# crossings v{__version__} cmd=analyze seed=0 out=csv\n"
+        assert out.splitlines()[1].startswith("4,4,")
