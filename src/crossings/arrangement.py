@@ -9,7 +9,7 @@ from .graphs import Graph, GraphFormatError
 
 
 class LinearArrangement:
-    """A bijection vertex -> position over 1..n.
+    """Immutable bijection vertex -> position over 1..n.
 
     `pos[v]` is the position of vertex v (index 0 is a sentinel).
     """
@@ -20,7 +20,10 @@ class LinearArrangement:
         n = len(positions)
         if sorted(positions) != list(range(1, n + 1)):
             raise ValueError("positions must be a permutation of 1..n")
-        self.pos = (0,) + tuple(positions)
+        object.__setattr__(self, "pos", (0,) + tuple(positions))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LinearArrangement is immutable")
 
     @property
     def n(self) -> int:

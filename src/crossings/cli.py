@@ -81,9 +81,9 @@ def _resolve_seed(args) -> int:
 
 
 def _refuse_unread(args, source: str, *read: str) -> None:
-    """Raise _UsageError naming each graph flag given that `source` does not read."""
-    stray = [f"--{k}" for k in ("n", "n1", "n2", "p")
-             if k not in read and getattr(args, k) is not None]
+    """Raise _UsageError naming each flag given that `source` does not read."""
+    stray = [f"--{k}" for k in ("n", "n1", "n2", "p", "path", "limit")
+             if k not in read and getattr(args, k, None) is not None]
     if stray:
         raise _UsageError(f"{source} takes no {', '.join(stray)}")
 
@@ -281,6 +281,8 @@ def cmd_validate(args) -> int:
         validate_trees,
     )
 
+    _refuse_unread(args, f"validate {args.what}",
+                   *{"graph6": ("path", "limit"), "er": ("n", "p")}.get(args.what, ()))
     if args.what == "trees":
         report = validate_trees(args.nmax, exhaustive_limit=args.exhaustive_limit)
     elif args.what == "graph6":
@@ -294,7 +296,8 @@ def cmd_validate(args) -> int:
     else:  # er
         if args.n is None or args.p is None:
             raise _UsageError("validate er requires --n and --p")
-        report = validate_er(args.n, args.p, args.trials, args.seed)
+        report = validate_er(args.n, args.p, args.trials, args.seed,
+                             exhaustive_limit=args.exhaustive_limit)
     print(report.to_json())
     return EXIT_OK if report.success else EXIT_VALIDATION
 

@@ -7,7 +7,6 @@ Vertices are labeled 1..n. Graphs are immutable after construction.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
@@ -58,15 +57,14 @@ class Graph:
         n: number of vertices.
         edges: tuple of (u, v) pairs with u < v, sorted.
         degrees: degree of each vertex (index 0 unused), counted from edges.
-        adj: neighbour sets indexed by vertex (index 0 unused), built from
-            the edges on first access and kept; isolated vertices share one
-            empty set. A forest's moments need only `edges` and `degrees`.
 
-    The constructor deduplicates unordered pairs; it raises ValueError on a
-    self-loop or a vertex outside 1..n and BudgetError above MAX_VERTICES.
+    Nothing else is kept: code that needs neighbour sets builds them from
+    `edges`, over the vertices it reads. The constructor deduplicates
+    unordered pairs; it raises ValueError on a self-loop or a vertex outside
+    1..n and BudgetError above MAX_VERTICES.
     """
 
-    __slots__ = ("n", "edges", "degrees", "_adj")
+    __slots__ = ("n", "edges", "degrees")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -87,23 +85,6 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "degrees", tuple(degrees))
-        object.__setattr__(self, "_adj", None)
-
-    @property
-    def adj(self) -> tuple[frozenset[int], ...]:
-        adj = self._adj
-        if adj is None:
-            # sets only for vertices with edges; isolated ones share one empty set
-            nbrs: defaultdict[int, set[int]] = defaultdict(set)
-            for u, v in self.edges:
-                nbrs[u].add(v)
-                nbrs[v].add(u)
-            adj = [frozenset()] * (self.n + 1)
-            for v, s in nbrs.items():
-                adj[v] = frozenset(s)
-            adj = tuple(adj)
-            object.__setattr__(self, "_adj", adj)
-        return adj
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")

@@ -144,13 +144,13 @@ def freq_fast(g: Graph) -> FreqVector:
     N_v and the XOR of each vertex's neighbours come from one pass over the
     edges, and S_v enters only summed, as sum_v S_v = sum_v k_v^3. Every
     cycle lies in the 2-core, which peeling the vertices of degree 1 finds
-    from the degrees and those XORs in O(n) more (`_two_core`). An edge
-    with an end outside it is on no triangle, so t_uv = 0 there without a
-    set intersection, and the 4-cycle count ranks and walks only core
-    vertices. `g.adj` is read only when the core is non-empty: a forest,
-    whose core is empty, needs only g.n, g.m, g.edges and g.degrees, and
-    builds no neighbour sets and does no triangle or 4-cycle work. All
-    counts are integers;
+    from the degrees and those XORs in O(n) more (`_two_core`). Neighbour
+    sets are built for the core vertices alone, from the edges with both
+    ends in the core. An edge with an end outside it is on no triangle, so
+    t_uv = 0 there without a set intersection, and the 4-cycle count ranks
+    and walks only core vertices. Only g.n, g.m, g.edges and g.degrees are
+    read; a forest, whose core is empty, builds no neighbour sets and does
+    no triangle or 4-cycle work. All counts are integers;
     `moments.variance_from_freq` keeps them so, scaling each gamma_w by the
     common denominator of the gammas (180 under RLA).
 
@@ -208,9 +208,13 @@ def freq_fast(g: Graph) -> FreqVector:
         nbr_xor[u] ^= v
         nbr_xor[v] ^= u
     core_deg = _two_core(deg, nbr_xor)
-    core = list(compress(range(n + 1), core_deg))
-    # neighbour sets only for the triangles and 4-cycles of a non-empty core
-    adj = g.adj if core else None
+    # neighbour sets within the core, which holds every triangle and 4-cycle
+    adj = {v: set() for v in compress(range(n + 1), core_deg)}
+    if adj:
+        for u, v in edges:
+            if core_deg[u] and core_deg[v]:
+                adj[u].add(v)
+                adj[v].add(u)
 
     # per-vertex sums: the vertex terms of f13, f03, f022 and f01
     p = k3 = sum_k2 = sum_k3 = sum_k4 = 0
@@ -253,7 +257,7 @@ def freq_fast(g: Graph) -> FreqVector:
         t2 += t * t
         t_kk += t * kk
     # tri = 3T counts each triangle once per edge; w2 = 2W likewise
-    c4 = _count_c4_ranked(adj, core_deg, core) if core else 0
+    c4 = _count_c4_ranked(adj) if adj else 0
     d4 -= w2
 
     f24 = m * (m - 1) // 2 - p
@@ -314,9 +318,9 @@ def _two_core(degrees: tuple[int, ...], nbr_xor: list[int]) -> list[int]:
     return core_deg
 
 
-def _count_c4_ranked(adj, core_deg: list[int], core: list[int]) -> int:
-    """4-cycles by degree-ordered wedge counting over the 2-core `core`,
-    with `core_deg` its degrees, in O(m * arboricity).
+def _count_c4_ranked(adj: dict[int, set[int]]) -> int:
+    """4-cycles by degree-ordered wedge counting over the 2-core, given as
+    each core vertex's set of core neighbours, in O(m * arboricity).
 
     Core vertices are ranked by (core degree, label). From each vertex v,
     count the wedges v-u-w whose middle u and far end w both rank below v;
@@ -324,12 +328,10 @@ def _count_c4_ranked(adj, core_deg: list[int], core: list[int]) -> int:
     its top-ranked vertex, so each 4-cycle is counted once, whatever the
     ranking. A hub costs its degree, not its degree squared.
     """
-    order = sorted(core, key=lambda v: (core_deg[v], v))
-    rank = [0] * len(core_deg)
-    for r, v in enumerate(order):
-        rank[v] = r
-    # core neighbour ranks of each vertex, in increasing order, by rank
-    below = [sorted(rank[w] for w in adj[v] if core_deg[w]) for v in order]
+    order = sorted(adj, key=lambda v: (len(adj[v]), v))
+    rank = {v: r for r, v in enumerate(order)}
+    # neighbour ranks of each vertex, in increasing order, by rank
+    below = [sorted(rank[w] for w in adj[v]) for v in order]
     total = 0
     for r, nbrs in enumerate(below):
         ends: list[int] = []
@@ -381,6 +383,15 @@ def _edge_masks(g: Graph) -> list[int]:
     return [(1 << u) | (1 << v) for u, v in g.edges]
 
 
+def _neighbours(g: Graph) -> list[set[int]]:
+    """Each vertex's neighbour set, indexed by vertex (index 0 unused)."""
+    adj = [set() for _ in range(g.n + 1)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
 def _count_matchings(g: Graph, k: int) -> int:
     """Number of k-subsets of pairwise vertex-disjoint edges."""
     masks = _edge_masks(g)
@@ -404,8 +415,7 @@ def _count_matchings(g: Graph, k: int) -> int:
 def _p3_list(g: Graph) -> list[int]:
     """Vertex masks of all 3-vertex paths (one per unordered leaf pair)."""
     out = []
-    for c in range(1, g.n + 1):
-        nbrs = sorted(g.adj[c])
+    for c, nbrs in enumerate(map(sorted, _neighbours(g))):
         for i in range(len(nbrs)):
             for j in range(i + 1, len(nbrs)):
                 out.append((1 << nbrs[i]) | (1 << c) | (1 << nbrs[j]))
@@ -440,6 +450,7 @@ def _count_p3_pairs(g: Graph) -> int:
 
 def _count_paths(g: Graph, k: int) -> int:
     """Number of k-vertex paths; each path is reached from both ends."""
+    adj = _neighbours(g)
     count = 0
 
     def extend(last: int, used: int, depth: int):
@@ -447,7 +458,7 @@ def _count_paths(g: Graph, k: int) -> int:
         if depth == k:
             count += 1
             return
-        for w in g.adj[last]:
+        for w in adj[last]:
             bit = 1 << w
             if not used & bit:
                 extend(w, used | bit, depth + 1)
@@ -461,19 +472,18 @@ def _count_paths(g: Graph, k: int) -> int:
 
 def _p4_list(g: Graph) -> list[int]:
     """Vertex masks of all 4-vertex paths (each path once)."""
+    adj = _neighbours(g)
     seen = []
     for a in range(1, g.n + 1):
-        for b in g.adj[a]:
-            for c in g.adj[b]:
+        for b in adj[a]:
+            for c in adj[b]:
                 if c == a:
                     continue
-                for d in g.adj[c]:
+                for d in adj[c]:
                     if d == a or d == b:
                         continue
                     if a < d:  # canonical direction kills the reverse walk
-                        seen.append(
-                            ((1 << a) | (1 << b) | (1 << c) | (1 << d))
-                        )
+                        seen.append((1 << a) | (1 << b) | (1 << c) | (1 << d))
     return seen
 
 
@@ -488,10 +498,11 @@ def _count_p4_plus_edge(g: Graph) -> int:
 def _count_c4(g: Graph) -> int:
     """4-cycles via antipodal pairs: each C4 has two vertex pairs at
     distance two, so sum binom(common_neighbors, 2) over pairs, halved."""
+    adj = _neighbours(g)
     total = 0
     for u in range(1, g.n + 1):
         for v in range(u + 1, g.n + 1):
-            c = len(g.adj[u] & g.adj[v])
+            c = len(adj[u] & adj[v])
             total += c * (c - 1) // 2
     if total % 2:
         raise RuntimeError(

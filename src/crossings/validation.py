@@ -340,7 +340,8 @@ def validate_families(
     return report.finish(started)
 
 
-def validate_er(n: int, p: float, trials: int, seed: int) -> ValidationReport:
+def validate_er(n: int, p: float, trials: int, seed: int,
+                exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> ValidationReport:
     """Erdos-Renyi battery: oracle equivalence plus graphette identities.
 
     Trial t uses the derived graph seed SeedSequence([seed, t]).
@@ -360,7 +361,7 @@ def validate_er(n: int, p: float, trials: int, seed: int) -> ValidationReport:
         gseed = int(np.random.SeedSequence([seed, t]).generate_state(1)[0])
         g = erdos_renyi(n, p, gseed)
         witness = f"er-n{n}-p{p}-trial{t}"
-        _, fv = check_graph(g, witness, report)
+        _, fv = check_graph(g, witness, report, exhaustive_limit=exhaustive_limit)
         report.graphs_checked += 1
         counts = _oracle(report, witness, ("graphette_identities",), lambda: [
             count_graphette(g, GRAPHETTE_SHAPES[code]) for code in PRODUCT_TYPES])

@@ -57,6 +57,14 @@ class TestLinearArrangement:
         with pytest.raises(ValueError):
             LinearArrangement([1, 1, 3])
 
+    def test_immutable(self):
+        # setting pos would bypass the permutation check and change the hash
+        arr = LinearArrangement([2, 1, 3])
+        before = hash(arr)
+        with pytest.raises(AttributeError, match="immutable"):
+            arr.pos = (0, 1, 2, 3)
+        assert arr.pos == (0, 2, 1, 3) and hash(arr) == before
+
     def test_reversed(self):
         arr = LinearArrangement([1, 2, 3, 4])
         assert reflect(arr) == LinearArrangement([4, 3, 2, 1])

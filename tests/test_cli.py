@@ -533,6 +533,33 @@ class TestValidateCmd:
         assert code == 0
         assert json.loads(out)["graphs_checked"] == 3
 
+    def test_er_reads_exhaustive_limit(self, capsys):
+        code, out, _ = run(capsys, "validate", "er", "--n", "8", "--p", "0.5",
+                           "--trials", "1", "--exhaustive-limit", "3")
+        assert code == 0
+        assert [(s["check"], s["detail"]) for s in json.loads(out)["skipped"]] == [
+            (check, "vertices for exhaustive enumeration of 8! = 40320 "
+                    "arrangements: 8 exceeds the limit of 3")
+            for check in ("exhaustive_mean_vs_theory", "exhaustive_variance_vs_theory")
+        ]
+
+    @pytest.mark.parametrize("argv,message", [
+        (("trees", "--nmax", "3", "--path", "MISSING", "--n", "5", "--p", "0.3",
+          "--limit", "2"), "validate trees takes no --n, --p, --path, --limit"),
+        (("families", "--nmax", "3", "--n", "5"), "validate families takes no --n"),
+        (("graph6", "--path", "MISSING", "--n", "5", "--p", "0.3"),
+         "validate graph6 takes no --n, --p"),
+        (("er", "--n", "5", "--p", "0.3", "--path", "MISSING", "--limit", "2"),
+         "validate er takes no --path, --limit"),
+    ])
+    def test_unread_flags_refused_exit_1(self, capsys, tmp_path, argv, message):
+        missing = str(tmp_path / "missing.g6")
+        code, out, err = run(capsys, "validate",
+                             *(missing if a == "MISSING" else a for a in argv))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[1:] == [f"crossings: error: {message}"]
+
     def test_graph6_corpus(self, capsys, tmp_path):
         path = tmp_path / "c.g6"
         path.write_text("C~\nD?{\n")

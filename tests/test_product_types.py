@@ -1,3 +1,5 @@
+import math
+import random
 from itertools import combinations, product
 from types import SimpleNamespace
 
@@ -10,6 +12,7 @@ from crossings import (
     Graph,
     classify,
     count_graphette,
+    erdos_renyi,
     freq_brute,
     freq_fast,
     from_pruefer,
@@ -19,6 +22,7 @@ from crossings import (
 from crossings import product_types
 from crossings.graphs import BudgetError
 from crossings.product_types import (
+    BRUTE_Q_LIMIT,
     GRAPHETTE_MULTIPLIERS,
     GRAPHETTE_SHAPES,
     PRODUCT_TYPES,
@@ -292,7 +296,8 @@ class TestTwoCore:
         core_deg = two_core(g)
         assert {v for v, k in enumerate(core_deg) if k} == core
         for v in core:  # degree among the core vertices
-            assert core_deg[v] == len(g.adj[v] & core) >= 2
+            nbrs = {w for e in g.edges if v in e for w in e if w != v}
+            assert core_deg[v] == len(nbrs & core) >= 2
 
     def test_core_matches_networkx(self, atlas_graphs):
         from conftest import nx_module, to_nx
@@ -309,9 +314,9 @@ class TestTwoCore:
         ranked = []
         original = product_types._count_c4_ranked
 
-        def spy(adj, core_deg, core):
-            ranked.append(len(core))
-            return original(adj, core_deg, core)
+        def spy(adj):
+            ranked.append(len(adj))
+            return original(adj)
 
         monkeypatch.setattr(product_types, "_count_c4_ranked", spy)
         for g in (Graph(10**6, []), gen_family("star", 500),
@@ -335,15 +340,67 @@ FORESTS = {
 }
 
 
+# graphs with a non-empty 2-core
+CORED = {
+    **{name: g for name, (g, _) in PARTIAL_CORES.items()},
+    "k4": gen_family("complete", 4),
+    "erdos_renyi_14": erdos_renyi(14, 0.4, 5),
+}
+
+
 class TestForestContract:
-    # a forest's moments come from its edge list and degree table alone:
-    # freq_fast must not read neighbour sets when the 2-core is empty
-    @pytest.mark.parametrize("name", FORESTS)
+    # the moments come from the edge list and degree table alone: freq_fast
+    # builds any neighbour sets it needs itself, and none for a forest,
+    # whose 2-core is empty
+    @pytest.mark.parametrize("name", [*FORESTS, *CORED])
     def test_freq_fast_without_adj(self, name):
-        g = FORESTS[name]
+        g = {**FORESTS, **CORED}[name]
         bare = SimpleNamespace(n=g.n, m=g.m, edges=g.edges, degrees=g.degrees)
         assert freq_fast(bare) == freq_fast(g) == freq_brute(g)
-        assert not any(two_core(g))
+        assert any(two_core(g)) == (name in CORED)
+
+
+def relabel(g, seed):
+    """g with its vertices renamed by a seeded random permutation."""
+    perm = list(range(1, g.n + 1))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges])
+
+
+def gnm(n, m, seed):
+    """A uniform random graph with n vertices and m edges."""
+    pairs = list(combinations(range(1, n + 1), 2))
+    return Graph(n, random.Random(seed).sample(pairs, m))
+
+
+def hub_heavy():
+    """Five hubs joined to every other of 200 vertices, over a sparse random graph:
+    many vertices tie in core degree, so the label breaks the ties."""
+    hubs = [(h, v) for h in range(1, 6) for v in range(h + 1, 201)]
+    return Graph(200, hubs + list(gnm(200, 300, 11).edges))
+
+
+class TestRelabellingInvariance:
+    # far above BRUTE_Q_LIMIT, where no oracle reaches: the counts must not
+    # depend on the labels, which break the (core degree, label) ties of
+    # the 4-cycle ranking
+    @pytest.mark.parametrize("make", [
+        lambda: gnm(300, 3000, 7),
+        hub_heavy,
+        lambda: gen_family("complete_bipartite", 30, n2=31),
+    ], ids=["gnm_300_3000", "hub_heavy", "k_30_31"])
+    def test_freq_fast_invariant(self, make):
+        g = make()
+        assert size_q(g) > 5 * BRUTE_Q_LIMIT
+        fv = freq_fast(g)
+        assert fv["04"] > 0
+        for seed in range(3):
+            assert freq_fast(relabel(g, seed)) == fv
+
+    def test_four_cycles_of_k_30_31(self):
+        # a 4-cycle of K_{a,b} is two vertices from each part
+        g = relabel(gen_family("complete_bipartite", 30, n2=31), 1)
+        assert freq_fast(g)["04"] == 2 * math.comb(30, 2) * math.comb(31, 2)
 
 
 @st.composite

@@ -52,6 +52,18 @@ def test_q_pairs_only_in_oracles():
     assert not found, f"q_pairs outside the oracles: {found}"
 
 
+def test_no_neighbour_sets_read_from_a_graph():
+    # a Graph is its edges and degrees: code that needs neighbour sets builds
+    # them itself, over the vertices it reads
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in ("adj", "_adj")
+    ]
+    assert not found, f"neighbour sets read as an attribute: {found}"
+
+
 def test_budget_error_raised_only_by_check_budget():
     # one policy: every budget refuses through graphs.check_budget, so each
     # refusal has the same wording and no step grows a check of its own

@@ -160,7 +160,7 @@ from crossings import freq_fast, gen_family
 g = gen_family("linear_tree", 6)
 degrees = list(g.degrees)
 degrees[3] += 1
-fake = SimpleNamespace(n=g.n, m=g.m, edges=g.edges, adj=g.adj, degrees=tuple(degrees))
+fake = SimpleNamespace(n=g.n, m=g.m, edges=g.edges, degrees=tuple(degrees))
 try:
     freq_fast(fake)
 except RuntimeError as exc:
