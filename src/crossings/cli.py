@@ -80,10 +80,12 @@ def _resolve_seed(args) -> int:
         raise _UsageError(f"CROSSINGS_SEED must be an integer, got {env!r}") from None
 
 
-def _refuse_unread(args, source: str, *read: str) -> None:
-    """Raise _UsageError naming each flag given that `source` does not read."""
-    stray = [f"--{k}" for k in ("n", "n1", "n2", "p", "path", "limit")
-             if k not in read and getattr(args, k, None) is not None]
+def _refuse_unread(args, source: str, *read: str,
+                   among: tuple[str, ...] = ("n", "n1", "n2", "p")) -> None:
+    """Raise _UsageError naming each flag of `among` given that `source`
+    does not read."""
+    stray = ["--" + k.replace("_", "-") for k in among
+             if k not in read and getattr(args, k) is not None]
     if stray:
         raise _UsageError(f"{source} takes no {', '.join(stray)}")
 
@@ -133,7 +135,7 @@ class _UsageError(Exception):
 
 def _config_line(args) -> str:
     parts = [f"crossings v{__version__}", f"cmd={args.cmd}", f"seed={args.seed}"]
-    for key in ("samples", "nmax", "exhaustive_limit", "out"):
+    for key in ("samples", "nmax", "trials", "exhaustive_limit", "out"):
         if hasattr(args, key) and getattr(args, key) is not None:
             parts.append(f"{key}={getattr(args, key)}")
     return "# " + " ".join(parts)
@@ -272,6 +274,27 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
+# the flags each validate corpus reads, and the defaults of those that have
+# one; a flag a corpus does not read is refused, so its default is None
+_VALIDATE_READS = {
+    "trees": ("nmax", "exhaustive_limit"),
+    "graph6": ("path", "limit", "exhaustive_limit"),
+    "families": ("nmax",),
+    "er": ("n", "p", "trials", "exhaustive_limit"),
+}
+_VALIDATE_FLAGS = ("n", "p", "path", "limit", "nmax", "trials", "exhaustive_limit")
+_VALIDATE_DEFAULTS = {"nmax": 6, "trials": 10,
+                      "exhaustive_limit": DEFAULT_EXHAUSTIVE_LIMIT}
+
+
+def _validate_defaults(args) -> None:
+    """Give each flag with a default that `validate args.what` reads, and
+    that the command line leaves out, that default."""
+    for key in _VALIDATE_READS[args.what]:
+        if getattr(args, key) is None:
+            setattr(args, key, _VALIDATE_DEFAULTS.get(key))
+
+
 def cmd_validate(args) -> int:
     # imported on first use, so that no other command loads the battery
     from .validation import (
@@ -281,8 +304,8 @@ def cmd_validate(args) -> int:
         validate_trees,
     )
 
-    _refuse_unread(args, f"validate {args.what}",
-                   *{"graph6": ("path", "limit"), "er": ("n", "p")}.get(args.what, ()))
+    _refuse_unread(args, f"validate {args.what}", *_VALIDATE_READS[args.what],
+                   among=_VALIDATE_FLAGS)
     if args.what == "trees":
         report = validate_trees(args.nmax, exhaustive_limit=args.exhaustive_limit)
     elif args.what == "graph6":
@@ -357,15 +380,14 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("validate", help="run a cross-validation battery")
-    p.add_argument("what", choices=("trees", "graph6", "families", "er"))
-    p.add_argument("--nmax", type=int, default=6)
+    p.add_argument("what", choices=tuple(_VALIDATE_READS))
+    p.add_argument("--nmax", type=int)
     p.add_argument("--path", help="graph6 corpus file (what=graph6)")
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--p", type=float)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--exhaustive-limit", dest="exhaustive_limit",
-                   type=int, default=DEFAULT_EXHAUSTIVE_LIMIT)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--exhaustive-limit", dest="exhaustive_limit", type=int)
     out = common(p, graph=False)
     out.choices, out.default = ("json",), "json"  # reports are JSON only
     p.set_defaults(func=cmd_validate)
@@ -399,6 +421,8 @@ def main(argv=None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         args.seed = _resolve_seed(args)
+        if args.cmd == "validate":  # the line shows what the corpus reads
+            _validate_defaults(args)
         print(_config_line(args), file=sys.stderr)
         return args.func(args)
     except _UsageError as exc:

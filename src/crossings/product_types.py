@@ -13,6 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter, namedtuple
 from itertools import compress
+from operator import mul
 
 from .graphs import Graph, check_budget, size_q
 
@@ -134,66 +135,83 @@ def freq_brute(g: Graph) -> FreqVector:
 
 
 def freq_fast(g: Graph) -> FreqVector:
-    """All nine f_w from sums over vertices and edges and one 4-cycle count.
+    """All nine f_w from six sums over the vertices, the triangles on the
+    edges of the 2-core and one 4-cycle count.
 
-    No pass over Q: the cost is O(n + m * arboricity), set by the per-edge
-    triangle counts and the 4-cycle count. Each f_w = a_w * n_G(F_w) counts
-    a subgraph F_w of at most four edges, so degrees, triangles and 4-cycles
-    suffice (Alemany-Puig & Ferrer-i-Cancho, arXiv 2003.03353).
+    No pass over Q: the cost is O(n + m) plus O(m' * arboricity) on the m'
+    edges of the 2-core, set by the per-edge triangle counts and the 4-cycle
+    count. Each f_w = a_w * n_G(F_w) counts a subgraph F_w of at most four
+    edges, so degrees, triangles and 4-cycles suffice (Alemany-Puig &
+    Ferrer-i-Cancho, arXiv 2003.03353). Every term that is a polynomial in
+    the degrees folds into the six vertex sums below, each taken in C over
+    the degree and N_v tables.
 
     N_v and the XOR of each vertex's neighbours come from one pass over the
-    edges, and S_v enters only summed, as sum_v S_v = sum_v k_v^3. Every
-    cycle lies in the 2-core, which peeling the vertices of degree 1 finds
-    from the degrees and those XORs in O(n) more (`_two_core`). Neighbour
-    sets are built for the core vertices alone, from the edges with both
-    ends in the core. An edge with an end outside it is on no triangle, so
-    t_uv = 0 there without a set intersection, and the 4-cycle count ranks
-    and walks only core vertices. Only g.n, g.m, g.edges and g.degrees are
-    read; a forest, whose core is empty, builds no neighbour sets and does
-    no triangle or 4-cycle work. All counts are integers;
-    `moments.variance_from_freq` keeps them so, scaling each gamma_w by the
-    common denominator of the gammas (180 under RLA).
+    edges. Every cycle lies in the 2-core, which peeling the vertices of
+    degree 1 finds from the degrees and those XORs in O(n) more
+    (`_two_core`). Neighbour sets are built for the core vertices alone,
+    from the edges with both ends in the core, and only those edges are
+    walked again, for their triangles; an edge with an end outside the core
+    is on no triangle. The 4-cycle count ranks and walks only core
+    vertices. Only g.n, g.m, g.edges and g.degrees are read; a forest,
+    whose core is empty, builds no neighbour sets and makes no second pass
+    over its edges. All counts are integers; `moments.variance_from_freq`
+    keeps them so, scaling each gamma_w by the common denominator of the
+    gammas (180 under RLA).
 
-    Notation, for a vertex v and an edge e = uv:
+    Notation, for a vertex v and an edge uv (sums over uv run over edges):
 
-        k_v  degree;  N_v = sum_{w~v} k_w;  S_v = sum_{w~v} k_w^2
-        t_uv = |N(u) & N(v)|, the triangles on edge uv
-        t_v  triangles at v;  T = sum t_v / 3;  W = sum_v t_v k_v
-        P    = sum_v C(k_v, 2);  C4 = number of 4-cycles
-        q_e  = m - k_u - k_v + 1, the Q elements containing edge e
-        q_v  = k_v (m - k_v + 1) - N_v, the Q elements containing vertex v
+        k_v  degree;  N_v = sum_{w~v} k_w;  c = m + 1;  d = m + 2
+        t_uv = |N(u) & N(v)|, the triangles on edge uv (0 off the core)
+        C4   = the number of 4-cycles
+        q_e  = c - k_u - k_v, the Q elements that hold edge e = uv
+        q_v  = k_v (c - k_v) - N_v, the Q elements that hold vertex v
 
-    The counts used (sums over uv run over edges):
+    The six vertex sums and the two triangle sums:
 
-        f24  = |Q| = C(m,2) - P
-        f13  = 2 sum_v [C(k_v,2)(m - k_v + 2) - (k_v - 1) N_v + t_v]
-                                                         (= 2 n(P3+K2))
-        n(P4) = sum_uv [(k_u-1)(k_v-1) - t_uv]
-        D4   = sum_uv [(k_u+k_v)((k_u-1)(k_v-1) - t_uv)
-                       + (k_v-1)(N_u-k_v) + (k_u-1)(N_v-k_u)] - 2W
-               (the degrees summed over the vertices of every P4)
-        f021 = 2[(m+3) n(P4) - D4 + sum_uv t_uv (k_u+k_v-4) + 4 C4]
-                                                         (= 2 n(P4+K2))
-        f03  = 2[sum_v ((N_v-k_v)^2 - (S_v - 2N_v + k_v))/2
-                 - 4 C4 - 2W + 9T]                       (= 2 n(P5))
-        f04  = 2 C4
-        f12  = sum_e q_e^2 - 2 f24 - f13
-               (tau identity: sum_e q_e^2 = sum_w tau_w f_w)
-        f022 = sum_{u<v} q_uv^2 - (6 f24 + 3 f13 + f12 + 6 f04 + 3 f03 + f021)
-               (C(phi,2) identity), where q_uv counts the Q elements that
-               hold both u and v: q_e + (k_u-1)(k_v-1) - t_uv on an edge
-               e = uv, k_u k_v - |N(u) & N(v)| off the edges. So
-               sum_{u<v} q_uv^2 = [(sum k^2)^2 - sum k^4]/2
-                   + sum_uv [(q_e + (k_u-1)(k_v-1) - t_uv)^2 - (k_u k_v)^2]
-                   + (P + 4 C4 - sum_uv t_uv^2)
-                   - 2(sum_v (N_v^2 - S_v)/2 - sum_uv t_uv k_u k_v)
-        f01  = sum_v q_v^2 - (4 f24 + 3 f13 + 2 f12 + 4 f04 + 3 f03
-                              + 2 f021 + 2 f022)         (phi identity)
-        f00  = |Q|^2 - (the sum of the other eight)
+        K2 = sum_v k_v^2;  K3 = sum_v k_v^3;  K4 = sum_v k_v^4
+        NN = sum_v N_v^2;  KN = sum_v k_v N_v = 2 sum_uv k_u k_v
+        K2N = sum_v k_v^2 N_v = sum_uv k_u k_v (k_u + k_v)
+        T3 = sum_uv t_uv (three per triangle);  W2 = sum_uv t_uv (k_u + k_v)
+
+    Sums of degrees over the edges fold into them: sum_v k_v = 2m, and
+    sum_uv (k_u + k_v) = sum_v N_v = K2, sum_uv (k_u^2 + k_v^2) = K3. The
+    counts used:
+
+        P     = sum_v C(k_v,2) = (K2 - 2m)/2
+        f24   = |Q| = C(m,2) - P
+        f13   = 2 n(P3+K2), where
+                n(P3+K2) = sum_v [C(k_v,2)(d - k_v) - (k_v-1) N_v] + T3
+                         = dP - (K3 - K2)/2 - KN + K2 + T3
+        n(P4) = sum_uv [(k_u-1)(k_v-1) - t_uv] = KN/2 - K2 + m - T3
+        D4    = K2N + NN - 2 K3 - 2 KN + 2 K2 - 2 W2
+                (the degrees summed over the vertices of every P4)
+        f021  = 2[(m+3) n(P4) - D4 + sum_uv t_uv (k_u+k_v-4) + 4 C4]
+              = 2[(m+3) n(P4) - D4 + W2 - 4 T3 + 4 C4]      (= 2 n(P4+K2))
+        f03   = 2[(sum_v (N_v-k_v)^2 - sum_v sum_{w~v} (k_w-1)^2)/2
+                  - 4 C4 - W2 + 3 T3]                     (= 2 n(P5)),
+                sum_v (N_v-k_v)^2 = NN - 2 KN + K2,
+                sum_v sum_{w~v} (k_w-1)^2 = K3 - 2 K2 + 2m
+        f04   = 2 C4
+        f12   = sum_e q_e^2 - 2 f24 - f13
+                (tau identity: sum_e q_e^2 = sum_w tau_w f_w), where
+                sum_e q_e^2 = m c^2 - 2c K2 + K3 + KN
+        f022  = sum_{u<v} q_uv^2 - (6 f24 + 3 f13 + f12 + 6 f04 + 3 f03 + f021)
+                (C(phi,2) identity), where q_uv counts the Q elements that
+                hold both u and v: q_e + (k_u-1)(k_v-1) - t_uv on an edge
+                e = uv, k_u k_v - |N(u) & N(v)| off the edges. The t_uv^2
+                and t_uv k_u k_v terms cancel, leaving
+                sum_{u<v} q_uv^2 = (K2^2 - K4)/2 + P + 4 C4 + K3 - NN
+                    + m d^2 + 4(K3 + KN) + d KN - 4d K2 - 4 K2N - 2d T3 + 4 W2
+        f01   = sum_v q_v^2 - (4 f24 + 3 f13 + 2 f12 + 4 f04 + 3 f03
+                               + 2 f021 + 2 f022)         (phi identity),
+                sum_v q_v^2 = c^2 K2 - 2c K3 + K4 - 2(c KN - K2N) + NN
+        f00   = |Q|^2 - (the sum of the other eight)
 
     Self-check: f12 = 6 n(3K2) must also equal, by inclusion-exclusion over
-    the five shapes of three edges, 6[C(m,3) - n(P3+K2) - n(P4) - T
-    - sum_v C(k_v,3)]; a mismatch raises RuntimeError.
+    the five shapes of three edges, 6[C(m,3) - n(P3+K2) - n(P4) - T3/3
+    - sum_v C(k_v,3)], with sum_v C(k_v,3) = (K3 - 3 K2 + 4m)/6; a mismatch
+    raises RuntimeError.
     """
     n, m = g.n, g.m
     deg = g.degrees
@@ -210,76 +228,55 @@ def freq_fast(g: Graph) -> FreqVector:
     core_deg = _two_core(deg, nbr_xor)
     # neighbour sets within the core, which holds every triangle and 4-cycle
     adj = {v: set() for v in compress(range(n + 1), core_deg)}
+    core_edges = []
     if adj:
-        for u, v in edges:
+        for e in edges:
+            u, v = e
             if core_deg[u] and core_deg[v]:
                 adj[u].add(v)
                 adj[v].add(u)
+                core_edges.append(e)
 
-    # per-vertex sums: the vertex terms of f13, f03, f022 and f01
-    p = k3 = sum_k2 = sum_k3 = sum_k4 = 0
-    f13_v = dev2 = sum_n2 = sum_qv2 = 0
-    for v in compress(range(n + 1), deg):  # isolated vertices add nothing
-        k = deg[v]
-        nv = nsum[v]
-        c2 = k * (k - 1) // 2
-        p += c2
-        k3 += c2 * (k - 2) // 3
-        k2 = k * k
-        sum_k2 += k2
-        sum_k3 += k2 * k
-        sum_k4 += k2 * k2
-        f13_v += c2 * (m - k + 2) - (k - 1) * nv
-        dev2 += (nv - k) ** 2
-        sum_n2 += nv * nv
-        qv = k * (m - k + 1) - nv
-        sum_qv2 += qv * qv
-    # S_v enters only summed: sum_v S_v = sum k^3, with sum_v N_v = sum k^2
-    # and sum_v k_v = 2m
-    p5_v = (dev2 - (sum_k3 - 2 * sum_k2 + 2 * m)) // 2
-    nn_v = (sum_n2 - sum_k3) // 2
+    # the six vertex sums, isolated vertices adding nothing
+    k2 = sum(map(mul, deg, deg))
+    k3 = sum(map(mul, map(mul, deg, deg), deg))
+    k4 = sum(map(mul, map(mul, deg, deg), map(mul, deg, deg)))
+    nn = sum(map(mul, nsum, nsum))
+    kn = sum(map(mul, deg, nsum))
+    k2n = sum(map(mul, map(mul, deg, deg), nsum))
 
-    # per-edge sums; t_uv costs the smaller of the two neighbour sets
-    tri = w2 = p4 = d4 = t_deg = sum_qe2 = adj_pairs = t2 = t_kk = 0
-    for u, v in edges:
-        ku, kv = deg[u], deg[v]
-        t = len(adj[u] & adj[v]) if core_deg[u] and core_deg[v] else 0
-        mid = (ku - 1) * (kv - 1) - t  # P4s whose middle edge is uv
-        qe = m - ku - kv + 1
-        kk = ku * kv
+    # triangle sums over the core's edges; t_uv costs the smaller neighbour set
+    tri = w2 = 0
+    for u, v in core_edges:
+        t = len(adj[u] & adj[v])
         tri += t
-        w2 += t * (ku + kv)
-        p4 += mid
-        d4 += (ku + kv) * mid + (kv - 1) * (nsum[u] - kv) + (ku - 1) * (nsum[v] - ku)
-        t_deg += t * (ku + kv - 4)
-        sum_qe2 += qe * qe
-        adj_pairs += (qe + mid) ** 2 - kk * kk
-        t2 += t * t
-        t_kk += t * kk
-    # tri = 3T counts each triangle once per edge; w2 = 2W likewise
+        w2 += t * (deg[u] + deg[v])
+    del core_edges  # freed before the 4-cycle count, which sets the peak memory
     c4 = _count_c4_ranked(adj) if adj else 0
-    d4 -= w2
 
+    c, d = m + 1, m + 2
+    p = (k2 - 2 * m) // 2
     f24 = m * (m - 1) // 2 - p
-    p3k2 = f13_v + tri
+    p3k2 = d * p - (k3 - k2) // 2 - kn + k2 + tri
     f13 = 2 * p3k2
-    f021 = 2 * ((m + 3) * p4 - d4 + t_deg + 4 * c4)
-    f03 = 2 * (p5_v - 4 * c4 - w2 + 3 * tri)
+    p4 = kn // 2 - k2 + m - tri
+    d4 = k2n + nn - 2 * k3 - 2 * kn + 2 * k2 - 2 * w2
+    f021 = 2 * ((m + 3) * p4 - d4 + w2 - 4 * tri + 4 * c4)
+    f03 = 2 * ((nn - 2 * kn + k2 - (k3 - 2 * k2 + 2 * m)) // 2
+               - 4 * c4 - w2 + 3 * tri)
     f04 = 2 * c4
-    f12 = sum_qe2 - 2 * f24 - f13
-    matchings3 = m * (m - 1) * (m - 2) // 6 - p3k2 - p4 - tri // 3 - k3
+    f12 = m * c * c - 2 * c * k2 + k3 + kn - 2 * f24 - f13
+    matchings3 = (m * (m - 1) * (m - 2) // 6 - p3k2 - p4 - tri // 3
+                  - (k3 - 3 * k2 + 4 * m) // 6)
     if f12 != 6 * matchings3:
         raise RuntimeError(
             f"internal inconsistency: f12 = {f12} from the tau identity, "
             f"but 6 n(3K2) = {6 * matchings3}"
         )
-    sum_quv2 = (
-        (sum_k2 * sum_k2 - sum_k4) // 2
-        + adj_pairs
-        + (p + 4 * c4 - t2)
-        - 2 * (nn_v - t_kk)
-    )
+    sum_quv2 = ((k2 * k2 - k4) // 2 + p + 4 * c4 + k3 - nn + m * d * d
+                + 4 * (k3 + kn) + d * kn - 4 * d * k2 - 4 * k2n - 2 * d * tri + 4 * w2)
     f022 = sum_quv2 - (6 * f24 + 3 * f13 + f12 + 6 * f04 + 3 * f03 + f021)
+    sum_qv2 = c * c * k2 - 2 * c * k3 + k4 - 2 * (c * kn - k2n) + nn
     f01 = sum_qv2 - (
         4 * f24 + 3 * f13 + 2 * f12 + 4 * f04 + 3 * f03 + 2 * f021 + 2 * f022
     )
@@ -497,12 +494,16 @@ def _count_p4_plus_edge(g: Graph) -> int:
 
 def _count_c4(g: Graph) -> int:
     """4-cycles via antipodal pairs: each C4 has two vertex pairs at
-    distance two, so sum binom(common_neighbors, 2) over pairs, halved."""
+    distance two, so sum binom(common_neighbors, 2) over pairs, halved.
+
+    The common neighbours of u and each w > u are counted as the wedges
+    u-v-w that end at w, so only pairs joined by a wedge are visited, in
+    O(n + sum_v k_v^2) steps."""
     adj = _neighbours(g)
     total = 0
     for u in range(1, g.n + 1):
-        for v in range(u + 1, g.n + 1):
-            c = len(adj[u] & adj[v])
+        ends = Counter(w for v in adj[u] for w in adj[v] if w > u)
+        for c in ends.values():
             total += c * (c - 1) // 2
     if total % 2:
         raise RuntimeError(

@@ -551,6 +551,13 @@ class TestValidateCmd:
          "validate graph6 takes no --n, --p"),
         (("er", "--n", "5", "--p", "0.3", "--path", "MISSING", "--limit", "2"),
          "validate er takes no --path, --limit"),
+        (("families", "--nmax", "3", "--exhaustive-limit", "2", "--trials", "0"),
+         "validate families takes no --trials, --exhaustive-limit"),
+        (("er", "--n", "5", "--p", "0.5", "--trials", "1", "--nmax", "99"),
+         "validate er takes no --nmax"),
+        (("trees", "--trials", "5"), "validate trees takes no --trials"),
+        (("graph6", "--path", "MISSING", "--nmax", "2", "--trials", "0"),
+         "validate graph6 takes no --nmax, --trials"),
     ])
     def test_unread_flags_refused_exit_1(self, capsys, tmp_path, argv, message):
         missing = str(tmp_path / "missing.g6")
@@ -559,6 +566,23 @@ class TestValidateCmd:
         assert code == 1
         assert out == ""
         assert err.splitlines()[1:] == [f"crossings: error: {message}"]
+
+    @pytest.mark.parametrize("argv,shown", [
+        (("families", "--nmax", "3"), "nmax=3"),
+        (("er", "--n", "5", "--p", "0.5", "--trials", "1"),
+         "trials=1 exhaustive_limit=10"),
+        (("graph6", "--path", "CORPUS", "--exhaustive-limit", "4"),
+         "exhaustive_limit=4"),
+    ])
+    def test_config_line_shows_only_what_the_corpus_reads(self, capsys, tmp_path,
+                                                          argv, shown):
+        corpus = tmp_path / "c.g6"
+        corpus.write_text("C~\n")
+        code, _, err = run(capsys, "validate",
+                           *(str(corpus) if a == "CORPUS" else a for a in argv))
+        assert code == 0
+        assert err.splitlines() == [
+            f"# crossings v{__version__} cmd=validate seed=0 {shown} out=json"]
 
     def test_graph6_corpus(self, capsys, tmp_path):
         path = tmp_path / "c.g6"

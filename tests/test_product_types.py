@@ -30,6 +30,8 @@ from crossings.product_types import (
 )
 
 from conftest import refuse_q_pairs
+from freq_loops import (CORRUPTED_DEGREES, corrupted, freq_loops, outcome,
+                        required_outcome)
 
 # representative configurations, one per type (distinct letters = vertices)
 REPRESENTATIVES = {
@@ -204,6 +206,34 @@ class TestCountGraphette:
     def test_l2l2_is_q(self, atlas_graphs):
         for g in atlas_graphs[::25]:
             assert count_graphette(g, "L2+L2") == size_q(g)
+
+    def test_c4_work_is_bounded_by_the_wedges(self, monkeypatch):
+        # one 4-cycle among 20,000 vertices: visiting every vertex pair made
+        # about 2e8 set intersections; the wedges are 8 steps
+        n = 20_000
+        steps = 0
+
+        class Counted(set):
+            def step(self):
+                nonlocal steps
+                steps += 1
+                if steps > 2 * n:
+                    raise AssertionError(f"over {2 * n} neighbour-set reads")
+
+            def __iter__(self):
+                self.step()
+                return super().__iter__()
+
+            def __and__(self, other):
+                self.step()
+                return super().__and__(other)
+
+        original = product_types._neighbours
+        monkeypatch.setattr(product_types, "_neighbours",
+                            lambda g: [Counted(s) for s in original(g)])
+        g = Graph(n, [(1, 2), (2, 3), (3, 4), (1, 4)])
+        assert count_graphette(g, "C4") == 1
+        assert steps <= n + 2 * g.m
 
     def test_census_refuses_before_enumerating(self, monkeypatch):
         # K30: |Q| = 82,215, and about 6e8 4-matchings for L2+L2+L2+L2
@@ -401,6 +431,45 @@ class TestRelabellingInvariance:
         # a 4-cycle of K_{a,b} is two vertices from each part
         g = relabel(gen_family("complete_bipartite", 30, n2=31), 1)
         assert freq_fast(g)["04"] == 2 * math.comb(30, 2) * math.comb(31, 2)
+
+
+def random_tree(n, seed):
+    """A random tree on n vertices, each vertex after the first hung on an
+    earlier one."""
+    rng = random.Random(seed)
+    return Graph(n, [(rng.randint(1, v - 1), v) for v in range(2, n + 1)])
+
+
+def cycle_with_long_pendant_trees():
+    """A 100-cycle with a 20-vertex random tree hung on every fifth vertex,
+    and ten isolated vertices."""
+    edges = [(v, v % 100 + 1) for v in range(1, 101)]
+    n = 100
+    for root in range(1, 101, 5):
+        tree = random_tree(20, root).edges  # vertex 1 of the tree is the root
+        edges += [(root if u == 1 else n + u - 1, n + v - 1) for u, v in tree]
+        n += 19
+    return Graph(n + 10, edges)
+
+
+class TestLoopReference:
+    # the vertex and edge terms as Python loops, far above BRUTE_Q_LIMIT
+    @pytest.mark.parametrize("make", [
+        lambda: random_tree(10_001, 3),
+        lambda: gnm(300, 3000, 7),
+        hub_heavy,
+        cycle_with_long_pendant_trees,
+    ], ids=["tree_10k_edges", "gnm_300_3000", "hub_heavy",
+            "cycle_with_long_pendant_trees"])
+    def test_freq_fast_equals_loops(self, make):
+        g = make()
+        assert size_q(g) > BRUTE_Q_LIMIT
+        assert freq_fast(g) == freq_loops(g)
+
+    @pytest.mark.parametrize("family,v,delta", CORRUPTED_DEGREES)
+    def test_self_check_raises_where_the_loops_raise(self, family, v, delta):
+        assert (outcome(freq_fast, corrupted(family, v, delta))
+                == required_outcome(family, v, delta))
 
 
 @st.composite

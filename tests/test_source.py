@@ -64,6 +64,29 @@ def test_no_neighbour_sets_read_from_a_graph():
     assert not found, f"neighbour sets read as an attribute: {found}"
 
 
+def test_graphette_census_independent_of_the_fast_path():
+    # the census is an oracle that freq_fast is checked against: if it
+    # reached the fast path's code, it would check that code against itself
+    tree = ast.parse((PACKAGE / "product_types.py").read_text(encoding="utf-8"))
+    functions = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+
+    def names(function):
+        return {getattr(node, "id", None) or getattr(node, "attr", None)
+                for node in ast.walk(function)}
+
+    reached, todo = set(), ["count_graphette"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += names(functions[name]) & functions.keys()
+    assert {"_count_c4", "_p3_list", "_p4_list", "_count_matchings"} <= reached
+    found = {(name, used) for name in reached
+             for used in names(functions[name]) & {"freq_fast", "_two_core",
+                                                   "_count_c4_ranked"}}
+    assert not found, f"census functions that use the fast path: {sorted(found)}"
+
+
 def test_budget_error_raised_only_by_check_budget():
     # one policy: every budget refuses through graphs.check_budget, so each
     # refusal has the same wording and no step grows a check of its own

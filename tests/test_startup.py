@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import crossings
+from freq_loops import CORRUPTED_DEGREES, required_outcome
 
 SRC = str(Path(crossings.__file__).parents[1])
 
@@ -152,19 +153,16 @@ def test_optimized_interpreter_prints_the_same_bytes(argv, tmp_path):
     assert plain.stdout and optimized.stdout == plain.stdout
 
 
-# a path whose degree table is wrong at one vertex: the f12 self-check
-# must catch it, with or without -O
-SELF_CHECK = """
-from types import SimpleNamespace
-from crossings import freq_fast, gen_family
-g = gen_family("linear_tree", 6)
-degrees = list(g.degrees)
-degrees[3] += 1
-fake = SimpleNamespace(n=g.n, m=g.m, edges=g.edges, degrees=tuple(degrees))
-try:
-    freq_fast(fake)
-except RuntimeError as exc:
-    print("raised", exc)
+# degree tables wrong at one vertex: the f12 self-check must catch each
+# wherever the loop form of freq_fast catches it, with or without -O
+TESTS = str(Path(__file__).parent)
+SELF_CHECK = f"""
+import sys
+sys.path.insert(0, {TESTS!r})
+from crossings import freq_fast
+from freq_loops import CORRUPTED_DEGREES, corrupted, outcome
+for case in CORRUPTED_DEGREES:
+    print(*case, outcome(freq_fast, corrupted(*case)))
 print("optimized", not __debug__)
 """
 
@@ -173,6 +171,7 @@ print("optimized", not __debug__)
 def test_self_check_raises_under_both_interpreters(optimize):
     proc = fresh(SELF_CHECK, optimize=optimize)
     assert proc.returncode == 0, proc.stderr
-    raised, optimized = proc.stdout.splitlines()
-    assert raised.startswith("raised internal inconsistency: f12 = ")
+    *raised, optimized = proc.stdout.splitlines()
+    assert raised == [f"{family} {v} {delta} {required_outcome(family, v, delta)}"
+                      for family, v, delta in CORRUPTED_DEGREES]
     assert optimized == f"optimized {optimize}"
