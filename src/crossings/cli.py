@@ -27,6 +27,7 @@ from .graphs import (
     BudgetError,
     GraphFormatError,
     _family_extra,
+    _graph6_lines,
     degree_stats,
     erdos_renyi,
     format_edge_list,
@@ -99,8 +100,7 @@ def _load_graph(args):
         return parse_edge_list(read_input_file(args.input, "utf-8"))
     if args.graph6:
         _refuse_unread(args, "--graph6")
-        text = read_input_file(args.graph6, "ascii")
-        lines = [line for line in map(str.strip, text.splitlines()) if line]
+        lines = _graph6_lines(args.graph6)
         if not lines:
             raise GraphFormatError(f"{args.graph6}: no graph6 line found")
         if len(lines) > 1:
@@ -109,7 +109,7 @@ def _load_graph(args):
                 "a file with one graph; to check a corpus, run "
                 f"'crossings validate graph6 --path {args.graph6}'"
             )
-        return from_graph6(lines[0])
+        return from_graph6(lines[0][1])
     family = args.family
     if family == "erdos_renyi":
         _refuse_unread(args, family, "n", "p")

@@ -17,8 +17,8 @@ edges at once. The work stays O(rows * |Q|), in about m numpy calls per
 block, and a block's tables are O(m * rows). Monte Carlo shuffles int32
 positions in place.
 
-Two budgets refuse through `graphs.check_budget` before anything is counted:
-the exhaustive limit on n and MC_BLOCK_BYTES on one Monte Carlo block.
+Budgets refuse through `graphs.check_budget` before anything is counted:
+the exhaustive limit on n, and MC_BLOCK_BYTES and MC_WORK_LIMIT on Monte Carlo.
 """
 
 from __future__ import annotations
@@ -40,6 +40,14 @@ MC_BLOCK = 10_000
 # The most bytes one Monte Carlo block's position table (rows * n int32s)
 # and endpoint table (2 * m * rows positions of crossing_counts) may take.
 MC_BLOCK_BYTES = 1 << 30
+# The most work of one Monte Carlo estimate, in pair tests: T * |Q|, plus
+# the C(m, 2) independence checks that set up each block in crossing_counts,
+# each weighed as MC_SETUP_WEIGHT pair tests. Random trees, 2-CPU host: a
+# pair test took 1.42 ns (n = 1,000, T = 10^4: 7.07 s) and a set-up check
+# 420 ns (T = 2: 5.4 s at n = 5,000). So a run at the limit takes about a
+# minute: T = 78,000 at n = 1,000 took 55 s, and T = 2 at n = 16,000 50 s.
+MC_WORK_LIMIT = 4 * 10**10
+MC_SETUP_WEIGHT = 300  # about 420 / 1.42
 _PERM_CHUNK = 100_000
 _TAIL_VERTICES = 8  # 8! = 40,320 rows in the numpy permutation table
 _EDGE_BATCH = 255  # the most edges whose crossings one uint8 count holds
@@ -201,7 +209,7 @@ def monte_carlo_moments(
     Sampling is blocked: block b draws its own PCG64 stream seeded with
     SeedSequence([seed, b]), so the result depends only on `seed` and T.
     Raises BudgetError, before anything is drawn, when one block's tables
-    would exceed MC_BLOCK_BYTES.
+    would exceed MC_BLOCK_BYTES, or the estimate's work MC_WORK_LIMIT.
     """
     if samples < 2:
         raise ValueError("Monte Carlo needs at least 2 samples")
@@ -212,12 +220,11 @@ def monte_carlo_moments(
     need = rows * n * 4 + 2 * m * rows * np.min_scalar_type(n).itemsize
     check_budget(need, MC_BLOCK_BYTES,
                  f"bytes of a Monte Carlo block of {rows} rows on n = {n}, m = {m}")
-    sizes = []
-    left = samples
-    while left > 0:
-        take = min(MC_BLOCK, left)
-        sizes.append(take)
-        left -= take
+    blocks = -(-samples // MC_BLOCK)
+    work = samples * size_q(g) + blocks * MC_SETUP_WEIGHT * (m * (m - 1) // 2)
+    check_budget(work, MC_WORK_LIMIT,
+                 f"pair tests of a Monte Carlo estimate of T = {samples} on m = {m}")
+    sizes = [min(MC_BLOCK, samples - b * MC_BLOCK) for b in range(blocks)]
 
     def chunks():
         for idx, count in enumerate(sizes):

@@ -157,27 +157,15 @@ def q_edge(g: Graph, s: int, t: int) -> int:
 
 
 def is_q_zero(g: Graph) -> str | None:
-    """Structural test for |Q| = 0.
-
-    |Q| = 0 exactly for star(lambda) + isolated vertices (including the
-    edgeless and single-edge cases) and for a triangle + isolated vertices.
-    Returns "star_with_isolated" or "triangle_with_isolated" for those, and
-    None for every other graph.
-    """
-    m = g.m
-    if m == 0:
+    """Structural test for |Q| = 0, from the degree table: |Q| = 0 exactly
+    for star(lambda) + isolated vertices (edgeless and single-edge graphs
+    included), where a vertex has degree m, and for a triangle + isolated
+    vertices, where m = 3 and three vertices have degree 2. Returns
+    "star_with_isolated" or "triangle_with_isolated" for those, else None."""
+    if g.m in g.degrees:  # index 0 holds 0, so m = 0 is the empty star
         return "star_with_isolated"
-    # three distinct edges on three vertices are the triangle
-    if m == 3 and len({v for e in g.edges for v in e}) == 3:
+    if g.m == 3 and g.degrees.count(2) == 3:
         return "triangle_with_isolated"
-    # star: some vertex lies on every edge
-    candidates = set(g.edges[0])
-    for u, v in g.edges:
-        candidates &= {u, v}
-        if not candidates:
-            break
-    if candidates:
-        return "star_with_isolated"
     return None
 
 
@@ -393,6 +381,12 @@ def read_input_file(path: str, encoding: str) -> str:
         return data.decode(encoding)
     except UnicodeDecodeError as exc:
         raise GraphFormatError(f"{path}: not {encoding} text ({exc})") from None
+
+
+def _graph6_lines(path: str) -> list[tuple[int, str]]:
+    """Each non-blank line of an ASCII graph6 file, stripped, with its number."""
+    lines = enumerate(map(str.strip, read_input_file(path, "ascii").splitlines()), 1)
+    return [(lineno, line) for lineno, line in lines if line]
 
 
 def parse_edge_list(text: str) -> Graph:

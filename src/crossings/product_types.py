@@ -21,6 +21,10 @@ from .graphs import Graph, check_budget, size_q
 BRUTE_Q_LIMIT = 50_000
 # The largest |Q| at which count_graphette enumerates, in up to ~|Q|^2 steps.
 CENSUS_Q_LIMIT = 20_000
+# The most 3-vertex paths, sum_v C(k_v, 2), that a census of a shape with one
+# lists; |Q| does not bound them (a star has |Q| = 0). At the limit, L3+L3 on
+# a star and L3+L2+L2 on a star beside a matching took 5-6 s on a 2-CPU host.
+CENSUS_P3_LIMIT = 10_000
 
 # One row per product type, in the fixed serialization order: its code,
 # graphette shape F_w and multiplier a_w, with f_w = a_w * n_G(F_w).
@@ -352,7 +356,7 @@ def count_graphette(g: Graph, shape: str) -> int:
     Shapes: L2+L2, L3+L2, L2+L2+L2, C4, L5, L4+L2, L3+L3, L3+L2+L2,
     L2+L2+L2+L2. Counts are unlabeled-subgraph counts (each subgraph once),
     independent of the frequency formulas. Refuses, before it enumerates,
-    when |Q| exceeds CENSUS_Q_LIMIT.
+    when |Q| exceeds CENSUS_Q_LIMIT or the 3-vertex paths CENSUS_P3_LIMIT.
     """
     check_budget(size_q(g), CENSUS_Q_LIMIT, "|Q| for the graphette census")
     if shape == "L2+L2":
@@ -411,6 +415,8 @@ def _count_matchings(g: Graph, k: int) -> int:
 
 def _p3_list(g: Graph) -> list[int]:
     """Vertex masks of all 3-vertex paths (one per unordered leaf pair)."""
+    check_budget(sum(k * (k - 1) // 2 for k in g.degrees), CENSUS_P3_LIMIT,
+                 "3-vertex paths for the graphette census")
     out = []
     for c, nbrs in enumerate(map(sorted, _neighbours(g))):
         for i in range(len(nbrs)):

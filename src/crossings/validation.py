@@ -29,13 +29,13 @@ from .graphs import (
     Graph,
     GraphFormatError,
     _family_extra,
+    _graph6_lines,
     erdos_renyi,
     from_graph6,
     from_pruefer,
     gen_family,
     is_q_zero,
     q_edge,
-    read_input_file,
     size_q,
 )
 from .product_types import (
@@ -49,6 +49,8 @@ from .product_types import (
 )
 
 MC_SPOT_REL_TOL = 0.1
+MC_SPOT_SAMPLES = 20_000  # T of each Monte Carlo spot check
+BIPARTITE_MAX = 10  # the largest part of a complete_bipartite instance checked
 
 
 @dataclass
@@ -59,6 +61,7 @@ class ValidationReport:
     failures: list[dict] = field(default_factory=list)
     skipped: list[dict] = field(default_factory=list)
     elapsed_seconds: float = 0.0
+    started: float = field(default_factory=time.perf_counter, init=False, repr=False)
 
     @property
     def success(self) -> bool:
@@ -70,9 +73,9 @@ class ValidationReport:
     def skip(self, witness: str, check: str, detail: str):
         self.skipped.append({"witness": witness, "check": check, "detail": detail})
 
-    def finish(self, started: float) -> "ValidationReport":
+    def finish(self) -> "ValidationReport":
         self.failures.sort(key=lambda f: (f["witness"], f["check"]))
-        self.elapsed_seconds = time.perf_counter() - started
+        self.elapsed_seconds = time.perf_counter() - self.started
         return self
 
     def to_json(self) -> str:
@@ -150,9 +153,10 @@ def check_graph(
     report: ValidationReport,
     exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
 ) -> tuple[int, FreqVector]:
-    """Run the core cross-check battery on one graph. A check whose oracle
-    exceeds its budget is recorded as skipped, with the oracle's refusal.
-    Returns |Q| by the formula and freq_fast(g), for further checks."""
+    """Run the core cross-check battery on one graph, counted in the report.
+    A check whose oracle exceeds its budget is recorded as skipped, with the
+    oracle's refusal. Returns |Q| by the formula and freq_fast(g)."""
+    report.graphs_checked += 1
     q = size_q(g)
     edge_sum = sum(q_edge(g, u, v) for u, v in g.edges)
     if edge_sum != 2 * q:
@@ -228,7 +232,6 @@ def validate_trees(
     """All labeled trees up to n_max vertices via Pruefer codes (lex order)."""
     if n_max > 9:
         raise ValueError(f"n_max = {n_max} too large: n^(n-2) trees is prohibitive")
-    started = time.perf_counter()
     report = ValidationReport(corpus=f"labeled-trees-n<={n_max}",
                               checks=list(CORE_CHECKS))
     for n in range(2, n_max + 1):
@@ -236,8 +239,7 @@ def validate_trees(
             g = from_pruefer(code)
             check_graph(g, f"tree-n{n}-pruefer{code}", report,
                         exhaustive_limit=exhaustive_limit)
-            report.graphs_checked += 1
-    return report.finish(started)
+    return report.finish()
 
 
 def validate_graph6_corpus(
@@ -248,13 +250,8 @@ def validate_graph6_corpus(
     """Battery over the first `limit` (>= 1, default all) graphs of a graph6 file."""
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
-    started = time.perf_counter()
     report = ValidationReport(corpus=f"graph6:{path}", checks=list(CORE_CHECKS))
-    text = read_input_file(path, "ascii")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
+    for lineno, line in _graph6_lines(path):
         if limit is not None and report.graphs_checked >= limit:
             break
         try:
@@ -264,35 +261,28 @@ def validate_graph6_corpus(
             raise
         check_graph(g, f"line{lineno}:{line}", report,
                     exhaustive_limit=exhaustive_limit)
-        report.graphs_checked += 1
-    return report.finish(started)
+    return report.finish()
 
 
-def validate_families(
-    n_max: int = 40,
-    bipartite_max: int = 10,
-    mc_samples: int = 20_000,
-    seed: int = 0,
-) -> ValidationReport:
+def validate_families(n_max: int, seed: int = 0) -> ValidationReport:
     """Closed forms vs the general path for all special families.
 
     Exact equality of frequency vectors and variances for every instance
     gen_family accepts with n <= n_max (complete_bipartite: both parts
-    <= bipartite_max; star_plus_isolated: every star size lam in 0..n), the
+    <= BIPARTITE_MAX; star_plus_isolated: every star size lam in 0..n), the
     same arguments going to gen_family and the closed forms; one Monte Carlo
-    spot check per one-size family at its largest size (relative tolerance
-    recorded in the check detail).
+    spot check of MC_SPOT_SAMPLES rows per one-size family at its largest
+    size (relative tolerance recorded in the check detail).
     """
-    started = time.perf_counter()
     report = ValidationReport(
         corpus=f"families-n<={n_max}",
         checks=["closed_freq_vs_fast", "closed_variance_vs_general", "mc_spot"],
     )
     for family in FAMILIES:
         extra = _family_extra(family)
-        if extra == "n2":  # both parts up to bipartite_max
-            sizes = [(n, {"n2": n2}) for n in range(bipartite_max + 1)
-                     for n2 in range(n, bipartite_max + 1)]
+        if extra == "n2":  # both parts up to BIPARTITE_MAX
+            sizes = [(n, {"n2": n2}) for n in range(BIPARTITE_MAX + 1)
+                     for n2 in range(n, BIPARTITE_MAX + 1)]
         elif extra == "lam":  # every star size of each n
             sizes = [(n, {"lam": lam}) for n in range(n_max + 1)
                      for lam in range(n + 1)]
@@ -328,16 +318,16 @@ def validate_families(
         theory = closed_variance(family, checked)
         if theory == 0:
             continue
-        rep = monte_carlo_moments(gen_family(family, checked), samples=mc_samples,
-                                  seed=seed)
+        rep = monte_carlo_moments(gen_family(family, checked),
+                                  samples=MC_SPOT_SAMPLES, seed=seed)
         rel = abs(rep.variance - float(theory)) / float(theory)
         if rel > MC_SPOT_REL_TOL:
             report.fail(
                 f"{family}-{checked}", "mc_spot",
                 f"relative error {rel:.4f} above tolerance {MC_SPOT_REL_TOL} "
-                f"(T={mc_samples}, seed={seed})",
+                f"(T={MC_SPOT_SAMPLES}, seed={seed})",
             )
-    return report.finish(started)
+    return report.finish()
 
 
 def validate_er(n: int, p: float, trials: int, seed: int,
@@ -352,7 +342,6 @@ def validate_er(n: int, p: float, trials: int, seed: int,
         raise ValueError(f"trials must be at least 1, got {trials}")
     import numpy as np
 
-    started = time.perf_counter()
     report = ValidationReport(
         corpus=f"erdos-renyi-n{n}-p{p}-trials{trials}",
         checks=[*CORE_CHECKS, "graphette_identities"],
@@ -362,7 +351,6 @@ def validate_er(n: int, p: float, trials: int, seed: int,
         g = erdos_renyi(n, p, gseed)
         witness = f"er-n{n}-p{p}-trial{t}"
         _, fv = check_graph(g, witness, report, exhaustive_limit=exhaustive_limit)
-        report.graphs_checked += 1
         counts = _oracle(report, witness, ("graphette_identities",), lambda: [
             count_graphette(g, GRAPHETTE_SHAPES[code]) for code in PRODUCT_TYPES])
         if counts is None:
@@ -376,4 +364,4 @@ def validate_er(n: int, p: float, trials: int, seed: int,
                     f"{GRAPHETTE_MULTIPLIERS[code]} * n_G({GRAPHETTE_SHAPES[code]}) "
                     f"= {expected}",
                 )
-    return report.finish(started)
+    return report.finish()

@@ -1,4 +1,4 @@
-"""One policy for the six budgets: at its limit a step runs; above it, the
+"""One policy for the eight budgets: at its limit a step runs; above it, the
 step raises BudgetError before any work, with a message naming what is
 measured, the need and the limit in the same words."""
 
@@ -40,6 +40,10 @@ BUDGETS = {
         9, (product_types, "CENSUS_Q_LIMIT"),
         lambda limit: count_graphette(C6, "L2+L2+L2+L2"),
         (product_types, "_count_matchings"), "|Q| for the graphette census"),
+    "census_p3": (
+        6, (product_types, "CENSUS_P3_LIMIT"),
+        lambda limit: count_graphette(C6, "L3+L3"),
+        (product_types, "_neighbours"), "3-vertex paths for the graphette census"),
     "exhaustive_n": (
         6, None, lambda limit: exhaustive_moments(C6, limit),
         (estimator, "crossing_counts"),
@@ -49,6 +53,11 @@ BUDGETS = {
         lambda limit: monte_carlo_moments(C30, samples=20, seed=0),
         (estimator, "crossing_counts"),
         "bytes of a Monte Carlo block of 20 rows on n = 30, m = 30"),
+    "mc_work": (
+        20 * 405 + 300 * 435, (estimator, "MC_WORK_LIMIT"),
+        lambda limit: monte_carlo_moments(C30, samples=20, seed=0),
+        (estimator, "crossing_counts"),
+        "pair tests of a Monte Carlo estimate of T = 20 on m = 30"),
 }
 
 

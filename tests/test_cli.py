@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -94,6 +95,24 @@ class TestAnalyze:
         assert out == ""
         assert "2 graphs" in err
         assert "crossings validate graph6 --path" in err
+
+    @pytest.mark.parametrize("text", ["", "\n  \n\t\n"])
+    def test_graph6_file_without_a_graph_exit_2(self, capsys, tmp_path, text):
+        path = tmp_path / "empty.g6"
+        path.write_text(text)
+        code, out, err = run(capsys, "analyze", "--graph6", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[1:] == [
+            f"crossings: parse error: {path}: no graph6 line found"]
+
+    @pytest.mark.parametrize("sizes", [(), ("--n", "5"), ("--p", "0.3")])
+    def test_erdos_renyi_requires_n_and_p(self, capsys, sizes):
+        code, out, err = run(capsys, "analyze", "--family", "erdos_renyi", *sizes)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[1:] == [
+            "crossings: error: erdos_renyi requires --n and --p"]
 
     def test_builds_no_q(self, capsys, monkeypatch):
         # exact moments come from vertex and edge sums, never from Q
@@ -311,6 +330,25 @@ class TestEstimate:
         assert out == ""
         assert "n = 15, m = 15" in err and "limit of 10000" in err
 
+    def test_monte_carlo_over_work_budget_exit_1(self, capsys, monkeypatch, tmp_path):
+        # a random tree with 10^5 edges: two rows pass the memory budget, but
+        # one block's set-up alone, C(m, 2) independence checks, takes hours
+        monkeypatch.setattr(estimator, "crossing_counts", None)
+        n = 100_001
+        heads = np.random.default_rng(3).integers(1, np.arange(2, n + 1))
+        path = tmp_path / "tree.txt"
+        path.write_text(f"{n} {n - 1}\n" + "".join(
+            f"{v} {h}\n" for v, h in zip(range(2, n + 1), heads.tolist())))
+        started = time.perf_counter()
+        code, out, err = run(capsys, "estimate", "--input", str(path), "--samples", "2")
+        assert time.perf_counter() - started < 1
+        assert code == 1
+        assert out == ""
+        message = err.splitlines()[1]
+        assert message.startswith("crossings: error: pair tests of a Monte Carlo "
+                                  "estimate of T = 2 on m = 100000: ")
+        assert message.endswith(f" exceeds the limit of {estimator.MC_WORK_LIMIT}")
+
 
 class TestNoQ:
     # crossings are counted from the edges, never from Q
@@ -518,6 +556,12 @@ class TestValidateCmd:
     def test_er_requires_args(self, capsys):
         code, _, _ = run(capsys, "validate", "er")
         assert code == 1
+
+    def test_graph6_requires_path(self, capsys):
+        code, out, err = run(capsys, "validate", "graph6")
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[1:] == ["crossings: error: validate graph6 requires --path"]
 
     @pytest.mark.parametrize("trials", ["0", "-2"])
     def test_er_trials_below_one_exit_1(self, capsys, trials):

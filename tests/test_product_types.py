@@ -241,6 +241,15 @@ class TestCountGraphette:
         with pytest.raises(BudgetError, match="82215 exceeds the limit of 20000"):
             count_graphette(gen_family("complete", 30), "L2+L2+L2+L2")
 
+    @pytest.mark.parametrize("shape", ["L3+L2", "L3+L3", "L3+L2+L2"])
+    def test_census_refuses_many_3_vertex_paths(self, monkeypatch, shape):
+        # star(300): |Q| = 0 passes CENSUS_Q_LIMIT, but its C(299, 2) = 44,551
+        # 3-vertex paths would take L3+L3 about 10^9 steps
+        monkeypatch.setattr(product_types, "_neighbours", None)
+        with pytest.raises(BudgetError, match="^3-vertex paths for the graphette "
+                                              "census: 44551 exceeds the limit of 10000$"):
+            count_graphette(gen_family("star", 300), shape)
+
     def test_unknown_shape(self):
         with pytest.raises(ValueError):
             count_graphette(gen_family("cycle", 5), "L9")

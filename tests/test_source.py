@@ -35,7 +35,7 @@ def test_single_threaded():
 
 def test_q_pairs_only_in_oracles():
     # Q has O(m^2) elements: only the brute-force oracles may enumerate it
-    allowed = {("product_types.py", "freq_brute"), ("validation.py", "check_graph")}
+    allowed = {("product_types.py", "freq_brute")}
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "graphs.py":
@@ -85,6 +85,29 @@ def test_graphette_census_independent_of_the_fast_path():
              for used in names(functions[name]) & {"freq_fast", "_two_core",
                                                    "_count_c4_ranked"}}
     assert not found, f"census functions that use the fast path: {sorted(found)}"
+
+
+def test_every_budget_has_its_readme_row():
+    # a module-level constant that check_budget enforces is a limit users
+    # meet, so the README's budget table must name it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = re.search(r"^\| constant \| module \|.*\n((?:\|.*\n)+)", readme, flags=re.M)
+    assert table, "README has no budget table"
+    documented = {name for row in table.group(1).splitlines()
+                  for name in re.findall(r"`(\w+)`", row.split("|")[1])}
+    limits, found = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        constants = {target.id for top in tree.body if isinstance(top, ast.Assign)
+                     for target in top.targets if isinstance(target, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "check_budget"
+                    and getattr(node.args[1], "id", None) in constants):
+                limits.add(node.args[1].id)
+                if node.args[1].id not in documented:
+                    found.append(f"{path.name}:{node.lineno}: {node.args[1].id}")
+    assert limits, "no check_budget call with a module-level limit"
+    assert not found, f"budgets without a README row: {found}"
 
 
 def test_budget_error_raised_only_by_check_budget():

@@ -221,14 +221,12 @@ class TestValidateGraph6Corpus:
 
 class TestValidateFamilies:
     def test_small_range_passes(self):
-        rep = validate_families(n_max=15, bipartite_max=5,
-                                mc_samples=5000, seed=3)
+        rep = validate_families(n_max=15, seed=3)
         assert rep.success, rep.failures
         assert rep.graphs_checked > 60
 
     def test_checks_listed(self):
-        rep = validate_families(n_max=8, bipartite_max=3,
-                                mc_samples=2000, seed=1)
+        rep = validate_families(n_max=8, seed=1)
         assert "closed_freq_vs_fast" in rep.checks
         assert rep.success
 
@@ -240,7 +238,7 @@ class TestValidateFamilies:
                 _log.append((args, kwargs))
                 return _real(*args, **kwargs)
             monkeypatch.setattr(validation, name, spy)
-        rep = validation.validate_families(n_max=6, bipartite_max=3, mc_samples=500)
+        rep = validation.validate_families(n_max=6)
         assert rep.success
         for name, log in calls.items():
             assert {args[0] for args, _ in log} == set(FAMILIES), name
@@ -275,6 +273,15 @@ class TestValidateEr:
         census = [s["detail"] for s in rep.skipped if s["check"] == "graphette_identities"]
         assert len(census) == 1
         assert census[0].startswith("|Q| for the graphette census: ")
+        assert census[0].endswith(" exceeds the limit of 1")
+
+    def test_census_over_p3_budget_skipped(self, monkeypatch):
+        monkeypatch.setattr(product_types, "CENSUS_P3_LIMIT", 1)
+        rep = validate_er(12, 0.5, trials=1, seed=2)
+        assert rep.success
+        census = [s["detail"] for s in rep.skipped if s["check"] == "graphette_identities"]
+        assert len(census) == 1
+        assert census[0].startswith("3-vertex paths for the graphette census: ")
         assert census[0].endswith(" exceeds the limit of 1")
 
     def test_large_graph_builds_no_q(self, monkeypatch):
