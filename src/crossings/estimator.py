@@ -107,9 +107,9 @@ def crossing_counts(g: Graph, pos: np.ndarray) -> np.ndarray:
     return c
 
 
-def _accumulate(g: Graph, chunks) -> tuple[int, int, int]:
+def _accumulate(g: Graph, chunks, q: int) -> tuple[int, int, int]:
     """Rows, sum of C and sum of C^2 over position-matrix chunks; no count
-    may exceed |Q|."""
+    may exceed q = |Q|."""
     rows = total = total2 = peak = 0
     for arr in chunks:
         c = crossing_counts(g, arr)
@@ -117,10 +117,8 @@ def _accumulate(g: Graph, chunks) -> tuple[int, int, int]:
         total += int(c.sum())
         total2 += int((c * c).sum())
         peak = max(peak, int(c.max(initial=0)))
-    if peak > size_q(g):
-        raise RuntimeError(
-            f"internal inconsistency: {peak} crossings exceed |Q| = {size_q(g)}"
-        )
+    if peak > q:
+        raise RuntimeError(f"internal inconsistency: {peak} crossings exceed |Q| = {q}")
     return rows, total, total2
 
 
@@ -185,7 +183,7 @@ def exhaustive_moments(
         import numpy as np
 
         chunks = [np.array(list(permutations(range(1, n + 1))), dtype=np.int16)]
-    rows, sum_c, sum_c2 = _accumulate(g, chunks)
+    rows, sum_c, sum_c2 = _accumulate(g, chunks, size_q(g))
     if rows != exhaustive_rows(n):
         raise RuntimeError(
             f"internal inconsistency: counted {rows} arrangements, "
@@ -211,20 +209,11 @@ def monte_carlo_moments(
     Raises BudgetError, before anything is drawn, when one block's tables
     would exceed MC_BLOCK_BYTES, or the estimate's work MC_WORK_LIMIT.
     """
-    if samples < 2:
-        raise ValueError("Monte Carlo needs at least 2 samples")
+    q = _check_monte_carlo(g, samples)
     import numpy as np
 
-    n, m = g.n, g.m
-    rows = min(MC_BLOCK, samples)
-    need = rows * n * 4 + 2 * m * rows * np.min_scalar_type(n).itemsize
-    check_budget(need, MC_BLOCK_BYTES,
-                 f"bytes of a Monte Carlo block of {rows} rows on n = {n}, m = {m}")
-    blocks = -(-samples // MC_BLOCK)
-    work = samples * size_q(g) + blocks * MC_SETUP_WEIGHT * (m * (m - 1) // 2)
-    check_budget(work, MC_WORK_LIMIT,
-                 f"pair tests of a Monte Carlo estimate of T = {samples} on m = {m}")
-    sizes = [min(MC_BLOCK, samples - b * MC_BLOCK) for b in range(blocks)]
+    n = g.n
+    sizes = [min(MC_BLOCK, samples - b) for b in range(0, samples, MC_BLOCK)]
 
     def chunks():
         for idx, count in enumerate(sizes):
@@ -234,7 +223,7 @@ def monte_carlo_moments(
             pos = np.tile(np.arange(1, n + 1, dtype=np.int32), (count, 1))
             yield rng.permuted(pos, axis=1, out=pos)
 
-    _, sum_c, sum_c2 = _accumulate(g, chunks())
+    _, sum_c, sum_c2 = _accumulate(g, chunks(), q)
     t = samples
     mean = Fraction(sum_c, t)
     var = (Fraction(sum_c2) - Fraction(sum_c * sum_c, t)) / (t - 1)
@@ -242,6 +231,26 @@ def monte_carlo_moments(
         mean=float(mean), variance=float(var), mode="monte_carlo",
         samples=t, seed=seed, exact=False,
     )
+
+
+def _check_monte_carlo(g: Graph, samples: int) -> int:
+    """|Q| of g, once a Monte Carlo estimate of T = `samples` on g is known
+    to fit: ValueError below 2 samples, and BudgetError when one block's
+    tables would exceed MC_BLOCK_BYTES or the estimate's work MC_WORK_LIMIT."""
+    if samples < 2:
+        raise ValueError("Monte Carlo needs at least 2 samples")
+    import numpy as np
+
+    n, m = g.n, g.m
+    rows = min(MC_BLOCK, samples)
+    need = rows * n * 4 + 2 * m * rows * np.min_scalar_type(n).itemsize
+    check_budget(need, MC_BLOCK_BYTES,
+                 f"bytes of a Monte Carlo block of {rows} rows on n = {n}, m = {m}")
+    q = size_q(g)
+    work = samples * q + -(-samples // MC_BLOCK) * MC_SETUP_WEIGHT * (m * (m - 1) // 2)
+    check_budget(work, MC_WORK_LIMIT,
+                 f"pair tests of a Monte Carlo estimate of T = {samples} on m = {m}")
+    return q
 
 
 class ScanRow(namedtuple("ScanRow", "family n q e_theory var_theory e_est var_est "
@@ -265,9 +274,11 @@ def scan_family(
 
     mode "auto" enumerates exhaustively up to `exhaustive_limit` and samples
     above it; "exhaustive" raises BudgetError, before any enumeration, when
-    `n_max` is above it; "theory" emits no estimates. An unknown family, or
-    one that takes a second size, raises ValueError; sizes invalid for the
-    family (odd one-regular n) yield a row with mode "skipped".
+    `n_max` is above it, and the sampled sizes are checked against the Monte
+    Carlo budgets before any estimate; "theory" emits no estimates. An
+    unknown family, or one that takes a second size, raises ValueError;
+    sizes invalid for the family (odd one-regular n) yield a row with mode
+    "skipped".
     """
     # imported on first use, so that no other command loads the closed forms
     from .closed_forms import closed_expectation, closed_freq, closed_variance
@@ -280,6 +291,14 @@ def scan_family(
         raise ValueError(f"unknown scan mode {mode!r}")
     if mode == "exhaustive" and n_min <= n_max:
         check_budget(n_max, exhaustive_limit, _exhaustive_what(n_max))
+    # sizes from first_sampled on are sampled, and smaller ones enumerated
+    first_sampled = {"auto": exhaustive_limit + 1, "monte_carlo": n_min}.get(mode, n_max + 1)
+    for n in range(max(n_min, first_sampled), n_max + 1):
+        try:
+            closed_freq(family, n)
+        except ValueError:  # skipped below
+            continue
+        _check_monte_carlo(gen_family(family, n), samples)
     rows = []
     for n in range(n_min, n_max + 1):
         try:
@@ -297,10 +316,7 @@ def scan_family(
                                 "theory", None, None))
             continue
         g = gen_family(family, n)
-        use_exhaustive = (mode == "exhaustive") or (
-            mode == "auto" and n <= exhaustive_limit
-        )
-        if use_exhaustive:
+        if n < first_sampled:
             rep = exhaustive_moments(g, limit=exhaustive_limit)
         else:
             rep = monte_carlo_moments(g, samples=samples, seed=seed)

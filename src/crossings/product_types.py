@@ -139,87 +139,46 @@ def freq_brute(g: Graph) -> FreqVector:
 
 
 def freq_fast(g: Graph) -> FreqVector:
-    """All nine f_w from six sums over the vertices, the triangles on the
-    edges of the 2-core and one 4-cycle count.
+    """All nine f_w from degrees, triangles and 4-cycles, which suffice as
+    each f_w = a_w * n_G(F_w) counts a subgraph F_w of at most four edges
+    (Alemany-Puig & Ferrer-i-Cancho, "Fast calculation of the variance of
+    edge crossings in random arrangements", 2020). No pass over Q: the cost
+    is O(n + m) plus O(m' * arboricity) on the m' edges of the 2-core. All
+    counts are integers; `moments.variance_from_freq` keeps them so, scaling
+    each gamma_w by the common denominator of the gammas (180 under RLA).
+    """
+    return _freq_from_sums(_graph_sums(g))
 
-    No pass over Q: the cost is O(n + m) plus O(m' * arboricity) on the m'
-    edges of the 2-core, set by the per-edge triangle counts and the 4-cycle
-    count. Each f_w = a_w * n_G(F_w) counts a subgraph F_w of at most four
-    edges, so degrees, triangles and 4-cycles suffice (Alemany-Puig &
-    Ferrer-i-Cancho, arXiv 2003.03353). Every term that is a polynomial in
-    the degrees folds into the six vertex sums below, each taken in C over
-    the degree and N_v tables.
 
-    N_v and the XOR of each vertex's neighbours come from one pass over the
-    edges. Every cycle lies in the 2-core, which peeling the vertices of
-    degree 1 finds from the degrees and those XORs in O(n) more
-    (`_two_core`). Neighbour sets are built for the core vertices alone,
-    from the edges with both ends in the core, and only those edges are
-    walked again, for their triangles; an edge with an end outside the core
-    is on no triangle. The 4-cycle count ranks and walks only core
-    vertices. Only g.n, g.m, g.edges and g.degrees are read; a forest,
-    whose core is empty, builds no neighbour sets and makes no second pass
-    over its edges. All counts are integers; `moments.variance_from_freq`
-    keeps them so, scaling each gamma_w by the common denominator of the
-    gammas (180 under RLA).
+def _graph_sums(g: Graph) -> tuple[int, ...]:
+    """The ten sums (m, K2, K3, K4, NN, KN, K2N, T3, W2, C4) that
+    `_freq_from_sums` reads. Each adds over a disjoint union of graphs.
 
     Notation, for a vertex v and an edge uv (sums over uv run over edges):
 
-        k_v  degree;  N_v = sum_{w~v} k_w;  c = m + 1;  d = m + 2
+        k_v  degree;  N_v = sum_{w~v} k_w
         t_uv = |N(u) & N(v)|, the triangles on edge uv (0 off the core)
         C4   = the number of 4-cycles
-        q_e  = c - k_u - k_v, the Q elements that hold edge e = uv
-        q_v  = k_v (c - k_v) - N_v, the Q elements that hold vertex v
 
-    The six vertex sums and the two triangle sums:
+    The six vertex sums, each taken in C over the degree and N_v tables,
+    and the two triangle sums:
 
         K2 = sum_v k_v^2;  K3 = sum_v k_v^3;  K4 = sum_v k_v^4
         NN = sum_v N_v^2;  KN = sum_v k_v N_v = 2 sum_uv k_u k_v
         K2N = sum_v k_v^2 N_v = sum_uv k_u k_v (k_u + k_v)
         T3 = sum_uv t_uv (three per triangle);  W2 = sum_uv t_uv (k_u + k_v)
 
-    Sums of degrees over the edges fold into them: sum_v k_v = 2m, and
-    sum_uv (k_u + k_v) = sum_v N_v = K2, sum_uv (k_u^2 + k_v^2) = K3. The
-    counts used:
-
-        P     = sum_v C(k_v,2) = (K2 - 2m)/2
-        f24   = |Q| = C(m,2) - P
-        f13   = 2 n(P3+K2), where
-                n(P3+K2) = sum_v [C(k_v,2)(d - k_v) - (k_v-1) N_v] + T3
-                         = dP - (K3 - K2)/2 - KN + K2 + T3
-        n(P4) = sum_uv [(k_u-1)(k_v-1) - t_uv] = KN/2 - K2 + m - T3
-        D4    = K2N + NN - 2 K3 - 2 KN + 2 K2 - 2 W2
-                (the degrees summed over the vertices of every P4)
-        f021  = 2[(m+3) n(P4) - D4 + sum_uv t_uv (k_u+k_v-4) + 4 C4]
-              = 2[(m+3) n(P4) - D4 + W2 - 4 T3 + 4 C4]      (= 2 n(P4+K2))
-        f03   = 2[(sum_v (N_v-k_v)^2 - sum_v sum_{w~v} (k_w-1)^2)/2
-                  - 4 C4 - W2 + 3 T3]                     (= 2 n(P5)),
-                sum_v (N_v-k_v)^2 = NN - 2 KN + K2,
-                sum_v sum_{w~v} (k_w-1)^2 = K3 - 2 K2 + 2m
-        f04   = 2 C4
-        f12   = sum_e q_e^2 - 2 f24 - f13
-                (tau identity: sum_e q_e^2 = sum_w tau_w f_w), where
-                sum_e q_e^2 = m c^2 - 2c K2 + K3 + KN
-        f022  = sum_{u<v} q_uv^2 - (6 f24 + 3 f13 + f12 + 6 f04 + 3 f03 + f021)
-                (C(phi,2) identity), where q_uv counts the Q elements that
-                hold both u and v: q_e + (k_u-1)(k_v-1) - t_uv on an edge
-                e = uv, k_u k_v - |N(u) & N(v)| off the edges. The t_uv^2
-                and t_uv k_u k_v terms cancel, leaving
-                sum_{u<v} q_uv^2 = (K2^2 - K4)/2 + P + 4 C4 + K3 - NN
-                    + m d^2 + 4(K3 + KN) + d KN - 4d K2 - 4 K2N - 2d T3 + 4 W2
-        f01   = sum_v q_v^2 - (4 f24 + 3 f13 + 2 f12 + 4 f04 + 3 f03
-                               + 2 f021 + 2 f022)         (phi identity),
-                sum_v q_v^2 = c^2 K2 - 2c K3 + K4 - 2(c KN - K2N) + NN
-        f00   = |Q|^2 - (the sum of the other eight)
-
-    Self-check: f12 = 6 n(3K2) must also equal, by inclusion-exclusion over
-    the five shapes of three edges, 6[C(m,3) - n(P3+K2) - n(P4) - T3/3
-    - sum_v C(k_v,3)], with sum_v C(k_v,3) = (K3 - 3 K2 + 4m)/6; a mismatch
-    raises RuntimeError.
+    Only g.n, g.m, g.edges and g.degrees are read; n only sizes the tables.
+    N_v and the XOR of each vertex's neighbours come from one pass over the
+    edges, and peeling the vertices of degree 1 from the degrees and those
+    XORs finds the 2-core, which holds every cycle, in O(n) more
+    (`_two_core`). Neighbour sets are built for the core vertices alone,
+    from the edges with both ends in the core; only those edges are walked
+    again, for their triangles, and only core vertices are ranked for the
+    4-cycles. A forest, whose core is empty, builds no neighbour sets and
+    walks its edges once.
     """
-    n, m = g.n, g.m
-    deg = g.degrees
-    edges = g.edges
+    n, m, deg, edges = g.n, g.m, g.degrees, g.edges
 
     # N_v and the XOR of each vertex's neighbours from one pass over the edges
     nsum = [0] * (n + 1)
@@ -257,7 +216,53 @@ def freq_fast(g: Graph) -> FreqVector:
         w2 += t * (deg[u] + deg[v])
     del core_edges  # freed before the 4-cycle count, which sets the peak memory
     c4 = _count_c4_ranked(adj) if adj else 0
+    return m, k2, k3, k4, nn, kn, k2n, tri, w2, c4
 
+
+def _freq_from_sums(sums: tuple[int, ...]) -> FreqVector:
+    """The nine f_w from the sums of `_graph_sums`, which are all it reads.
+
+    With c = m + 1, d = m + 2, q_e = c - k_u - k_v the Q elements that hold
+    edge e = uv, and q_v = k_v (c - k_v) - N_v those that hold vertex v,
+    sums of degrees over the edges fold into the sums: sum_v k_v = 2m,
+    sum_uv (k_u + k_v) = sum_v N_v = K2, sum_uv (k_u^2 + k_v^2) = K3. The
+    counts used:
+
+        P     = sum_v C(k_v,2) = (K2 - 2m)/2
+        f24   = |Q| = C(m,2) - P
+        f13   = 2 n(P3+K2), where
+                n(P3+K2) = sum_v [C(k_v,2)(d - k_v) - (k_v-1) N_v] + T3
+                         = dP - (K3 - K2)/2 - KN + K2 + T3
+        n(P4) = sum_uv [(k_u-1)(k_v-1) - t_uv] = KN/2 - K2 + m - T3
+        D4    = K2N + NN - 2 K3 - 2 KN + 2 K2 - 2 W2
+                (the degrees summed over the vertices of every P4)
+        f021  = 2[(m+3) n(P4) - D4 + W2 - 4 T3 + 4 C4]      (= 2 n(P4+K2))
+        f03   = 2[(sum_v (N_v-k_v)^2 - sum_v sum_{w~v} (k_w-1)^2)/2
+                  - 4 C4 - W2 + 3 T3]                     (= 2 n(P5)),
+                sum_v (N_v-k_v)^2 = NN - 2 KN + K2,
+                sum_v sum_{w~v} (k_w-1)^2 = K3 - 2 K2 + 2m
+        f04   = 2 C4
+        f12   = sum_e q_e^2 - 2 f24 - f13
+                (tau identity: sum_e q_e^2 = sum_w tau_w f_w), where
+                sum_e q_e^2 = m c^2 - 2c K2 + K3 + KN
+        f022  = sum_{u<v} q_uv^2 - (6 f24 + 3 f13 + f12 + 6 f04 + 3 f03 + f021)
+                (C(phi,2) identity), where q_uv counts the Q elements that
+                hold both u and v: q_e + (k_u-1)(k_v-1) - t_uv on an edge
+                e = uv, k_u k_v - |N(u) & N(v)| off the edges. The t_uv^2
+                and t_uv k_u k_v terms cancel, leaving
+                sum_{u<v} q_uv^2 = (K2^2 - K4)/2 + P + 4 C4 + K3 - NN
+                    + m d^2 + 4(K3 + KN) + d KN - 4d K2 - 4 K2N - 2d T3 + 4 W2
+        f01   = sum_v q_v^2 - (4 f24 + 3 f13 + 2 f12 + 4 f04 + 3 f03
+                               + 2 f021 + 2 f022)         (phi identity),
+                sum_v q_v^2 = c^2 K2 - 2c K3 + K4 - 2(c KN - K2N) + NN
+        f00   = |Q|^2 - (the sum of the other eight)
+
+    Self-check: f12 = 6 n(3K2) must also equal, by inclusion-exclusion over
+    the five shapes of three edges, 6[C(m,3) - n(P3+K2) - n(P4) - T3/3
+    - sum_v C(k_v,3)], with sum_v C(k_v,3) = (K3 - 3 K2 + 4m)/6; a mismatch
+    raises RuntimeError.
+    """
+    m, k2, k3, k4, nn, kn, k2n, tri, w2, c4 = sums
     c, d = m + 1, m + 2
     p = (k2 - 2 * m) // 2
     f24 = m * (m - 1) // 2 - p
@@ -273,28 +278,22 @@ def freq_fast(g: Graph) -> FreqVector:
     matchings3 = (m * (m - 1) * (m - 2) // 6 - p3k2 - p4 - tri // 3
                   - (k3 - 3 * k2 + 4 * m) // 6)
     if f12 != 6 * matchings3:
-        raise RuntimeError(
-            f"internal inconsistency: f12 = {f12} from the tau identity, "
-            f"but 6 n(3K2) = {6 * matchings3}"
-        )
+        raise RuntimeError(f"internal inconsistency: f12 = {f12} from the tau "
+                           f"identity, but 6 n(3K2) = {6 * matchings3}")
     sum_quv2 = ((k2 * k2 - k4) // 2 + p + 4 * c4 + k3 - nn + m * d * d
                 + 4 * (k3 + kn) + d * kn - 4 * d * k2 - 4 * k2n - 2 * d * tri + 4 * w2)
     f022 = sum_quv2 - (6 * f24 + 3 * f13 + f12 + 6 * f04 + 3 * f03 + f021)
     sum_qv2 = c * c * k2 - 2 * c * k3 + k4 - 2 * (c * kn - k2n) + nn
-    f01 = sum_qv2 - (
-        4 * f24 + 3 * f13 + 2 * f12 + 4 * f04 + 3 * f03 + 2 * f021 + 2 * f022
-    )
+    f01 = sum_qv2 - (4 * f24 + 3 * f13 + 2 * f12 + 4 * f04 + 3 * f03
+                     + 2 * f021 + 2 * f022)
     f00 = f24 * f24 - (f24 + f13 + f12 + f04 + f03 + f021 + f022 + f01)
-    return FreqVector(
-        f00=f00, f24=f24, f13=f13, f12=f12, f04=f04, f03=f03,
-        f021=f021, f022=f022, f01=f01,
-    )
+    return FreqVector(f00, f24, f13, f12, f04, f03, f021, f022, f01)
 
 
 def _two_core(degrees: tuple[int, ...], nbr_xor: list[int]) -> list[int]:
     """Each vertex's degree in the 2-core, 0 for a vertex outside it.
 
-    `nbr_xor[v]` is the XOR of v's neighbours, which `freq_fast` fills in
+    `nbr_xor[v]` is the XOR of v's neighbours, which `_graph_sums` fills in
     its pass over the edges; the peel uses it up. Peels vertices of degree
     1 until none is left, in O(n) beyond that pass (Batagelj & Zaversnik,
     "An O(m) algorithm for cores decomposition of networks", 2003). A

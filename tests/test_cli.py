@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from crossings import __version__, cli, estimator, gen_family
+from crossings import BudgetError, __version__, cli, estimator, gen_family
 from crossings.cli import main
 
 from conftest import nx_graph6_line, refuse_q_pairs
@@ -545,6 +545,21 @@ class TestScan:
         assert out == ""
         assert ("vertices for exhaustive enumeration of 2000! arrangements: "
                 "2000 exceeds the limit of 10") in err
+
+    def test_monte_carlo_budget_checked_before_any_size_is_sampled(
+            self, capsys, monkeypatch):
+        # K_44 is the first size over MC_WORK_LIMIT; sampling K_11..K_43
+        # first would take minutes
+        with pytest.raises(BudgetError) as exc:
+            estimator.monte_carlo_moments(gen_family("complete", 44))
+        monkeypatch.setattr(estimator, "crossing_counts", None)
+        started = time.perf_counter()
+        code, out, err = run(capsys, "scan", "--family", "complete",
+                             "--nmin", "11", "--nmax", "50")
+        assert time.perf_counter() - started < 1
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[1:] == [f"crossings: error: {exc.value}"]
 
 
 class TestValidateCmd:

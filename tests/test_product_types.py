@@ -1,6 +1,7 @@
 import math
 import random
 from itertools import combinations, product
+from operator import add
 from types import SimpleNamespace
 
 import pytest
@@ -27,6 +28,8 @@ from crossings.product_types import (
     GRAPHETTE_SHAPES,
     PRODUCT_TYPES,
     TYPE_VERTEX_COUNT,
+    _freq_from_sums,
+    _graph_sums,
 )
 
 from conftest import refuse_q_pairs
@@ -315,7 +318,7 @@ PARTIAL_CORES = {
 
 
 def two_core(g):
-    """product_types._two_core on the neighbour XORs that freq_fast builds."""
+    """product_types._two_core on the neighbour XORs that _graph_sums builds."""
     nbr_xor = [0] * (g.n + 1)
     for u, v in g.edges:
         nbr_xor[u] ^= v
@@ -501,3 +504,35 @@ def partial_core_graphs(draw):
 @given(partial_core_graphs())
 def test_freq_fast_is_brute_with_pendant_trees(g):
     assert freq_fast(g) == freq_brute(g)
+
+
+def disjoint_union(g, h):
+    """g beside h, h's vertices renumbered after g's."""
+    return Graph(g.n + h.n, [*g.edges, *((u + g.n, v + g.n) for u, v in h.edges)])
+
+
+def sums_of_parts(g, h):
+    return tuple(map(add, _graph_sums(g), _graph_sums(h)))
+
+
+class TestSumsAddOverDisjointUnions:
+    # every sum of _graph_sums adds over a disjoint union, so a sums pass
+    # run per part or per chunk may add its results: no term that depends
+    # on the whole graph, such as one in m^2, may sit in the sums pass
+    @pytest.mark.parametrize("make", [
+        lambda: (erdos_renyi(2000, 0.01, 1), erdos_renyi(1500, 0.02, 2)),
+        lambda: (random_tree(10_001, 3), gnm(300, 3000, 7)),
+        lambda: (Graph(5000, []), cycle_with_long_pendant_trees()),
+    ], ids=["er_2000_er_1500", "tree_10k_edges_gnm_300_3000",
+            "isolated_vertices_cycle_with_long_pendant_trees"])
+    def test_far_above_brute_q_limit(self, make):
+        g, h = make()
+        union = disjoint_union(g, h)
+        assert size_q(union) > BRUTE_Q_LIMIT
+        assert _freq_from_sums(sums_of_parts(g, h)) == freq_fast(union)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(partial_core_graphs(), partial_core_graphs())
+    def test_small_unions_equal_brute(self, g, h):
+        union = disjoint_union(g, h)
+        assert _freq_from_sums(sums_of_parts(g, h)) == freq_fast(union) == freq_brute(union)

@@ -87,6 +87,22 @@ def test_graphette_census_independent_of_the_fast_path():
     assert not found, f"census functions that use the fast path: {sorted(found)}"
 
 
+def test_formula_sheet_in_one_function_that_reads_no_graph():
+    # _graph_sums gathers the sums and _freq_from_sums applies the formulas
+    # to them alone, so a sums pass over other inputs can reuse the sheet
+    tree = ast.parse((PACKAGE / "product_types.py").read_text(encoding="utf-8"))
+    functions = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+    built = {name for name, function in functions.items() for node in ast.walk(function)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "FreqVector"}
+    checked = {name for name, function in functions.items() for node in ast.walk(function)
+               if isinstance(node, ast.Raise) and "f12" in ast.unparse(node)}
+    assert built == checked == {"_freq_from_sums"}
+    read = [f"line {node.lineno}: .{node.attr}"
+            for node in ast.walk(functions["_freq_from_sums"])
+            if isinstance(node, ast.Attribute)]
+    assert not read, f"attributes read by _freq_from_sums: {read}"
+
+
 def test_every_budget_has_its_readme_row():
     # a module-level constant that check_budget enforces is a limit users
     # meet, so the README's budget table must name it
