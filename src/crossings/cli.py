@@ -70,15 +70,22 @@ def _add_graph_args(p: argparse.ArgumentParser):
 
 
 def _resolve_seed(args) -> int:
+    """--seed, else CROSSINGS_SEED, else 0; a value numpy cannot seed with is
+    refused by its source's name."""
     if args.seed is not None:
+        if args.seed < 0:
+            raise _UsageError(f"--seed must be non-negative, got {args.seed}")
         return args.seed
     env = os.environ.get("CROSSINGS_SEED")
     if not env:
         return 0
     try:
-        return int(env)
+        seed = int(env)
     except ValueError:
         raise _UsageError(f"CROSSINGS_SEED must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise _UsageError(f"CROSSINGS_SEED must be non-negative, got {env!r}")
+    return seed
 
 
 def _refuse_unread(args, source: str, *read: str,

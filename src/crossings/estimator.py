@@ -8,14 +8,15 @@ Arrangements are counted in fixed blocks, one after another. The blocks are
 there for reproducible seeding (Monte Carlo block b has its own stream) and
 to bound the memory of a position table, not to share work among workers.
 
-`crossing_counts` counts a block per edge, not per pair of `Q`: two
-independent edges cross exactly when one end of the later edge lies strictly
-inside the earlier edge's span and the other outside, and one batched test
-in wrapping unsigned arithmetic (uint8 positions for n <= 255, uint16 for
-n <= 65,535, uint32 above) checks that against all the later independent
-edges at once. The work stays O(rows * |Q|), in about m numpy calls per
-block, and a block's tables are O(m * rows). Monte Carlo shuffles int32
-positions in place.
+`crossing_counts` counts each row's crossings from the edges, never from
+`Q`, with one of two counters chosen by m. Below _MERGE_FROM_M edges it
+counts per edge: one batched test in wrapping unsigned arithmetic checks an
+edge against all the later edges independent of it, in O(rows * |Q|) work.
+From _MERGE_FROM_M edges on it merge-counts: each row's edges are sorted by
+their left ends and the crossings counted while merge-sorting their right
+ends, in O(rows * m log m) work. Monte Carlo draws each block's rows in
+slices of intp positions from the block's own stream, and counts each slice
+as soon as it is drawn.
 
 Budgets refuse through `graphs.check_budget` before anything is counted:
 the exhaustive limit on n, and MC_BLOCK_BYTES and MC_WORK_LIMIT on Monte Carlo.
@@ -26,7 +27,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from itertools import islice, permutations
+from functools import lru_cache
+from itertools import chain, islice, permutations
 from typing import TYPE_CHECKING
 
 from .graphs import Graph, _family_extra, check_budget, gen_family, size_q
@@ -39,18 +41,34 @@ DEFAULT_SAMPLES = 100_000
 MC_BLOCK = 10_000
 # The most bytes one Monte Carlo block's position table (rows * n int32s)
 # and endpoint table (2 * m * rows positions of crossing_counts) may take.
+# A block is drawn and counted in slices of at most half its rows (see
+# _slices), whose intp positions and counter tables take less than that.
 MC_BLOCK_BYTES = 1 << 30
-# The most work of one Monte Carlo estimate, in pair tests: T * |Q|, plus
-# the C(m, 2) independence checks that set up each block in crossing_counts,
-# each weighed as MC_SETUP_WEIGHT pair tests. Random trees, 2-CPU host: a
-# pair test took 1.42 ns (n = 1,000, T = 10^4: 7.07 s) and a set-up check
-# 420 ns (T = 2: 5.4 s at n = 5,000). So a run at the limit takes about a
-# minute: T = 78,000 at n = 1,000 took 55 s, and T = 2 at n = 16,000 50 s.
+# The most work of one Monte Carlo estimate, in pair tests of 1.42 ns (a
+# random tree, n = 1,000, T = 10^4: 7.07 s), so that a run at the limit takes
+# about a minute. Each drawn position weighs _DRAW_WEIGHT. The per-edge
+# counter adds T * |Q| pair tests and, once per estimate, the C(m, 2)
+# independence checks of its set-up at MC_SETUP_WEIGHT each; the merge count
+# adds _MERGE_WEIGHT for each of the m * bit_length(m) steps of a row. Random
+# trees, 2-CPU host, numpy 2.4.6: a drawn position took 14-17 ns (n = 11 to
+# 100,001), a set-up check 23-79 ns (m = 299 to 59), and a merge step 14-22 ns
+# (m = 10^3 to 2 * 10^6).
 MC_WORK_LIMIT = 4 * 10**10
-MC_SETUP_WEIGHT = 300  # about 420 / 1.42
+MC_SETUP_WEIGHT = 55  # about 79 / 1.42
+_DRAW_WEIGHT = 12  # about 17 / 1.42
+_MERGE_WEIGHT = 16  # about 22 / 1.42
+# The per-edge counter below this many edges, the merge count from it on.
+# Rows per second, random trees, 2-CPU host: at m = 59, 575-845k per edge
+# and 205k merged; at m = 256, 18-27k and 30k; at m = 299, 13-19k and
+# 21-22k; at m = 999, about 1k and 10k.
+_MERGE_FROM_M = 300
+# A slice holds at most this many positions or endpoints in a row's widest
+# table (n or m), and at least one row: 2,500 rows at n = 60.
+_SLICE_POSITIONS = 150_000
 _PERM_CHUNK = 100_000
 _TAIL_VERTICES = 8  # 8! = 40,320 rows in the numpy permutation table
 _EDGE_BATCH = 255  # the most edges whose crossings one uint8 count holds
+_MERGE_ROW_SORT = 8  # merge groups of fewer columns are sorted as one sequence
 
 
 class EstimateReport(namedtuple(
@@ -66,6 +84,41 @@ def crossing_counts(g: Graph, pos: np.ndarray) -> np.ndarray:
     """Crossing count per row of a positions matrix (row r: pos of vertex i
     at column i-1), equal to arrangement.crossings.
 
+    Graphs with fewer than _MERGE_FROM_M edges are counted per edge, larger
+    ones by the merge count; the two give equal rows on every graph.
+    """
+    if g.m < _MERGE_FROM_M:
+        return _per_edge_counts(g, pos)
+    return _merge_counts(g, pos)
+
+
+@lru_cache(maxsize=1)
+def _edge_array(edges: tuple) -> np.ndarray:
+    """The (m, 2) read-only intp array of `edges`, 0-based. This and
+    _independent_later keep their last graph's result, since
+    `crossing_counts` is called once per slice of rows."""
+    import numpy as np
+
+    e = np.fromiter(chain.from_iterable(edges), dtype=np.intp, count=2 * len(edges))
+    e = e.reshape(-1, 2) - 1
+    e.flags.writeable = False
+    return e
+
+
+@lru_cache(maxsize=1)
+def _independent_later(edges: tuple) -> tuple:
+    """For each edge i, the intp indices j > i of the edges sharing no
+    vertex with it, from one (m, m) table of shared endpoints."""
+    import numpy as np
+
+    s, t = _edge_array(edges).T
+    shared = (s[:, None] == s) | (s[:, None] == t) | (t[:, None] == s) | (t[:, None] == t)
+    return tuple(np.flatnonzero(row) for row in np.triu(~shared, 1))
+
+
+def _per_edge_counts(g: Graph, pos: np.ndarray) -> np.ndarray:
+    """Crossing counts in O(rows * |Q|) work, about 5m numpy calls a table.
+
     Two independent edges have four distinct positions, and they cross
     exactly when one end of the later edge lies strictly inside the earlier
     edge's span and the other outside it. Each edge's two endpoint columns
@@ -80,7 +133,7 @@ def crossing_counts(g: Graph, pos: np.ndarray) -> np.ndarray:
     needed. For edge i, all later edges independent of it are tested at
     once: the two ends' results are XORed and summed over the edges, in
     batches of up to 255 edges so that a uint8 sum holds a batch's count.
-    That is O(rows * |Q|) work in about m numpy calls per block.
+    Finding those later edges is an O(m^2) set-up, made once per graph.
     """
     import numpy as np
 
@@ -94,8 +147,7 @@ def crossing_counts(g: Graph, pos: np.ndarray) -> np.ndarray:
         ends[1, i] = pos[:, t - 1]
     width = ends[1] - ends[0]
     passed = np.empty((2, min(m, _EDGE_BATCH), len(c)), dtype=bool)
-    for i, (s, t) in enumerate(edges):
-        later = [j for j in range(i + 1, m) if s not in edges[j] and t not in edges[j]]
+    for i, later in enumerate(_independent_later(edges)):
         for k in range(0, len(later), _EDGE_BATCH):
             batch = later[k : k + _EDGE_BATCH]
             x = ends[:, batch]
@@ -105,6 +157,100 @@ def crossing_counts(g: Graph, pos: np.ndarray) -> np.ndarray:
             crossed = np.not_equal(hit[0], hit[1], out=hit[0])
             c += np.add.reduce(crossed.view(np.uint8), axis=0, dtype=np.uint8)
     return c
+
+
+def _merge_counts(g: Graph, pos: np.ndarray) -> np.ndarray:
+    """Crossing counts in O(rows * m log m) work, with no O(m^2) set-up.
+
+    In each row, sort the edges by (lo, -hi), lo < hi being an edge's two
+    positions. Then edges i < j in that order cross exactly when
+    lo_i < lo_j < hi_i < hi_j, and C = D - B: D counts the pairs i < j with
+    hi_i < hi_j, and B the pairs with hi_i <= lo_j, which all have i < j and
+    hi_i < hi_j. Edges sharing a vertex are rightly left out: with a common
+    lo the sort puts the larger hi first, a common hi fails hi_i < hi_j, and
+    hi_i = lo_j is in B. D is counted while merge-sorting each row's hi
+    sequence, over log2 m levels of one sort across all rows: a group's
+    left run is doubled plus one and its right run doubled, so in the
+    sorted group a right value 2y lands after exactly the left values
+    x < y. B is counted the same way, merging the sorted hi with the
+    sorted lo + 1.
+    """
+    import numpy as np
+
+    n, m, rows = g.n, g.m, pos.shape[0]
+    c = np.zeros(rows, dtype=np.int64)
+    if m < 2 or rows == 0:
+        return c
+    base = n + 1
+    e = _edge_array(g.edges)
+    key = pos[:, e[:, 0]].astype(np.int64, copy=False)
+    hi = pos[:, e[:, 1]].astype(np.int64, copy=False)
+    lo = np.minimum(key, hi)
+    np.maximum(key, hi, out=hi)
+    # key = lo * base - hi: ascending lo, then descending hi
+    np.multiply(lo, base, out=key)
+    key -= hi
+    key.sort(axis=1)
+    del lo, hi
+    # 2 * hi in sorted edge order, in int32 since 2n + 2 < 2^31 up to
+    # MAX_VERTICES; zero pads, which pair with nothing, fill a level's last
+    # group
+    table = np.zeros((rows, 1 << (m - 1).bit_length()), dtype=np.int32)
+    hi = np.negative(key)
+    hi %= base
+    table[:, :m] = hi
+    table[:, :m] <<= 1
+    del hi
+    w = 1
+    while w < m:
+        cols = -(-m // (2 * w)) * 2 * w
+        table[:, :cols], d = _merge_level(table[:, :cols], w)
+        c += d
+        w *= 2
+    # each row's 2 * hi, sorted, ends at column `cols`
+    both = np.empty((rows, 2 * m), dtype=table.dtype)
+    both[:, :m] = table[:, cols - m : cols]
+    del table
+    both[:, m:] = key // base  # lo - 1, ascending
+    del key
+    both[:, m:] += 2
+    both[:, m:] <<= 1
+    c -= _merge_level(both, m)[1]
+    return c
+
+
+def _merge_level(table, w: int):
+    """Each group of 2w columns of `table` merged, and per row the pairs
+    (x, y) with x < y, x in the left and y in the right run of one group.
+    The runs are sorted and hold doubled values, and the left run is marked
+    plus one, so no left and right value are equal and the sort need not
+    be stable."""
+    import numpy as np
+
+    rows, cols = table.shape
+    groups = table.reshape(rows, -1, 2, w)
+    groups[:, :, 0] |= 1
+    merged = groups.reshape(rows, -1, 2 * w)
+    if w < _MERGE_ROW_SORT:
+        # numpy sorts many short rows slowly: lift each group above the one
+        # before it by an even step and sort the table as one sequence
+        step = (int(merged.max()) + 2) & ~1
+        count = rows * merged.shape[1]
+        lift = np.arange(count, dtype=np.min_scalar_type(-step * count))
+        lift *= step
+        lift = lift.reshape(rows, -1, 1)
+        merged = merged + lift
+        merged.ravel().sort()
+        merged -= lift
+    else:
+        merged = np.sort(merged, axis=2)
+    left = merged & 1
+    # the right values' positions in their group, less their indices in the
+    # right run
+    ahead = merged.shape[1] * (w * (3 * w - 1) // 2) - (
+        left @ np.arange(2 * w, dtype=np.int64)).sum(axis=1)
+    merged ^= left
+    return merged.reshape(rows, cols), ahead
 
 
 def _accumulate(g: Graph, chunks, q: int) -> tuple[int, int, int]:
@@ -213,15 +359,17 @@ def monte_carlo_moments(
     import numpy as np
 
     n = g.n
-    sizes = [min(MC_BLOCK, samples - b) for b in range(0, samples, MC_BLOCK)]
 
     def chunks():
-        for idx, count in enumerate(sizes):
+        for idx, start in enumerate(range(0, samples, MC_BLOCK)):
             rng = np.random.Generator(
                 np.random.PCG64(np.random.SeedSequence([seed, idx]))
             )
-            pos = np.tile(np.arange(1, n + 1, dtype=np.int32), (count, 1))
-            yield rng.permuted(pos, axis=1, out=pos)
+            # numpy draws a block's rows one after another from its stream,
+            # so its slices hold the rows of the whole block
+            for rows in _slices(min(MC_BLOCK, samples - start), g):
+                pos = np.tile(np.arange(1, n + 1, dtype=np.intp), (rows, 1))
+                yield rng.permuted(pos, axis=1, out=pos)
 
     _, sum_c, sum_c2 = _accumulate(g, chunks(), q)
     t = samples
@@ -231,6 +379,16 @@ def monte_carlo_moments(
         mean=float(mean), variance=float(var), mode="monte_carlo",
         samples=t, seed=seed, exact=False,
     )
+
+
+def _slices(rows: int, g: Graph) -> list[int]:
+    """Row counts of the slices in which a block of `rows` rows is drawn and
+    counted: as even as can be, each at most half the block and at most
+    _SLICE_POSITIONS / max(n, m) rows, and at least one row."""
+    most = max(1, min(rows // 2, _SLICE_POSITIONS // max(g.n, g.m, 1)))
+    count = -(-rows // most)
+    size, extra = divmod(rows, count)
+    return [size + 1] * extra + [size] * (count - extra)
 
 
 def _check_monte_carlo(g: Graph, samples: int) -> int:
@@ -247,7 +405,11 @@ def _check_monte_carlo(g: Graph, samples: int) -> int:
     check_budget(need, MC_BLOCK_BYTES,
                  f"bytes of a Monte Carlo block of {rows} rows on n = {n}, m = {m}")
     q = size_q(g)
-    work = samples * q + -(-samples // MC_BLOCK) * MC_SETUP_WEIGHT * (m * (m - 1) // 2)
+    work = samples * n * _DRAW_WEIGHT
+    if m < _MERGE_FROM_M:
+        work += samples * q + MC_SETUP_WEIGHT * (m * (m - 1) // 2)
+    else:
+        work += samples * _MERGE_WEIGHT * m * m.bit_length()
     check_budget(work, MC_WORK_LIMIT,
                  f"pair tests of a Monte Carlo estimate of T = {samples} on m = {m}")
     return q

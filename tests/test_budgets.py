@@ -54,7 +54,7 @@ BUDGETS = {
         (estimator, "crossing_counts"),
         "bytes of a Monte Carlo block of 20 rows on n = 30, m = 30"),
     "mc_work": (
-        20 * 405 + 300 * 435, (estimator, "MC_WORK_LIMIT"),
+        20 * 30 * 12 + 20 * 405 + 55 * 435, (estimator, "MC_WORK_LIMIT"),
         lambda limit: monte_carlo_moments(C30, samples=20, seed=0),
         (estimator, "crossing_counts"),
         "pair tests of a Monte Carlo estimate of T = 20 on m = 30"),

@@ -262,6 +262,26 @@ class TestGenerate:
         assert out == ""
         assert err == "crossings: error: CROSSINGS_SEED must be an integer, got 'abc'\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("estimate", "--family", "cycle", "--n", "12", "--samples", "100"),
+        ("scan", "--family", "cycle", "--nmin", "11", "--nmax", "12", "--samples", "100"),
+        ("generate", "--family", "erdos_renyi", "--n", "12", "--p", "0.3"),
+        ("validate", "er", "--n", "8", "--p", "0.3", "--trials", "1"),
+        ("analyze", "--family", "cycle", "--n", "5"),
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_exit_1(self, capsys, monkeypatch, argv):
+        # refused by its source's name before any work, not by numpy
+        monkeypatch.setattr(estimator, "crossing_counts", None)
+        code, out, err = run(capsys, *argv, "--seed", "-5")
+        assert (code, out) == (1, "")
+        assert err == "crossings: error: --seed must be non-negative, got -5\n"
+        monkeypatch.setenv("CROSSINGS_SEED", "-5")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "crossings: error: CROSSINGS_SEED must be non-negative, got '-5'\n"
+        monkeypatch.undo()
+        assert run(capsys, *argv, "--seed", "0")[0] == 0
+
 
 class TestInputPaths:
     @pytest.mark.parametrize("argv", [
@@ -331,23 +351,40 @@ class TestEstimate:
         assert "n = 15, m = 15" in err and "limit of 10000" in err
 
     def test_monte_carlo_over_work_budget_exit_1(self, capsys, monkeypatch, tmp_path):
-        # a random tree with 10^5 edges: two rows pass the memory budget, but
-        # one block's set-up alone, C(m, 2) independence checks, takes hours
+        # 10^5 edges on 448 vertices: 2,000 rows pass the memory budget, but
+        # merge-counting them would take about a minute
         monkeypatch.setattr(estimator, "crossing_counts", None)
-        n = 100_001
-        heads = np.random.default_rng(3).integers(1, np.arange(2, n + 1))
-        path = tmp_path / "tree.txt"
-        path.write_text(f"{n} {n - 1}\n" + "".join(
-            f"{v} {h}\n" for v, h in zip(range(2, n + 1), heads.tolist())))
+        n = 448
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        path = tmp_path / "dense.txt"
+        path.write_text(f"{n} 100000\n" + "".join(f"{u} {v}\n" for u, v in pairs[:100_000]))
         started = time.perf_counter()
-        code, out, err = run(capsys, "estimate", "--input", str(path), "--samples", "2")
+        code, out, err = run(capsys, "estimate", "--input", str(path), "--samples", "2000")
         assert time.perf_counter() - started < 1
         assert code == 1
         assert out == ""
         message = err.splitlines()[1]
         assert message.startswith("crossings: error: pair tests of a Monte Carlo "
-                                  "estimate of T = 2 on m = 100000: ")
+                                  "estimate of T = 2000 on m = 100000: ")
         assert message.endswith(f" exceeds the limit of {estimator.MC_WORK_LIMIT}")
+
+    @pytest.mark.parametrize("graph,samples,m", [
+        (("--family", "star", "--n", "11"), "10000000000", 10),
+        (("--family", "star_plus_isolated", "--n", "11", "--n1", "2"),
+         "1000000000000000", 1),
+    ], ids=["star", "one-edge"])
+    def test_monte_carlo_draws_count_in_work_budget(self, capsys, monkeypatch,
+                                                     graph, samples, m):
+        # |Q| = 0, so only the drawn positions weigh: about 50 minutes of
+        # draws for the star, and years for the single edge
+        monkeypatch.setattr(estimator, "crossing_counts", None)
+        started = time.perf_counter()
+        code, out, err = run(capsys, "estimate", *graph, "--samples", samples)
+        assert time.perf_counter() - started < 1
+        assert (code, out) == (1, "")
+        assert err.splitlines()[1].startswith(
+            f"crossings: error: pair tests of a Monte Carlo estimate of T = {samples} "
+            f"on m = {m}: ")
 
 
 class TestNoQ:
@@ -548,14 +585,14 @@ class TestScan:
 
     def test_monte_carlo_budget_checked_before_any_size_is_sampled(
             self, capsys, monkeypatch):
-        # K_44 is the first size over MC_WORK_LIMIT; sampling K_11..K_43
+        # K_65 is the first size over MC_WORK_LIMIT; sampling K_11..K_64
         # first would take minutes
         with pytest.raises(BudgetError) as exc:
-            estimator.monte_carlo_moments(gen_family("complete", 44))
+            estimator.monte_carlo_moments(gen_family("complete", 65))
         monkeypatch.setattr(estimator, "crossing_counts", None)
         started = time.perf_counter()
         code, out, err = run(capsys, "scan", "--family", "complete",
-                             "--nmin", "11", "--nmax", "50")
+                             "--nmin", "11", "--nmax", "70")
         assert time.perf_counter() - started < 1
         assert code == 1
         assert out == ""

@@ -61,6 +61,7 @@ class TestCrossingCountsBulk:
         expected = [crossings(g, LinearArrangement(r.tolist())) for r in rows]
         assert max(expected) > 0
         assert crossing_counts(g, pos).tolist() == expected
+        assert estimator._merge_counts(g, pos).tolist() == expected
 
     def test_exact_past_one_edge_batch(self):
         # under the identity, (1, 300) crosses each of the 298 later edges
@@ -79,9 +80,10 @@ class TestCrossingCountsBulk:
         g = Graph(4, edges)
         rows = list(permutations(range(1, 5)))
         expected = [crossings(g, LinearArrangement(r)) for r in rows]
-        got = crossing_counts(g, np.array(rows, dtype=np.int16))
-        assert got.dtype == np.int64 and got.tolist() == expected
-        assert crossing_counts(g, np.empty((0, 4), dtype=np.int16)).tolist() == []
+        for count in (crossing_counts, estimator._merge_counts):
+            got = count(g, np.array(rows, dtype=np.int16))
+            assert got.dtype == np.int64 and got.tolist() == expected
+            assert count(g, np.empty((0, 4), dtype=np.int16)).tolist() == []
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.data())
@@ -94,6 +96,154 @@ class TestCrossingCountsBulk:
         dtype = data.draw(st.sampled_from([np.int16, np.int32, np.int64]))
         expected = [crossings(g, LinearArrangement(r)) for r in rows]
         assert crossing_counts(g, np.array(rows, dtype=dtype)).tolist() == expected
+        assert estimator._merge_counts(g, np.array(rows, dtype=dtype)).tolist() == expected
+
+
+def _random_tree(n, seed):
+    heads = np.random.default_rng(seed).integers(1, np.arange(2, n + 1))
+    return Graph(n, zip(range(2, n + 1), heads.tolist()))
+
+
+def _gnm(n, m, seed):
+    # G(n, m): m distinct pairs drawn uniformly
+    rng = np.random.default_rng(seed)
+    codes = rng.choice(n * (n - 1) // 2, size=m, replace=False)
+    u = np.triu_indices(n, 1)
+    return Graph(n, zip((u[0][codes] + 1).tolist(), (u[1][codes] + 1).tolist()))
+
+
+def _rows(n, count, seed):
+    rng = np.random.default_rng(seed)
+    return np.array([rng.permutation(n) + 1 for _ in range(count)], dtype=np.intp)
+
+
+class TestMergeCount:
+    # the merge count against the per-edge counter and the scalar counter;
+    # crossing_counts picks one of them by m
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
+    @pytest.mark.parametrize("kind", ["tree", "gnm"])
+    def test_counters_equal_around_cut_over(self, offset, kind):
+        m = estimator._MERGE_FROM_M + offset
+        g = _random_tree(m + 1, m) if kind == "tree" else _gnm(m // 4, m, m)
+        assert g.m == m
+        pos = _rows(g.n, 40, m)
+        merged = estimator._merge_counts(g, pos)
+        assert merged.tolist() == estimator._per_edge_counts(g, pos).tolist()
+        assert merged.tolist() == crossing_counts(g, pos).tolist()
+        assert merged[:3].tolist() == [crossings(g, LinearArrangement(r.tolist()))
+                                       for r in pos[:3]]
+
+    @pytest.mark.parametrize("n", [1_000, 3_001])
+    def test_matches_scalar_counter_on_large_trees(self, n):
+        g = _random_tree(n, n)
+        pos = _rows(n, 3, n)
+        assert crossing_counts(g, pos).tolist() == [
+            crossings(g, LinearArrangement(r.tolist())) for r in pos]
+
+    @pytest.mark.parametrize("n", [255, 256, 65_537])
+    def test_exact_on_extreme_spans(self, n):
+        # spans from position 1 to n, shared ends at both sides of a span,
+        # and an edge count one past a power of two
+        edges = [(1, n), (2, n - 1), (1, 2), (2, 3), (n - 1, n), (3, n)]
+        edges += [(k, k + d) for d in (2, 5) for k in range(4, n - d + 1)][: 257 - len(edges)]
+        g = Graph(n, edges)
+        assert g.m == 257
+        ident = np.arange(1, n + 1)
+        rows = [ident, n + 1 - ident, ident % n + 1]
+        rows += list(_rows(n, 3, n))
+        pos = np.array(rows, dtype=np.int32)
+        expected = [crossings(g, LinearArrangement(r.tolist())) for r in rows]
+        assert estimator._merge_counts(g, pos).tolist() == expected
+
+
+class TestDrawSlices:
+    # Monte Carlo draws each block's rows in slices of intp positions from
+    # the block's stream. That these equal the rows of one int32 table per
+    # block rests on numpy (checked with numpy 2.4.6): Generator.permuted
+    # shuffles the rows one after another and draws the same numbers for
+    # every integer type.
+    @staticmethod
+    def whole_blocks(n, samples, seed):
+        blocks = []
+        for idx, start in enumerate(range(0, samples, estimator.MC_BLOCK)):
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, idx])))
+            rows = min(estimator.MC_BLOCK, samples - start)
+            pos = np.tile(np.arange(1, n + 1, dtype=np.int32), (rows, 1))
+            blocks.append(rng.permuted(pos, axis=1, out=pos))
+        return np.concatenate(blocks)
+
+    @pytest.mark.parametrize("n,samples,slices", [
+        (3, 2, [1, 1]),
+        (3, 12_345, [5_000, 5_000, 782, 782, 781]),  # a short last block
+        (60, 999, [333, 333, 333]),  # fewer rows than one full slice
+        (60, 10_001, [2_500] * 4 + [1]),
+        (300, 2, [1, 1]),
+        (300, 1_201, [401, 400, 400]),
+        (70_000, 5, [2, 2, 1]),  # a short last slice
+    ])
+    def test_sliced_rows_equal_whole_blocks(self, monkeypatch, n, samples, slices):
+        seen = []
+
+        def spy(graph, pos):
+            assert pos.dtype == np.intp
+            seen.append(pos.copy())
+            return crossing_counts(graph, pos)
+
+        monkeypatch.setattr(estimator, "crossing_counts", spy)
+        monte_carlo_moments(Graph(n, [(1, 2)]), samples=samples, seed=17)
+        assert [len(pos) for pos in seen] == slices
+        assert np.array_equal(np.concatenate(seen), self.whole_blocks(n, samples, 17))
+
+
+# monte_carlo_moments (mean, variance) recorded from whole-block int32 draws
+# counted per edge; sliced draws give the same rows (see TestDrawSlices) and
+# both counters are exact, so the same values
+PINNED = [
+    ("cycle", 50, 12_345, 7, 391.38282705548806, 2789.7704762909725),
+    ("linear_tree", 60, 50_000, 3, 550.69738, 4626.081962774855),
+    ("complete", 12, 999, 1, 495.0, 0.0),
+    ("one_regular", 40, 999, 6, 63.75675675675676, 180.98586361913016),
+    ("er", 40, 10_000, 4, 4123.6001, 77498.599439934),
+    ("tree", 300, 2_501, 2, 14672.227908836465, 622226.4928367853),
+    ("tree", 3_000, 30, 5, 1498721.6, 490629991.1448276),
+]
+
+
+@pytest.mark.parametrize("kind,n,samples,seed,mean,variance", PINNED,
+                         ids=[f"{p[0]}{p[1]}" for p in PINNED])
+def test_monte_carlo_moments_pinned(kind, n, samples, seed, mean, variance):
+    if kind == "er":
+        g = erdos_renyi(n, 0.2, 5)
+    elif kind == "tree":
+        g = _random_tree(n, {300: 8, 3_000: 9}[n])
+    else:
+        g = gen_family(kind, n)
+    rep = monte_carlo_moments(g, samples=samples, seed=seed)
+    assert (rep.mean, rep.variance) == (mean, variance)
+
+
+@pytest.mark.parametrize("kind", ["tree", "gnm"])
+def test_monte_carlo_agrees_with_theory_at_10k_edges(monkeypatch, kind):
+    # a statistical check of the merge count and of freq_fast at a size no
+    # exact oracle reaches; graphs and seeds were fixed before the first run
+    g = _random_tree(10_001, 2026) if kind == "tree" else _gnm(2_000, 10_000, 2026)
+    counts = []
+
+    def spy(graph, pos):
+        c = crossing_counts(graph, pos)
+        counts.append(c)
+        return c
+
+    monkeypatch.setattr(estimator, "crossing_counts", spy)
+    t = 1_000
+    rep = monte_carlo_moments(g, samples=t, seed=1)
+    c = np.concatenate(counts).astype(float)
+    assert len(c) == t
+    mean_se = math.sqrt(float(variance_rla(g)) / t)
+    assert abs(rep.mean - size_q(g) / 3) <= 6 * mean_se
+    mu4 = float(np.mean((c - c.mean()) ** 4))
+    var_se = math.sqrt((mu4 - rep.variance ** 2) / t)
+    assert abs(rep.variance - float(variance_rla(g))) <= 6 * var_se
 
 
 class TestExhaustive:
@@ -225,7 +375,8 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(estimator, "crossing_counts", checked)
         rep = monte_carlo_moments(g, samples=3, seed=0)
-        assert seen == [3] and rep.samples == 3
+        # one row a slice: a slice takes at most half its block's rows
+        assert seen == [1, 1, 1] and rep.samples == 3
 
     def test_block_budget(self, monkeypatch):
         # 10^4 rows of 30 int32 positions and 2 * 30 uint8 endpoints
