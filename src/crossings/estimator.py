@@ -19,7 +19,9 @@ slices of intp positions from the block's own stream, and counts each slice
 as soon as it is drawn.
 
 Budgets refuse through `graphs.check_budget` before anything is counted:
-the exhaustive limit on n, and MC_BLOCK_BYTES and MC_WORK_LIMIT on Monte Carlo.
+the exhaustive limit on n, MC_BLOCK_BYTES on the tables of one Monte Carlo
+slice, and MC_WORK_LIMIT on the work of an estimate, or of a scan's
+estimates together.
 """
 
 from __future__ import annotations
@@ -39,10 +41,16 @@ if TYPE_CHECKING:
 DEFAULT_EXHAUSTIVE_LIMIT = 10
 DEFAULT_SAMPLES = 100_000
 MC_BLOCK = 10_000
-# The most bytes one Monte Carlo block's position table (rows * n int32s)
-# and endpoint table (2 * m * rows positions of crossing_counts) may take.
-# A block is drawn and counted in slices of at most half its rows (see
-# _slices), whose intp positions and counter tables take less than that.
+# The most bytes the tables of one slice of a Monte Carlo block may take
+# (a block is drawn and counted in slices, see _slices). Per row: 16n for
+# the intp positions, drawn through a second table of that size, and for
+# the counter that runs, either 3m endpoints and span widths of 1, 2 or 4
+# bytes, a gathered batch of 2 * min(m, 255) of them with as many tests and
+# 8 for the count (below _MERGE_FROM_M edges), or 64m for the merge count's
+# int64 keys, power-of-two int32 tables and their sorted copies. Peaks
+# measured with tracemalloc, numpy 2.4.6, stay below the charge: random
+# trees, m = 1,000 to 131,072, 42-64 bytes per edge a row beyond the
+# positions; paths and cycles, m = 30 to 299, within 1 %.
 MC_BLOCK_BYTES = 1 << 30
 # The most work of one Monte Carlo estimate, in pair tests of 1.42 ns (a
 # random tree, n = 1,000, T = 10^4: 7.07 s), so that a run at the limit takes
@@ -352,10 +360,10 @@ def monte_carlo_moments(
 
     Sampling is blocked: block b draws its own PCG64 stream seeded with
     SeedSequence([seed, b]), so the result depends only on `seed` and T.
-    Raises BudgetError, before anything is drawn, when one block's tables
-    would exceed MC_BLOCK_BYTES, or the estimate's work MC_WORK_LIMIT.
+    Raises BudgetError, before anything is drawn, when the tables of one
+    slice would exceed MC_BLOCK_BYTES, or the estimate's work MC_WORK_LIMIT.
     """
-    q = _check_monte_carlo(g, samples)
+    q, _ = _check_monte_carlo(g, samples)
     import numpy as np
 
     n = g.n
@@ -391,19 +399,25 @@ def _slices(rows: int, g: Graph) -> list[int]:
     return [size + 1] * extra + [size] * (count - extra)
 
 
-def _check_monte_carlo(g: Graph, samples: int) -> int:
-    """|Q| of g, once a Monte Carlo estimate of T = `samples` on g is known
-    to fit: ValueError below 2 samples, and BudgetError when one block's
-    tables would exceed MC_BLOCK_BYTES or the estimate's work MC_WORK_LIMIT."""
+def _check_monte_carlo(g: Graph, samples: int) -> tuple[int, int]:
+    """|Q| of g and the estimate's work, once a Monte Carlo estimate of
+    T = `samples` on g is known to fit: ValueError below 2 samples, and
+    BudgetError when the tables of one slice would exceed MC_BLOCK_BYTES or
+    the estimate's work MC_WORK_LIMIT."""
     if samples < 2:
         raise ValueError("Monte Carlo needs at least 2 samples")
     import numpy as np
 
     n, m = g.n, g.m
-    rows = min(MC_BLOCK, samples)
-    need = rows * n * 4 + 2 * m * rows * np.min_scalar_type(n).itemsize
+    rows = _slices(min(MC_BLOCK, samples), g)[0]  # the largest slice
+    if m < _MERGE_FROM_M:
+        ends, batch = np.min_scalar_type(n).itemsize, min(m, _EDGE_BATCH)
+        counter = 3 * m * ends + 2 * batch * (ends + 1) + 8
+    else:
+        counter = 64 * m
+    need = rows * (16 * n + counter)
     check_budget(need, MC_BLOCK_BYTES,
-                 f"bytes of a Monte Carlo block of {rows} rows on n = {n}, m = {m}")
+                 f"bytes of a Monte Carlo slice of {rows} rows on n = {n}, m = {m}")
     q = size_q(g)
     work = samples * n * _DRAW_WEIGHT
     if m < _MERGE_FROM_M:
@@ -412,7 +426,7 @@ def _check_monte_carlo(g: Graph, samples: int) -> int:
         work += samples * _MERGE_WEIGHT * m * m.bit_length()
     check_budget(work, MC_WORK_LIMIT,
                  f"pair tests of a Monte Carlo estimate of T = {samples} on m = {m}")
-    return q
+    return q, work
 
 
 class ScanRow(namedtuple("ScanRow", "family n q e_theory var_theory e_est var_est "
@@ -437,7 +451,8 @@ def scan_family(
     mode "auto" enumerates exhaustively up to `exhaustive_limit` and samples
     above it; "exhaustive" raises BudgetError, before any enumeration, when
     `n_max` is above it, and the sampled sizes are checked against the Monte
-    Carlo budgets before any estimate; "theory" emits no estimates. An
+    Carlo budgets before any estimate, each size on its own and then the sum
+    of their work against MC_WORK_LIMIT; "theory" emits no estimates. An
     unknown family, or one that takes a second size, raises ValueError;
     sizes invalid for the family (odd one-regular n) yield a row with mode
     "skipped".
@@ -455,12 +470,18 @@ def scan_family(
         check_budget(n_max, exhaustive_limit, _exhaustive_what(n_max))
     # sizes from first_sampled on are sampled, and smaller ones enumerated
     first_sampled = {"auto": exhaustive_limit + 1, "monte_carlo": n_min}.get(mode, n_max + 1)
+    sampled, work = [], 0
     for n in range(max(n_min, first_sampled), n_max + 1):
         try:
             closed_freq(family, n)
         except ValueError:  # skipped below
             continue
-        _check_monte_carlo(gen_family(family, n), samples)
+        work += _check_monte_carlo(gen_family(family, n), samples)[1]
+        sampled.append(n)
+    if sampled:  # each size fits, and so must the sizes together
+        check_budget(work, MC_WORK_LIMIT,
+                     f"pair tests of the Monte Carlo estimates of T = {samples} "
+                     f"on {family} n = {sampled[0]}..{sampled[-1]}")
     rows = []
     for n in range(n_min, n_max + 1):
         try:

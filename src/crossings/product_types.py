@@ -143,9 +143,10 @@ def freq_fast(g: Graph) -> FreqVector:
     each f_w = a_w * n_G(F_w) counts a subgraph F_w of at most four edges
     (Alemany-Puig & Ferrer-i-Cancho, "Fast calculation of the variance of
     edge crossings in random arrangements", 2020). No pass over Q: the cost
-    is O(n + m) plus O(m' * arboricity) on the m' edges of the 2-core. All
-    counts are integers; `moments.variance_from_freq` keeps them so, scaling
-    each gamma_w by the common denominator of the gammas (180 under RLA).
+    is O(n + m), plus O(m' * arboricity) wedges and a sort of each core
+    vertex's neighbour ranks on the m' edges of the 2-core. All counts are
+    integers; `moments.variance_from_freq` keeps them so, scaling each
+    gamma_w by the common denominator of the gammas (180 under RLA).
     """
     return _freq_from_sums(_graph_sums(g))
 
@@ -172,11 +173,19 @@ def _graph_sums(g: Graph) -> tuple[int, ...]:
     N_v and the XOR of each vertex's neighbours come from one pass over the
     edges, and peeling the vertices of degree 1 from the degrees and those
     XORs finds the 2-core, which holds every cycle, in O(n) more
-    (`_two_core`). Neighbour sets are built for the core vertices alone,
-    from the edges with both ends in the core; only those edges are walked
-    again, for their triangles, and only core vertices are ranked for the
-    4-cycles. A forest, whose core is empty, builds no neighbour sets and
-    walks its edges once.
+    (`_two_core`). T3, W2 and C4 come from one pass over the core in
+    ranked order (Chiba & Nishizeki, "Arboricity and subgraph listing
+    algorithms", 1985): `_rank_core` ranks the core vertices by (core
+    degree, label) and sorts each one's neighbours' ranks. From each vertex
+    v, gather the far ends w of the wedges v-u-w whose middle u and far end
+    w both rank below v; a hub costs its degree, not its degree squared.
+    Each pair of such wedges with the same far end closes one 4-cycle with
+    v as its top-ranked vertex, so each 4-cycle is counted once. A far end
+    adjacent to v closes a triangle, which shows up as exactly two such
+    wedges at its top-ranked vertex: T3 is 3/2 times their number, and each
+    adds 2 k_w + k_v to W2. A vertex with fewer than two neighbours below
+    it tops neither. A forest, whose core is empty, ranks nothing and walks
+    its edges once.
     """
     n, m, deg, edges = g.n, g.m, g.degrees, g.edges
 
@@ -189,16 +198,6 @@ def _graph_sums(g: Graph) -> tuple[int, ...]:
         nbr_xor[u] ^= v
         nbr_xor[v] ^= u
     core_deg = _two_core(deg, nbr_xor)
-    # neighbour sets within the core, which holds every triangle and 4-cycle
-    adj = {v: set() for v in compress(range(n + 1), core_deg)}
-    core_edges = []
-    if adj:
-        for e in edges:
-            u, v = e
-            if core_deg[u] and core_deg[v]:
-                adj[u].add(v)
-                adj[v].add(u)
-                core_edges.append(e)
 
     # the six vertex sums, isolated vertices adding nothing
     k2 = sum(map(mul, deg, deg))
@@ -208,14 +207,35 @@ def _graph_sums(g: Graph) -> tuple[int, ...]:
     kn = sum(map(mul, deg, nsum))
     k2n = sum(map(mul, map(mul, deg, deg), nsum))
 
-    # triangle sums over the core's edges; t_uv costs the smaller neighbour set
-    tri = w2 = 0
-    for u, v in core_edges:
-        t = len(adj[u] & adj[v])
-        tri += t
-        w2 += t * (deg[u] + deg[v])
-    del core_edges  # freed before the 4-cycle count, which sets the peak memory
-    c4 = _count_c4_ranked(adj) if adj else 0
+    # triangles and 4-cycles from the wedges below each core vertex's rank;
+    # a forest has no core
+    order, nbr_ranks = _rank_core(edges, core_deg)
+    closing = w2 = c4 = 0
+    if order:
+        k = [deg[v] for v in order]  # full degrees, by rank
+        ends_of = Counter()
+        for r, nbrs in enumerate(nbr_ranks):
+            low = bisect_left(nbrs, r)
+            if low < 2:
+                continue  # r tops no triangle and no 4-cycle
+            below = nbrs[:low]
+            ends = []  # the far end w of each wedge r-u-w with u, w below r
+            for u in below:
+                lower = nbr_ranks[u]
+                ends += lower[: bisect_left(lower, r)]
+            ends_of.clear()
+            ends_of.update(ends)
+            # each pair of wedges with one far end closes a 4-cycle topped by r
+            c4 += sum(map(mul, ends_of.values(), ends_of.values())) - len(ends)
+            kr = k[r]
+            for w in below:  # a far end adjacent to r closes a triangle
+                c = ends_of.get(w)
+                if c:
+                    closing += c
+                    w2 += c * (2 * k[w] + kr)
+    # each triangle closes two wedges at its top vertex, and has three edges
+    tri = 3 * closing // 2
+    c4 //= 2
     return m, k2, k3, k4, nn, kn, k2n, tri, w2, c4
 
 
@@ -318,32 +338,26 @@ def _two_core(degrees: tuple[int, ...], nbr_xor: list[int]) -> list[int]:
     return core_deg
 
 
-def _count_c4_ranked(adj: dict[int, set[int]]) -> int:
-    """4-cycles by degree-ordered wedge counting over the 2-core, given as
-    each core vertex's set of core neighbours, in O(m * arboricity).
-
-    Core vertices are ranked by (core degree, label). From each vertex v,
-    count the wedges v-u-w whose middle u and far end w both rank below v;
-    every pair of such wedges with the same w closes one 4-cycle with v as
-    its top-ranked vertex, so each 4-cycle is counted once, whatever the
-    ranking. A hub costs its degree, not its degree squared.
-    """
-    order = sorted(adj, key=lambda v: (len(adj[v]), v))
-    rank = {v: r for r, v in enumerate(order)}
-    # neighbour ranks of each vertex, in increasing order, by rank
-    below = [sorted(rank[w] for w in adj[v]) for v in order]
-    total = 0
-    for r, nbrs in enumerate(below):
-        ends: list[int] = []
-        for u in nbrs:
-            if u >= r:
-                break
-            lower = below[u]
-            ends += lower[: bisect_left(lower, r)]
-        if len(ends) > 1:
-            for c in Counter(ends).values():
-                total += c * (c - 1) // 2
-    return total
+def _rank_core(edges, core_deg: list[int]) -> tuple[list[int], list[list[int]]]:
+    """The 2-core's vertices ranked by (core degree, label), and for each
+    rank the sorted ranks of that vertex's core neighbours, built in one
+    pass over the edges with both ends in the core. Only core vertices are
+    ranked: a forest ranks nothing and makes no pass."""
+    # a stable sort by core degree keeps the labels of equal degrees in order
+    order = sorted(compress(range(len(core_deg)), core_deg), key=core_deg.__getitem__)
+    nbr_ranks: list[list[int]] = [[] for _ in order]
+    if order:
+        rank = [0] * len(core_deg)
+        for r, v in enumerate(order):
+            rank[v] = r
+        for u, v in edges:
+            if core_deg[u] and core_deg[v]:
+                ru, rv = rank[u], rank[v]
+                nbr_ranks[ru].append(rv)
+                nbr_ranks[rv].append(ru)
+        for nbrs in nbr_ranks:
+            nbrs.sort()
+    return order, nbr_ranks
 
 
 # --- graphette census (independent subgraph counting) ---------------------

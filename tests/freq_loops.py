@@ -2,11 +2,13 @@
 form must equal: every vertex term accumulated in a Python loop over the
 vertices, and every edge term in a loop over all the edges."""
 
+from bisect import bisect_left
+from collections import Counter
 from itertools import compress
 from types import SimpleNamespace
 
 from crossings import gen_family
-from crossings.product_types import FreqVector, _count_c4_ranked, _two_core
+from crossings.product_types import FreqVector, _two_core
 
 # a degree table wrong at one vertex: each vertex of a path, a cycle and a
 # quasi-star on six vertices, its degree one lower, one higher or two higher
@@ -45,6 +47,32 @@ def required_outcome(family: str, v: int, delta: int) -> str:
     raises none."""
     loops = outcome(freq_loops, corrupted(family, v, delta))
     return SELF_CHECK_FAILED if loops == "none" else loops
+
+
+def count_c4_ranked(adj: dict[int, set[int]]) -> int:
+    """4-cycles by degree-ordered wedge counting over the 2-core, given as
+    each core vertex's set of core neighbours.
+
+    Core vertices are ranked by (core degree, label). From each vertex v,
+    count the wedges v-u-w whose middle u and far end w both rank below v;
+    every pair of such wedges with the same w closes one 4-cycle with v as
+    its top-ranked vertex, so each 4-cycle is counted once.
+    """
+    order = sorted(adj, key=lambda v: (len(adj[v]), v))
+    rank = {v: r for r, v in enumerate(order)}
+    # neighbour ranks of each vertex, in increasing order, by rank
+    below = [sorted(rank[w] for w in adj[v]) for v in order]
+    total = 0
+    for r, nbrs in enumerate(below):
+        ends: list[int] = []
+        for u in nbrs:
+            if u >= r:
+                break
+            lower = below[u]
+            ends += lower[: bisect_left(lower, r)]
+        for c in Counter(ends).values():
+            total += c * (c - 1) // 2
+    return total
 
 
 def freq_loops(g) -> FreqVector:
@@ -108,7 +136,7 @@ def freq_loops(g) -> FreqVector:
         adj_pairs += (qe + mid) ** 2 - kk * kk
         t2 += t * t
         t_kk += t * kk
-    c4 = _count_c4_ranked(adj) if adj else 0
+    c4 = count_c4_ranked(adj)
     d4 -= w2
 
     f24 = m * (m - 1) // 2 - p

@@ -49,10 +49,12 @@ BUDGETS = {
         (estimator, "crossing_counts"),
         "vertices for exhaustive enumeration of 6! = 720 arrangements"),
     "mc_block_bytes": (
-        20 * 30 * 4 + 2 * 30 * 20, (estimator, "MC_BLOCK_BYTES"),
+        # a slice of 10 rows: 16 bytes a position, 3 * 30 one-byte
+        # endpoints and widths, a batch of 2 * 30 with its tests, a count
+        10 * (16 * 30 + 3 * 30 + 2 * 30 * 2 + 8), (estimator, "MC_BLOCK_BYTES"),
         lambda limit: monte_carlo_moments(C30, samples=20, seed=0),
         (estimator, "crossing_counts"),
-        "bytes of a Monte Carlo block of 20 rows on n = 30, m = 30"),
+        "bytes of a Monte Carlo slice of 10 rows on n = 30, m = 30"),
     "mc_work": (
         20 * 30 * 12 + 20 * 405 + 55 * 435, (estimator, "MC_WORK_LIMIT"),
         lambda limit: monte_carlo_moments(C30, samples=20, seed=0),

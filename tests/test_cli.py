@@ -598,6 +598,23 @@ class TestScan:
         assert out == ""
         assert err.splitlines()[1:] == [f"crossings: error: {exc.value}"]
 
+    def test_monte_carlo_work_summed_over_the_sampled_sizes(self, capsys, monkeypatch):
+        # K_11..K_64 at T = 10^5 each fit MC_WORK_LIMIT, but together take
+        # 7.21 * 10^11 pair tests, 18 times the limit: about 18 minutes
+        for n in (11, 64):
+            estimator._check_monte_carlo(gen_family("complete", n), 100_000)
+        monkeypatch.setattr(estimator, "crossing_counts", None)
+        started = time.perf_counter()
+        code, out, err = run(capsys, "scan", "--family", "complete",
+                             "--nmin", "11", "--nmax", "64")
+        assert time.perf_counter() - started < 1
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[1:] == [
+            "crossings: error: pair tests of the Monte Carlo estimates of "
+            "T = 100000 on complete n = 11..64: 720871523020 exceeds the limit "
+            f"of {estimator.MC_WORK_LIMIT}"]
+
 
 class TestValidateCmd:
     def test_trees_success_exit_0(self, capsys):

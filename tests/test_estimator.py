@@ -1,7 +1,9 @@
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -379,9 +381,11 @@ class TestMonteCarlo:
         assert seen == [1, 1, 1] and rep.samples == 3
 
     def test_block_budget(self, monkeypatch):
-        # 10^4 rows of 30 int32 positions and 2 * 30 uint8 endpoints
+        # a block of 10^4 rows in two slices of 5,000: per row, 30 intp
+        # positions and their shuffle copy, 3 * 30 uint8 endpoints and
+        # widths, a batch of 2 * 30 with its tests, and an int64 count
         g = gen_family("cycle", 30)
-        need = 10_000 * 30 * 4 + 2 * 30 * 10_000
+        need = 5_000 * (16 * 30 + 3 * 30 + 2 * 30 * 2 + 8)
         before = monte_carlo_moments(g, samples=20_000, seed=3)
 
         def refuse(*args, **kwargs):
@@ -392,7 +396,7 @@ class TestMonteCarlo:
         with pytest.raises(BudgetError) as exc:
             monte_carlo_moments(g, samples=20_000, seed=3)
         assert str(exc.value) == (
-            f"bytes of a Monte Carlo block of 10000 rows on n = 30, m = 30: {need} "
+            f"bytes of a Monte Carlo slice of 5000 rows on n = 30, m = 30: {need} "
             f"exceeds the limit of {need - 1}"
         )
         monkeypatch.undo()
@@ -400,29 +404,43 @@ class TestMonteCarlo:
         assert monte_carlo_moments(g, samples=20_000, seed=3) == before
 
     def test_block_budget_counts_rows_drawn(self, monkeypatch):
-        # fewer samples than a block: the table holds only those rows, and
-        # the endpoints take 2 bytes each above 255 vertices
+        # fewer samples than a block: its two slices hold only those rows,
+        # and the endpoints take 2 bytes each above 255 vertices, in a
+        # batch of 255 edges
         g = gen_family("linear_tree", 300)
-        need = 50 * 300 * 4 + 2 * 299 * 50 * 2
+        need = 25 * (16 * 300 + 3 * 299 * 2 + 2 * 255 * 3 + 8)
         monkeypatch.setattr(estimator, "MC_BLOCK_BYTES", need - 1)
-        with pytest.raises(BudgetError, match=f"50 rows on n = 300, m = 299: {need} exceeds"):
+        with pytest.raises(BudgetError, match=f"25 rows on n = 300, m = 299: {need} exceeds"):
             monte_carlo_moments(g, samples=50, seed=0)
         monkeypatch.setattr(estimator, "MC_BLOCK_BYTES", need)
         assert monte_carlo_moments(g, samples=50, seed=0).samples == 50
 
     def test_default_budget_refuses_a_large_sparse_graph(self, monkeypatch):
-        # 10^5 edges on 70,000 vertices: 2.8 GB of positions and 8 GB of
-        # endpoints per block, refused before numpy allocates either
+        # 2 * 10^7 edges on 2 * 10^6 vertices: one row's merge tables take
+        # 1.28 GB, refused before numpy allocates them; only n and m are read
         def refuse(*args, **kwargs):
-            raise AssertionError("allocated a block over budget")
+            raise AssertionError("allocated a slice over budget")
 
         monkeypatch.setattr(np, "tile", refuse)
         monkeypatch.setattr(estimator, "crossing_counts", refuse)
-        g = Graph(70_000, [(v, v % 70_000 + 1) for v in range(1, 70_001)]
-                  + [(v, v + 2) for v in range(1, 30_001)])
-        assert g.m == 100_000
-        with pytest.raises(BudgetError, match="n = 70000, m = 100000"):
+        g = SimpleNamespace(n=2 * 10**6, m=2 * 10**7)
+        with pytest.raises(BudgetError, match=(
+                "slice of 1 rows on n = 2000000, m = 20000000: 1312000000 exceeds")):
             monte_carlo_moments(g, samples=100_000, seed=0)
+
+    def test_default_budget_admits_a_tree_of_100000_edges(self, monkeypatch):
+        # a block is drawn and counted one row at a time here (8 MB a row);
+        # charged as whole blocks of 1,000 rows, it was refused from T = 895
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled while checking the budget")
+
+        monkeypatch.setattr(np, "tile", refuse)
+        monkeypatch.setattr(estimator, "crossing_counts", refuse)
+        rng = random.Random(5)
+        g = Graph(100_001, [(rng.randint(1, v - 1), v) for v in range(2, 100_002)])
+        assert estimator._slices(1000, g) == [1] * 1000
+        assert estimator._check_monte_carlo(g, 1000) == (
+            size_q(g), 1000 * 100_001 * 12 + 1000 * 16 * 100_000 * 17)
 
     def test_cycle50_within_2pct(self):
         g = gen_family("cycle", 50)

@@ -354,22 +354,39 @@ class TestTwoCore:
         # ranking every vertex, isolated ones included, took seconds at
         # n = 10^6: only core vertices may be ranked
         ranked = []
-        original = product_types._count_c4_ranked
+        original = product_types._rank_core
 
-        def spy(adj):
-            ranked.append(len(adj))
-            return original(adj)
+        def spy(edges, core_deg):
+            order, nbr_ranks = original(edges, core_deg)
+            ranked.append(order)
+            assert len(nbr_ranks) == len(order)
+            return order, nbr_ranks
 
-        monkeypatch.setattr(product_types, "_count_c4_ranked", spy)
+        monkeypatch.setattr(product_types, "_rank_core", spy)
         for g in (Graph(10**6, []), gen_family("star", 500),
                   from_pruefer((3, 3, 7, 1, 9, 9, 2, 5))):
             ranked.clear()
             assert freq_fast(g)["04"] == 0
-            assert sum(ranked) == 0
+            assert sum(map(len, ranked)) == 0
         g, core = PARTIAL_CORES["cycle_with_pendant_trees"]
         ranked.clear()
         freq_fast(g)
-        assert ranked == [len(core)]
+        assert [sorted(order) for order in ranked] == [sorted(core)]
+
+    def test_rank_lists(self):
+        # ranked by (core degree, label); each core edge listed from both
+        # ends, every list sorted
+        g = hub_heavy()
+        core_deg = two_core(g)
+        order, nbr_ranks = product_types._rank_core(g.edges, core_deg)
+        assert order == sorted((v for v, k in enumerate(core_deg) if k),
+                               key=lambda v: (core_deg[v], v))
+        rank = {v: r for r, v in enumerate(order)}
+        core_edges = {frozenset(e) for e in g.edges if set(e) <= rank.keys()}
+        assert [len(nbrs) for nbrs in nbr_ranks] == [core_deg[v] for v in order]
+        assert {frozenset((order[r], order[w]))
+                for r, nbrs in enumerate(nbr_ranks) for w in nbrs} == core_edges
+        assert all(nbrs == sorted(nbrs) for nbrs in nbr_ranks)
 
 
 FORESTS = {
@@ -482,6 +499,55 @@ class TestLoopReference:
     def test_self_check_raises_where_the_loops_raise(self, family, v, delta):
         assert (outcome(freq_fast, corrupted(family, v, delta))
                 == required_outcome(family, v, delta))
+
+
+def cycle_sums_from_matrix(g):
+    """(T3, W2, C4) from the adjacency matrix A and the one product A^2,
+    with no ranking and no neighbour lists. A^2 is taken in float64, exact
+    while its entries, at most n, stay below 2^53; the rest in int64.
+
+        T3 = tr(A^3)/2 = sum(A^2 o A)/2
+        W2 = sum_v k_v (A^3)_vv, the row sums of A^2 o A weighted by degree
+        C4 = (sum(A^2 o A^2) - 2 K2 + 2m)/8
+    """
+    np = pytest.importorskip("numpy")
+    a = np.zeros((g.n, g.n))
+    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2) - 1
+    a[ends[:, 0], ends[:, 1]] = a[ends[:, 1], ends[:, 0]] = 1
+    a2 = (a @ a).astype(np.int64)
+    adj = a.astype(np.int64)
+    k = adj.sum(axis=1)
+    closed = (a2 * adj).sum(axis=1)  # (A^3)_vv, twice the triangles at v
+    k2 = int(k @ k)
+    tri, rem = divmod(int(closed.sum()), 2)
+    c4, rem4 = divmod(int((a2 * a2).sum()) - 2 * k2 + 2 * g.m, 8)
+    assert rem == rem4 == 0
+    return tri, int(k @ closed), c4
+
+
+class TestCycleSumsMatrixOracle:
+    # T3, W2 and C4 up to m = 20,000, far above BRUTE_Q_LIMIT, from matrix
+    # products that share no code with the ranked pass
+    @pytest.mark.parametrize("make", [
+        lambda: erdos_renyi(500, 0.16, 23),
+        hub_heavy,
+        lambda: gen_family("complete", 40),
+        lambda: gen_family("complete_bipartite", 18, n2=18),
+    ], ids=["er_500_0.16", "hub_heavy", "k_40", "k_18_18"])
+    def test_graph_sums_equal_matrix_products(self, make):
+        g = make()
+        expected = cycle_sums_from_matrix(g)
+        assert expected[2] > 0
+        assert _graph_sums(g)[7:] == expected
+
+    def test_known_counts(self):
+        # K_40: C(40,3) triangles, T3 three per triangle, each edge of degree
+        # 39 in 38 triangles; 3 C(40,4) 4-cycles. K_{18,18}: no triangle,
+        # C(18,2)^2 4-cycles
+        assert cycle_sums_from_matrix(gen_family("complete", 40)) == (
+            3 * math.comb(40, 3), 780 * 38 * 78, 3 * math.comb(40, 4))
+        assert cycle_sums_from_matrix(gen_family("complete_bipartite", 18, n2=18)) == (
+            0, 0, math.comb(18, 2) ** 2)
 
 
 @st.composite

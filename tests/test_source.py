@@ -82,8 +82,8 @@ def test_graphette_census_independent_of_the_fast_path():
             todo += names(functions[name]) & functions.keys()
     assert {"_count_c4", "_p3_list", "_p4_list", "_count_matchings"} <= reached
     found = {(name, used) for name in reached
-             for used in names(functions[name]) & {"freq_fast", "_two_core",
-                                                   "_count_c4_ranked"}}
+             for used in names(functions[name]) & {"freq_fast", "_graph_sums",
+                                                   "_two_core", "_rank_core"}}
     assert not found, f"census functions that use the fast path: {sorted(found)}"
 
 
