@@ -8,6 +8,12 @@ Arrangements are counted in fixed blocks, one after another. The blocks are
 there for reproducible seeding (Monte Carlo block b has its own stream) and
 to bound the memory of a position table, not to share work among workers.
 
+Sizes up to DEFAULT_EXHAUSTIVE_LIMIT = 10 are enumerated once per process:
+each size's table of class representatives is built on first use and kept,
+read-only, in about 2 MB for sizes 3 to 10 together, and counted in row
+slices of at most _PERM_CHUNK rows. Above that (a raised limit), the
+(n - 1)!/2 rows are streamed in chunks and nothing is kept.
+
 `crossing_counts` counts each row's crossings from the edges, never from
 `Q`, with one of two counters chosen by m. Below _MERGE_FROM_M edges it
 counts per edge: one batched test in wrapping unsigned arithmetic checks an
@@ -306,6 +312,28 @@ def _class_representatives(n: int):
         yield block.reshape(-1, n)
 
 
+@lru_cache(maxsize=None)
+def _class_table(n: int) -> np.ndarray:
+    """The arrangements `exhaustive_moments` counts for n vertices, kept for
+    the process: the rows of _class_representatives(n), or all n! below
+    n = 3, as a read-only vertex-major (n, rows) uint8 table whose row v - 1
+    holds the positions of vertex v. Only sizes up to
+    DEFAULT_EXHAUSTIVE_LIMIT are kept, about 2 MB together; its transposed
+    row slices are position matrices whose columns are contiguous."""
+    import numpy as np
+
+    if n < 3:
+        table = np.array(list(permutations(range(1, n + 1))), dtype=np.uint8).T.copy()
+    else:
+        table = np.empty((n, exhaustive_rows(n)), dtype=np.uint8)
+        start = 0
+        for chunk in _class_representatives(n):
+            table[:, start : start + len(chunk)] = chunk.T
+            start += len(chunk)
+    table.flags.writeable = False
+    return table
+
+
 def exhaustive_rows(n: int) -> int:
     """Arrangements `exhaustive_moments` counts for n vertices: (n - 1)!/2
     dihedral class representatives for n >= 3, all n! below."""
@@ -331,12 +359,12 @@ def exhaustive_moments(
     n = g.n
     check_budget(n, limit, _exhaustive_what(n))
     total = math.factorial(n)
-    if n >= 3:
+    if n <= DEFAULT_EXHAUSTIVE_LIMIT:
+        table = _class_table(n)
+        chunks = (table[:, k : k + _PERM_CHUNK].T
+                  for k in range(0, table.shape[1], _PERM_CHUNK))
+    else:  # a raised limit: (n - 1)!/2 rows are too many to keep
         chunks = _class_representatives(n)
-    else:
-        import numpy as np
-
-        chunks = [np.array(list(permutations(range(1, n + 1))), dtype=np.int16)]
     rows, sum_c, sum_c2 = _accumulate(g, chunks, size_q(g))
     if rows != exhaustive_rows(n):
         raise RuntimeError(

@@ -16,7 +16,12 @@ from crossings import (
     parse_arrangement,
     size_q,
 )
-from crossings.estimator import _class_representatives, crossing_counts, exhaustive_rows
+from crossings.estimator import (
+    _class_representatives,
+    _class_table,
+    crossing_counts,
+    exhaustive_rows,
+)
 from crossings.graphs import GraphFormatError
 
 
@@ -195,28 +200,49 @@ def test_dihedral_invariance(case):
     assert rows.tolist() == [expected] * 3
 
 
-class TestPermutationSources:
-    @staticmethod
-    def representatives(n):
-        return np.concatenate(list(_class_representatives(n)))
+def streamed_representatives(n):
+    return np.concatenate(list(_class_representatives(n)))
 
-    def test_dihedral_representatives_count(self):
+
+def cached_representatives(n):
+    return _class_table(n).T
+
+
+class TestPermutationSources:
+    # both sources of the rows exhaustive_moments counts: the chunks
+    # streamed above DEFAULT_EXHAUSTIVE_LIMIT, and the table kept below it
+    @pytest.fixture(params=[streamed_representatives, cached_representatives],
+                    ids=["streamed", "cached"])
+    def representatives(self, request):
+        return request.param
+
+    def test_dihedral_representatives_count(self, representatives):
         for n in range(3, 11):
-            rows = self.representatives(n)
+            rows = representatives(n)
             assert rows.shape == (math.factorial(n - 1) // 2, n)
             assert len(rows) == exhaustive_rows(n)
 
-    def test_dihedral_representatives_one_per_class(self):
+    def test_dihedral_representatives_one_per_class(self, representatives):
         # the 2n rotations and reflections of every arrangement meet the
         # representatives exactly once
         for n in range(3, 8):
-            reps = {tuple(r) for r in self.representatives(n).tolist()}
+            reps = {tuple(r) for r in representatives(n).tolist()}
             assert len(reps) == math.factorial(n - 1) // 2
             for perm in permutations(range(1, n + 1)):
                 rotations = [tuple((p + k) % n + 1 for p in perm) for k in range(n)]
                 orbit = set(rotations) | {tuple(n + 1 - p for p in r) for r in rotations}
                 assert len(orbit) == 2 * n
                 assert len(orbit & reps) == 1
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_cached_rows_equal_streamed_rows(self, n):
+        # as sets of rows: the order in which they are counted is free
+        def sorted_keys(rows):
+            return np.sort(rows.astype(np.int64) @ (n + 1) ** np.arange(n))
+
+        cached, streamed = cached_representatives(n), streamed_representatives(n)
+        assert cached.shape == streamed.shape
+        assert np.array_equal(sorted_keys(cached), sorted_keys(streamed))
 
     def test_exhaustive_mean_linear_tree5(self):
         g = gen_family("linear_tree", 5)

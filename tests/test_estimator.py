@@ -316,6 +316,70 @@ class TestExhaustive:
         assert (mean, var) == (rep.mean, rep.variance)
 
 
+class TestClassTable:
+    """The per-size tables of class representatives that exhaustive_moments
+    keeps for the process, up to DEFAULT_EXHAUSTIVE_LIMIT vertices."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        # an empty cache, and the sizes whose rows are generated from then on
+        estimator._class_table.cache_clear()
+        built = []
+        source = estimator._class_representatives
+
+        def spy(n):
+            built.append(n)
+            return source(n)
+
+        monkeypatch.setattr(estimator, "_class_representatives", spy)
+        yield built
+        estimator._class_table.cache_clear()
+
+    def test_read_only(self):
+        table = estimator._class_table(6)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            table.T[0] = 1
+
+    def test_built_once_per_size(self, builds):
+        g = gen_family("cycle", 8)
+        first = exhaustive_moments(g)
+        assert builds == [8]
+        assert exhaustive_moments(g) == first
+        assert exhaustive_moments(gen_family("star", 8)).mean == 0
+        assert builds == [8]
+        assert first == estimator.EstimateReport(
+            expectation_rla(g), variance_rla(g), "exhaustive", 40320, None, True)
+
+    def test_keeps_one_table_per_size(self, builds):
+        for n in (7, 5, 7, 9, 5):
+            exhaustive_moments(gen_family("linear_tree", n))
+        assert builds == [7, 5, 9]
+        assert estimator._class_table.cache_info().currsize == 3
+
+    def test_raised_limit_streams_and_keeps_nothing(self, builds):
+        rep = exhaustive_moments(Graph(11, [(1, 2)]), limit=11)
+        assert (rep.mean, rep.variance, rep.samples) == (0, 0, math.factorial(11))
+        assert builds == [11]
+        assert estimator._class_table.cache_info().currsize == 0
+
+    def test_counted_in_slices_of_views(self, monkeypatch):
+        table = estimator._class_table(10)
+        shapes = []
+
+        def spy(g, pos):
+            assert np.shares_memory(pos, table) and pos[:, 0].flags.c_contiguous
+            shapes.append(pos.shape)
+            return crossing_counts(g, pos)
+
+        monkeypatch.setattr(estimator, "crossing_counts", spy)
+        g = Graph(10, [(1, 2), (3, 4)])
+        assert exhaustive_moments(g).mean == expectation_rla(g)
+        assert shapes == [(estimator._PERM_CHUNK, 10),
+                          (math.factorial(9) // 2 - estimator._PERM_CHUNK, 10)]
+
+
 class TestMonteCarlo:
     def test_deterministic(self):
         g = gen_family("cycle", 20)

@@ -54,6 +54,35 @@ class TestFromEdgeList:
         with pytest.raises(ValueError, match="pair #1"):
             Graph(3, [(1, 2), (2, 2)])
 
+    @pytest.mark.parametrize("pair", [(1, 9), (9, 1), (0, 2), (2, 0)])
+    def test_out_of_range_message(self, pair):
+        # the index counts every pair given before, duplicates included
+        u, v = pair
+        with pytest.raises(ValueError) as err:
+            Graph(3, [(1, 2), (2, 1), pair])
+        assert str(err.value) == f"pair #2 ({u},{v}) out of range 1..3"
+
+    @pytest.mark.parametrize("before", [[(1, 2), (2, 3)], [(2, 1), (3, 2)]])
+    def test_self_loop_message(self, before):
+        with pytest.raises(ValueError) as err:
+            Graph(3, before + [(3, 3)])
+        assert str(err.value) == "pair #2 is a self-loop (3,3)"
+
+    def test_self_loop_tested_before_range(self):
+        with pytest.raises(ValueError) as err:
+            Graph(3, [(1, 2), (9, 9)])
+        assert str(err.value) == "pair #1 is a self-loop (9,9)"
+
+    def test_duplicates_in_both_orientations_collapse(self):
+        g = Graph(4, [(3, 4), (2, 1), (4, 3), (1, 2), (3, 4), (1, 3)])
+        assert g.edges == ((1, 2), (1, 3), (3, 4))
+        assert g.degrees == (0, 2, 1, 2, 1)
+
+    def test_generator_input(self):
+        g = Graph(4, ((v, v + 1) for v in (3, 1, 2, 1)))
+        assert g.edges == ((1, 2), (2, 3), (3, 4))
+        assert g == Graph(4, [(1, 2), (2, 3), (3, 4)])
+
     def test_degree_sum_is_2m(self):
         g = Graph(6, [(1, 2), (2, 3), (3, 4), (5, 6)])
         assert sum(g.degrees) == 2 * g.m
