@@ -347,7 +347,7 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=None,
                        help="PRNG seed (fallback: CROSSINGS_SEED, then 0)")
         # accepted so that existing command lines keep working; ignored,
-        # since the estimator runs on one thread
+        # since Monte Carlo counts in one worker thread whatever it says
         p.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
         if out:
             return p.add_argument("--out", choices=("table", "csv", "json"),

@@ -4,9 +4,9 @@ Carlo sampling for large n.
 
 Both paths accumulate integer sums (C is integral), so exhaustive moments are
 exact rationals and Monte Carlo reports convert to float only at the end.
-Arrangements are counted in fixed blocks, one after another. The blocks are
-there for reproducible seeding (Monte Carlo block b has its own stream) and
-to bound the memory of a position table, not to share work among workers.
+Arrangements are counted in fixed blocks, in order. The blocks are there for
+reproducible seeding (Monte Carlo block b has its own stream) and to bound
+the memory of a position table.
 
 Sizes up to DEFAULT_EXHAUSTIVE_LIMIT = 10 are enumerated once per process:
 each size's table of class representatives is built on first use and kept,
@@ -21,13 +21,15 @@ edge against all the later edges independent of it, in O(rows * |Q|) work.
 From _MERGE_FROM_M edges on it merge-counts: each row's edges are sorted by
 their left ends and the crossings counted while merge-sorting their right
 ends, in O(rows * m log m) work. Monte Carlo draws each block's rows in
-slices of intp positions from the block's own stream, and counts each slice
-as soon as it is drawn.
+slices of intp positions from the block's own stream. One worker thread
+counts each slice, in order, while the calling thread draws the next; the
+sums are exact integers, so the results are those of counting inline.
+Exhaustive enumeration has nothing to draw and counts inline.
 
 Budgets refuse through `graphs.check_budget` before anything is counted:
-the exhaustive limit on n, MC_BLOCK_BYTES on the tables of one Monte Carlo
-slice, and MC_WORK_LIMIT on the work of an estimate, or of a scan's
-estimates together.
+the exhaustive limit on n, MC_BLOCK_BYTES on the tables of the two Monte
+Carlo slices in flight, and MC_WORK_LIMIT on the work of an estimate, or of
+a scan's estimates together.
 """
 
 from __future__ import annotations
@@ -47,16 +49,18 @@ if TYPE_CHECKING:
 DEFAULT_EXHAUSTIVE_LIMIT = 10
 DEFAULT_SAMPLES = 100_000
 MC_BLOCK = 10_000
-# The most bytes the tables of one slice of a Monte Carlo block may take
-# (a block is drawn and counted in slices, see _slices). Per row: 16n for
-# the intp positions, drawn through a second table of that size, and for
-# the counter that runs, either 3m endpoints and span widths of 1, 2 or 4
+# The most bytes the tables of the Monte Carlo slices in flight may take (a
+# block is drawn and counted in slices, see _slices, and one slice is drawn
+# while the one before it is counted). Per row: 16n to draw the intp
+# positions of the next slice, through a second table of that size, and
+# for the slice being counted, 8n for its positions and the tables of the
+# counter that runs: either 3m endpoints and span widths of 1, 2 or 4
 # bytes, a gathered batch of 2 * min(m, 255) of them with as many tests and
 # 8 for the count (below _MERGE_FROM_M edges), or 64m for the merge count's
 # int64 keys, power-of-two int32 tables and their sorted copies. Peaks
-# measured with tracemalloc, numpy 2.4.6, stay below the charge: random
-# trees, m = 1,000 to 131,072, 42-64 bytes per edge a row beyond the
-# positions; paths and cycles, m = 30 to 299, within 1 %.
+# measured with tracemalloc, numpy 2.4.6, stay below the charge: 74-78 % of
+# it on paths, cycles and random trees, m = 30 to 299, and 64-82 % on
+# random trees, m = 1,000 to 131,072.
 MC_BLOCK_BYTES = 1 << 30
 # The most work of one Monte Carlo estimate, in pair tests of 1.42 ns (a
 # random tree, n = 1,000, T = 10^4: 7.07 s), so that a run at the limit takes
@@ -110,7 +114,9 @@ def crossing_counts(g: Graph, pos: np.ndarray) -> np.ndarray:
 def _edge_array(edges: tuple) -> np.ndarray:
     """The (m, 2) read-only intp array of `edges`, 0-based. This and
     _independent_later keep their last graph's result, since
-    `crossing_counts` is called once per slice of rows."""
+    `crossing_counts` is called once per slice of rows. Monte Carlo calls
+    them from its worker thread: lru_cache is safe to share between
+    threads, and two threads that miss at once build the same result."""
     import numpy as np
 
     e = np.fromiter(chain.from_iterable(edges), dtype=np.intp, count=2 * len(edges))
@@ -267,19 +273,64 @@ def _merge_level(table, w: int):
     return merged.reshape(rows, cols), ahead
 
 
-def _accumulate(g: Graph, chunks, q: int) -> tuple[int, int, int]:
-    """Rows, sum of C and sum of C^2 over position-matrix chunks; no count
-    may exceed q = |Q|."""
+def _accumulate(counts, q: int) -> tuple[int, int, int]:
+    """Rows, sum of C and sum of C^2 over the count arrays `counts`; no
+    count may exceed q = |Q|. C^2 is summed in int64 only while it cannot
+    wrap (rows * max(C)^2 < 2^63), and in Python ints otherwise."""
     rows = total = total2 = peak = 0
-    for arr in chunks:
-        c = crossing_counts(g, arr)
+    for c in counts:
+        top = int(c.max(initial=0))
         rows += len(c)
         total += int(c.sum())
-        total2 += int((c * c).sum())
-        peak = max(peak, int(c.max(initial=0)))
+        if len(c) * top * top < 1 << 63:
+            total2 += int((c * c).sum())
+        else:
+            total2 += sum(x * x for x in c.tolist())
+        peak = max(peak, top)
     if peak > q:
         raise RuntimeError(f"internal inconsistency: {peak} crossings exceed |Q| = {q}")
     return rows, total, total2
+
+
+def _counted_aside(g: Graph, chunks):
+    """The crossing counts of each position matrix of `chunks` (at least
+    one), in order, each counted in one worker thread while the calling
+    thread draws the next from `chunks`. At most two matrices are alive:
+    one being counted and one being drawn. An exception in the worker is
+    raised here unchanged; the worker is stopped and joined on the way
+    out."""
+    import threading
+    from queue import SimpleQueue
+
+    todo, done = SimpleQueue(), SimpleQueue()
+
+    def count():
+        while (pos := todo.get()) is not None:
+            try:
+                done.put((crossing_counts(g, pos), None))
+            except BaseException as exc:  # handed to the calling thread
+                done.put((None, exc))
+            del pos  # before waiting, so that no counted matrix stays alive
+
+    def result():
+        c, exc = done.get()
+        if exc is not None:
+            raise exc
+        return c
+
+    worker = threading.Thread(target=count, name="crossing_counts", daemon=True)
+    worker.start()
+    try:
+        chunks = iter(chunks)
+        todo.put(next(chunks))
+        for pos in chunks:  # drawn while the worker counts the one before
+            c = result()
+            todo.put(pos)
+            yield c
+        yield result()
+    finally:
+        todo.put(None)
+        worker.join()
 
 
 def _class_representatives(n: int):
@@ -365,7 +416,8 @@ def exhaustive_moments(
                   for k in range(0, table.shape[1], _PERM_CHUNK))
     else:  # a raised limit: (n - 1)!/2 rows are too many to keep
         chunks = _class_representatives(n)
-    rows, sum_c, sum_c2 = _accumulate(g, chunks, size_q(g))
+    counts = (crossing_counts(g, pos) for pos in chunks)
+    rows, sum_c, sum_c2 = _accumulate(counts, size_q(g))
     if rows != exhaustive_rows(n):
         raise RuntimeError(
             f"internal inconsistency: counted {rows} arrangements, "
@@ -388,8 +440,9 @@ def monte_carlo_moments(
 
     Sampling is blocked: block b draws its own PCG64 stream seeded with
     SeedSequence([seed, b]), so the result depends only on `seed` and T.
-    Raises BudgetError, before anything is drawn, when the tables of one
-    slice would exceed MC_BLOCK_BYTES, or the estimate's work MC_WORK_LIMIT.
+    Raises BudgetError, before anything is drawn, when the tables of the
+    slices in flight would exceed MC_BLOCK_BYTES, or the estimate's work
+    MC_WORK_LIMIT.
     """
     q, _ = _check_monte_carlo(g, samples)
     import numpy as np
@@ -407,7 +460,7 @@ def monte_carlo_moments(
                 pos = np.tile(np.arange(1, n + 1, dtype=np.intp), (rows, 1))
                 yield rng.permuted(pos, axis=1, out=pos)
 
-    _, sum_c, sum_c2 = _accumulate(g, chunks(), q)
+    _, sum_c, sum_c2 = _accumulate(_counted_aside(g, chunks()), q)
     t = samples
     mean = Fraction(sum_c, t)
     var = (Fraction(sum_c2) - Fraction(sum_c * sum_c, t)) / (t - 1)
@@ -430,8 +483,8 @@ def _slices(rows: int, g: Graph) -> list[int]:
 def _check_monte_carlo(g: Graph, samples: int) -> tuple[int, int]:
     """|Q| of g and the estimate's work, once a Monte Carlo estimate of
     T = `samples` on g is known to fit: ValueError below 2 samples, and
-    BudgetError when the tables of one slice would exceed MC_BLOCK_BYTES or
-    the estimate's work MC_WORK_LIMIT."""
+    BudgetError when the tables of the slices in flight would exceed
+    MC_BLOCK_BYTES or the estimate's work MC_WORK_LIMIT."""
     if samples < 2:
         raise ValueError("Monte Carlo needs at least 2 samples")
     import numpy as np
@@ -443,7 +496,7 @@ def _check_monte_carlo(g: Graph, samples: int) -> tuple[int, int]:
         counter = 3 * m * ends + 2 * batch * (ends + 1) + 8
     else:
         counter = 64 * m
-    need = rows * (16 * n + counter)
+    need = rows * (24 * n + counter)
     check_budget(need, MC_BLOCK_BYTES,
                  f"bytes of a Monte Carlo slice of {rows} rows on n = {n}, m = {m}")
     q = size_q(g)

@@ -49,9 +49,10 @@ BUDGETS = {
         (estimator, "crossing_counts"),
         "vertices for exhaustive enumeration of 6! = 720 arrangements"),
     "mc_block_bytes": (
-        # a slice of 10 rows: 16 bytes a position, 3 * 30 one-byte
+        # slices of 10 rows: 24 bytes a position, 16 to draw one slice and
+        # 8 for the slice counted meanwhile, with its 3 * 30 one-byte
         # endpoints and widths, a batch of 2 * 30 with its tests, a count
-        10 * (16 * 30 + 3 * 30 + 2 * 30 * 2 + 8), (estimator, "MC_BLOCK_BYTES"),
+        10 * (24 * 30 + 3 * 30 + 2 * 30 * 2 + 8), (estimator, "MC_BLOCK_BYTES"),
         lambda limit: monte_carlo_moments(C30, samples=20, seed=0),
         (estimator, "crossing_counts"),
         "bytes of a Monte Carlo slice of 10 rows on n = 30, m = 30"),

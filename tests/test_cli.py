@@ -368,6 +368,33 @@ class TestEstimate:
                                   "estimate of T = 2000 on m = 100000: ")
         assert message.endswith(f" exceeds the limit of {estimator.MC_WORK_LIMIT}")
 
+    def test_monte_carlo_variance_exact_where_c_squared_passes_int64(
+            self, capsys, monkeypatch, tmp_path):
+        # a random tree of 2 * 10^5 edges has C near 6.7 * 10^9, so C^2 is
+        # past 2^63: summed in int64 it wrapped, and the variance came out
+        # near -7.4 * 10^19
+        n = 200_001
+        heads = np.random.default_rng(14).integers(1, np.arange(2, n + 1))
+        path = tmp_path / "tree.txt"
+        path.write_text(f"{n} {n - 1}\n"
+                        + "".join(f"{v} {u}\n" for v, u in zip(range(2, n + 1), heads.tolist())))
+        counts = []
+
+        def spy(graph, pos):
+            c = original(graph, pos)
+            counts.extend(c.tolist())
+            return c
+
+        original = estimator.crossing_counts
+        monkeypatch.setattr(estimator, "crossing_counts", spy)
+        code, out, _ = run(capsys, "estimate", "--input", str(path), "--samples", "2",
+                           "--out", "json")
+        assert code == 0
+        assert min(counts) ** 2 >= 2**63
+        variance = float(json.loads(out)["variance"])
+        assert variance >= 0
+        assert variance == float(Fraction((counts[0] - counts[1]) ** 2, 2))
+
     @pytest.mark.parametrize("graph,samples,m", [
         (("--family", "star", "--n", "11"), "10000000000", 10),
         (("--family", "star_plus_isolated", "--n", "11", "--n1", "2"),

@@ -1,5 +1,6 @@
 import math
 import random
+import threading
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
@@ -445,11 +446,13 @@ class TestMonteCarlo:
         assert seen == [1, 1, 1] and rep.samples == 3
 
     def test_block_budget(self, monkeypatch):
-        # a block of 10^4 rows in two slices of 5,000: per row, 30 intp
-        # positions and their shuffle copy, 3 * 30 uint8 endpoints and
-        # widths, a batch of 2 * 30 with its tests, and an int64 count
+        # a block of 10^4 rows in two slices of 5,000, one drawn while the
+        # other is counted: per row, 30 intp positions and their shuffle
+        # copy for the one, and for the other 30 intp positions, 3 * 30
+        # uint8 endpoints and widths, a batch of 2 * 30 with its tests, and
+        # an int64 count
         g = gen_family("cycle", 30)
-        need = 5_000 * (16 * 30 + 3 * 30 + 2 * 30 * 2 + 8)
+        need = 5_000 * (24 * 30 + 3 * 30 + 2 * 30 * 2 + 8)
         before = monte_carlo_moments(g, samples=20_000, seed=3)
 
         def refuse(*args, **kwargs):
@@ -472,7 +475,7 @@ class TestMonteCarlo:
         # and the endpoints take 2 bytes each above 255 vertices, in a
         # batch of 255 edges
         g = gen_family("linear_tree", 300)
-        need = 25 * (16 * 300 + 3 * 299 * 2 + 2 * 255 * 3 + 8)
+        need = 25 * (24 * 300 + 3 * 299 * 2 + 2 * 255 * 3 + 8)
         monkeypatch.setattr(estimator, "MC_BLOCK_BYTES", need - 1)
         with pytest.raises(BudgetError, match=f"25 rows on n = 300, m = 299: {need} exceeds"):
             monte_carlo_moments(g, samples=50, seed=0)
@@ -481,7 +484,8 @@ class TestMonteCarlo:
 
     def test_default_budget_refuses_a_large_sparse_graph(self, monkeypatch):
         # 2 * 10^7 edges on 2 * 10^6 vertices: one row's merge tables take
-        # 1.28 GB, refused before numpy allocates them; only n and m are read
+        # 1.28 GB, and the positions of it and of the row drawn beside it
+        # 48 MB, refused before numpy allocates them; only n and m are read
         def refuse(*args, **kwargs):
             raise AssertionError("allocated a slice over budget")
 
@@ -489,7 +493,7 @@ class TestMonteCarlo:
         monkeypatch.setattr(estimator, "crossing_counts", refuse)
         g = SimpleNamespace(n=2 * 10**6, m=2 * 10**7)
         with pytest.raises(BudgetError, match=(
-                "slice of 1 rows on n = 2000000, m = 20000000: 1312000000 exceeds")):
+                "slice of 1 rows on n = 2000000, m = 20000000: 1328000000 exceeds")):
             monte_carlo_moments(g, samples=100_000, seed=0)
 
     def test_default_budget_admits_a_tree_of_100000_edges(self, monkeypatch):
@@ -519,6 +523,106 @@ class TestMonteCarlo:
             expected = float(expectation_rla(g))
             se = math.sqrt(float(variance_rla(g)) / rep.samples)
             assert abs(rep.mean - expected) <= 5 * se
+
+
+class TestSums:
+    # C and C^2 are summed exactly, whatever their size
+    @pytest.mark.parametrize("counts", [
+        [[4 * 10**9] * 3],
+        [[3_037_000_499]], [[3_037_000_500]], [[3_037_000_499] * 2],  # 2^63 ~ 3.04e9^2
+        [[2 * 10**9, 0], [5, 4 * 10**9], []],
+    ], ids=["4e9x3", "below-2^63", "above-2^63", "two-rows-above-2^63", "mixed"])
+    def test_accumulate_equals_python_sums(self, counts):
+        got = estimator._accumulate((np.array(c, dtype=np.int64) for c in counts), 10**10)
+        flat = [x for c in counts for x in c]
+        assert got == (len(flat), sum(flat), sum(x * x for x in flat))
+
+    def test_monte_carlo_exact_past_int64_squares(self, monkeypatch):
+        # three counts of 4 * 10^9: int64 squares summed to -7.3 * 10^18
+        g = _random_tree(100_001, 3)
+        assert size_q(g) >= 4 * 10**9
+        monkeypatch.setattr(estimator, "crossing_counts",
+                            lambda graph, pos: np.full(len(pos), 4 * 10**9, dtype=np.int64))
+        rep = monte_carlo_moments(g, samples=3, seed=0)
+        assert (rep.mean, rep.variance) == (4e9, 0.0)
+
+
+class TestCountedAside:
+    """Monte Carlo counts each drawn slice in one worker thread while the
+    calling thread draws the next; the results are those of counting the
+    same rows inline."""
+
+    @staticmethod
+    def inline(g, samples, seed):
+        # the rows of whole blocks (see TestDrawSlices), counted in one call
+        # and summed in Python ints
+        c = crossing_counts(g, TestDrawSlices.whole_blocks(g.n, samples, seed)).tolist()
+        mean = Fraction(sum(c), samples)
+        var = (Fraction(sum(x * x for x in c)) - Fraction(sum(c) ** 2, samples)) / (samples - 1)
+        return float(mean), float(var)
+
+    @pytest.mark.parametrize("kind,samples", [
+        ("cycle50", 2), ("cycle50", 10_000), ("cycle50", 23_457),
+        ("tree400", 2), ("tree400", 4_000), ("tree400", 10_600),
+    ], ids=["cycle50-T2", "cycle50-one-block", "cycle50-three-blocks",
+            "tree400-T2", "tree400-one-block", "tree400-two-blocks"])
+    def test_equals_inline_counts(self, kind, samples):
+        # the per-edge counter on the cycle, the merge count on the tree
+        g = gen_family("cycle", 50) if kind == "cycle50" else _random_tree(400, 4)
+        assert (g.m < estimator._MERGE_FROM_M) == (kind == "cycle50")
+        threads = threading.active_count()
+        rep = monte_carlo_moments(g, samples=samples, seed=29)
+        assert threading.active_count() == threads
+        assert (rep.mean, rep.variance) == self.inline(g, samples, 29)
+
+    def test_counts_in_order_in_one_worker(self, monkeypatch):
+        # ten slices of 2,500 rows, each counted in the same thread, not
+        # the caller's, in the order drawn
+        calls = []
+
+        def spy(graph, pos):
+            calls.append((threading.get_ident(), pos[0].tolist()))
+            return crossing_counts(graph, pos)
+
+        monkeypatch.setattr(estimator, "crossing_counts", spy)
+        monte_carlo_moments(gen_family("cycle", 60), samples=25_000, seed=3)
+        assert len({ident for ident, _ in calls}) == 1
+        assert calls[0][0] != threading.get_ident()
+        rows = TestDrawSlices.whole_blocks(60, 25_000, 3)
+        assert [first for _, first in calls] == rows[::2_500].tolist()
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        raised = ValueError("third slice")
+        calls = []
+
+        def fail_third(graph, pos):
+            calls.append(len(pos))
+            if len(calls) == 3:
+                raise raised
+            return crossing_counts(graph, pos)
+
+        monkeypatch.setattr(estimator, "crossing_counts", fail_third)
+        threads = threading.active_count()
+        with pytest.raises(ValueError) as exc:
+            monte_carlo_moments(gen_family("cycle", 50), samples=20_000, seed=1)
+        assert exc.value is raised
+        assert threading.active_count() == threads
+        assert len(calls) == 3  # no slice was counted after the failure
+
+    def test_draw_exception_stops_the_worker(self, monkeypatch):
+        tile, tiles = np.tile, []
+
+        def fail_third(*args):
+            tiles.append(1)
+            if len(tiles) == 3:
+                raise MemoryError("third draw")
+            return tile(*args)
+
+        monkeypatch.setattr(np, "tile", fail_third)
+        threads = threading.active_count()
+        with pytest.raises(MemoryError, match="third draw"):
+            monte_carlo_moments(gen_family("cycle", 50), samples=20_000, seed=1)
+        assert threading.active_count() == threads
 
 
 class TestScanFamily:

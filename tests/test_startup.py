@@ -137,6 +137,24 @@ def test_array_commands_load_numpy_and_work(argv, expected):
     assert loaded
 
 
+# PROBE, then which of the modules that only Monte Carlo needs were loaded
+MC_PROBE = PROBE + """
+print(sorted(k for k in ("numpy", "queue") if k in sys.modules), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["analyze", "--family", "cycle", "--n", "10"], []),
+    (["ztest", "--family", "cycle", "--n", "5", "--observed", "2"], []),
+    (["estimate", "--family", "cycle", "--n", "12", "--samples", "200"], ["numpy", "queue"]),
+], ids=["analyze", "ztest", "estimate-mc"])
+def test_only_monte_carlo_loads_queue(argv, loaded):
+    proc = fresh(MC_PROBE, *argv)
+    *_, status, modules = proc.stderr.strip().splitlines()
+    assert status == f"probe 0 {bool(loaded)}", proc.stderr
+    assert modules == repr(loaded)
+
+
 @pytest.mark.parametrize("argv", [
     ["ztest", "--input", "GRAPH", "--arrangement", "ARR", "--out", "json"],
     ["analyze", "--input", "GRAPH", "--out", "json"],
