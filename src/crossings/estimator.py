@@ -21,10 +21,13 @@ edge against all the later edges independent of it, in O(rows * |Q|) work.
 From _MERGE_FROM_M edges on it merge-counts: each row's edges are sorted by
 their left ends and the crossings counted while merge-sorting their right
 ends, in O(rows * m log m) work. Monte Carlo draws each block's rows in
-slices of intp positions from the block's own stream. One worker thread
-counts each slice, in order, while the calling thread draws the next; the
-sums are exact integers, so the results are those of counting inline.
-Exhaustive enumeration has nothing to draw and counts inline.
+slices of intp positions from the block's own stream: each slice holds at
+most half its block and at most _SLICE_BYTES of the per-row charge
+_row_bytes, which MC_BLOCK_BYTES also charges, and at least one row. One
+worker thread counts each slice, in order, while the calling thread draws
+the next; the sums are exact integers, so the results are those of
+counting inline. Exhaustive enumeration has nothing to draw and counts
+inline.
 
 Budgets refuse through `graphs.check_budget` before anything is counted:
 the exhaustive limit on n, MC_BLOCK_BYTES on the tables of the two Monte
@@ -51,16 +54,12 @@ DEFAULT_SAMPLES = 100_000
 MC_BLOCK = 10_000
 # The most bytes the tables of the Monte Carlo slices in flight may take (a
 # block is drawn and counted in slices, see _slices, and one slice is drawn
-# while the one before it is counted). Per row: 16n to draw the intp
-# positions of the next slice, through a second table of that size, and
-# for the slice being counted, 8n for its positions and the tables of the
-# counter that runs: either 3m endpoints and span widths of 1, 2 or 4
-# bytes, a gathered batch of 2 * min(m, 255) of them with as many tests and
-# 8 for the count (below _MERGE_FROM_M edges), or 64m for the merge count's
-# int64 keys, power-of-two int32 tables and their sorted copies. Peaks
-# measured with tracemalloc, numpy 2.4.6, stay below the charge: 74-78 % of
-# it on paths, cycles and random trees, m = 30 to 299, and 64-82 % on
-# random trees, m = 1,000 to 131,072.
+# while the one before it is counted), charged as the largest slice's rows
+# times _row_bytes. Peaks measured with tracemalloc, numpy 2.4.6, at the
+# slices of _SLICE_BYTES, stay below the charge: 73-78 % of it on paths,
+# cycles and random trees, m = 30 to 299, and 64-91 % on random trees,
+# m = 1,000 to 131,072 (91 % at m = 65,537, one row a slice, whose merge
+# table pads to 131,072 columns).
 MC_BLOCK_BYTES = 1 << 30
 # The most work of one Monte Carlo estimate, in pair tests of 1.42 ns (a
 # random tree, n = 1,000, T = 10^4: 7.07 s), so that a run at the limit takes
@@ -80,9 +79,14 @@ _MERGE_WEIGHT = 16  # about 22 / 1.42
 # and 205k merged; at m = 256, 18-27k and 30k; at m = 299, 13-19k and
 # 21-22k; at m = 999, about 1k and 10k.
 _MERGE_FROM_M = 300
-# A slice holds at most this many positions or endpoints in a row's widest
-# table (n or m), and at least one row: 2,500 rows at n = 60.
-_SLICE_POSITIONS = 150_000
+# A slice holds at most this many bytes of _row_bytes, and at least one row:
+# 5,000 rows (half a block) on the 50-cycle, 95 on a tree with m = 1,000
+# and one on a tree with m = 10^5. Median rows per second of 12 alternating
+# in-process runs, on the 50-cycle and random trees with n = 60, 100, 300,
+# 1,001, 3,001 and 10,001, 2-CPU host, numpy 2.4.6, geometric mean against
+# 8 MiB: 2 MiB 0.77, 4 MiB 0.94, 12 MiB 0.99, 16 MiB 0.90, and a slice of
+# at most 150,000 positions or endpoints 0.84.
+_SLICE_BYTES = 8 << 20
 _PERM_CHUNK = 100_000
 _TAIL_VERTICES = 8  # 8! = 40,320 rows in the numpy permutation table
 _EDGE_BATCH = 255  # the most edges whose crossings one uint8 count holds
@@ -470,11 +474,32 @@ def monte_carlo_moments(
     )
 
 
+def _row_bytes(g: Graph) -> int:
+    """Bytes one row takes in the tables of the two Monte Carlo slices in
+    flight, as MC_BLOCK_BYTES charges them and _slices sizes them: 16n to
+    draw the intp positions of the next slice, through a second table of
+    that size, and for the slice being counted, 8n for its positions and
+    the tables of the counter that runs: either 3m endpoints and span
+    widths of 1, 2 or 4 bytes, a gathered batch of 2 * min(m, 255) of them
+    with as many tests and 8 for the count (below _MERGE_FROM_M edges), or
+    64m for the merge count's int64 keys, power-of-two int32 tables and
+    their sorted copies."""
+    import numpy as np
+
+    n, m = g.n, g.m
+    if m < _MERGE_FROM_M:
+        ends, batch = np.min_scalar_type(n).itemsize, min(m, _EDGE_BATCH)
+        counter = 3 * m * ends + 2 * batch * (ends + 1) + 8
+    else:
+        counter = 64 * m
+    return 24 * n + counter
+
+
 def _slices(rows: int, g: Graph) -> list[int]:
     """Row counts of the slices in which a block of `rows` rows is drawn and
     counted: as even as can be, each at most half the block and at most
-    _SLICE_POSITIONS / max(n, m) rows, and at least one row."""
-    most = max(1, min(rows // 2, _SLICE_POSITIONS // max(g.n, g.m, 1)))
+    _SLICE_BYTES / _row_bytes(g) rows, and at least one row."""
+    most = max(1, min(rows // 2, _SLICE_BYTES // _row_bytes(g)))
     count = -(-rows // most)
     size, extra = divmod(rows, count)
     return [size + 1] * extra + [size] * (count - extra)
@@ -487,16 +512,9 @@ def _check_monte_carlo(g: Graph, samples: int) -> tuple[int, int]:
     MC_BLOCK_BYTES or the estimate's work MC_WORK_LIMIT."""
     if samples < 2:
         raise ValueError("Monte Carlo needs at least 2 samples")
-    import numpy as np
-
     n, m = g.n, g.m
     rows = _slices(min(MC_BLOCK, samples), g)[0]  # the largest slice
-    if m < _MERGE_FROM_M:
-        ends, batch = np.min_scalar_type(n).itemsize, min(m, _EDGE_BATCH)
-        counter = 3 * m * ends + 2 * batch * (ends + 1) + 8
-    else:
-        counter = 64 * m
-    need = rows * (24 * n + counter)
+    need = rows * _row_bytes(g)
     check_budget(need, MC_BLOCK_BYTES,
                  f"bytes of a Monte Carlo slice of {rows} rows on n = {n}, m = {m}")
     q = size_q(g)

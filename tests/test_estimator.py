@@ -26,7 +26,7 @@ from crossings import (
 )
 from crossings import estimator
 from crossings.estimator import crossing_counts
-from crossings.graphs import BudgetError, erdos_renyi
+from crossings.graphs import BudgetError, check_budget, erdos_renyi
 
 
 class TestCrossingCountsBulk:
@@ -175,16 +175,22 @@ class TestDrawSlices:
             blocks.append(rng.permuted(pos, axis=1, out=pos))
         return np.concatenate(blocks)
 
-    @pytest.mark.parametrize("n,samples,slices", [
-        (3, 2, [1, 1]),
-        (3, 12_345, [5_000, 5_000, 782, 782, 781]),  # a short last block
-        (60, 999, [333, 333, 333]),  # fewer rows than one full slice
-        (60, 10_001, [2_500] * 4 + [1]),
-        (300, 2, [1, 1]),
-        (300, 1_201, [401, 400, 400]),
-        (70_000, 5, [2, 2, 1]),  # a short last slice
+    @pytest.mark.parametrize("n,m,samples,slices", [
+        (3, 1, 2, [1, 1]),
+        (3, 1, 12_345, [5_000, 5_000, 782, 782, 781]),  # a short last block
+        (60, 1, 999, [333, 333, 333]),  # fewer rows than one full slice
+        # half a block: 8 MiB would hold 5,765 rows of 24 * 60 + 3 + 2 * 2 + 8
+        # bytes
+        (60, 1, 10_001, [5_000, 5_000, 1]),
+        (300, 1, 2, [1, 1]),
+        (300, 1, 1_201, [401, 400, 400]),
+        (70_000, 1, 5, [2, 2, 1]),  # a short last slice
+        # merge-counted: 8 MiB holds 95 rows of 24 * 1,001 + 64 * 1,000
+        # bytes, so 2,000 rows take 22 slices
+        (1_001, 1_000, 2_000, [91] * 20 + [90] * 2),
     ])
-    def test_sliced_rows_equal_whole_blocks(self, monkeypatch, n, samples, slices):
+    def test_sliced_rows_equal_whole_blocks(self, monkeypatch, n, m, samples, slices):
+        # the path on vertices 1 to m + 1, the other vertices isolated
         seen = []
 
         def spy(graph, pos):
@@ -193,9 +199,46 @@ class TestDrawSlices:
             return crossing_counts(graph, pos)
 
         monkeypatch.setattr(estimator, "crossing_counts", spy)
-        monte_carlo_moments(Graph(n, [(1, 2)]), samples=samples, seed=17)
+        g = Graph(n, [(v, v + 1) for v in range(1, m + 1)])
+        monte_carlo_moments(g, samples=samples, seed=17)
         assert [len(pos) for pos in seen] == slices
         assert np.array_equal(np.concatenate(seen), self.whole_blocks(n, samples, 17))
+
+
+class TestSliceBytes:
+    # the slice size follows _SLICE_BYTES, and never changes a result
+    @pytest.mark.parametrize("kind,largest_slices", [
+        ("cycle50", [1, 62, 617]), ("tree400", [1, 2, 206]),
+    ])
+    def test_slice_bytes_never_change_a_result(self, monkeypatch, kind, largest_slices):
+        # the per-edge counter on the cycle (1,558 bytes a row), the merge
+        # count on the tree (35,136); one row a slice, an odd byte count,
+        # then the default, all under half the block of 1,234 rows
+        g = gen_family("cycle", 50) if kind == "cycle50" else _random_tree(400, 4)
+        assert (g.m < estimator._MERGE_FROM_M) == (kind == "cycle50")
+        results, largest = [], []
+        for slice_bytes in (1, 99_999, estimator._SLICE_BYTES):
+            seen, charged = [], []
+
+            def spy(graph, pos):
+                seen.append(len(pos))
+                return crossing_counts(graph, pos)
+
+            def budget(value, limit, what):
+                if what.startswith("bytes of a Monte Carlo slice"):
+                    charged.append(value)
+                return check_budget(value, limit, what)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(estimator, "_SLICE_BYTES", slice_bytes)
+                patch.setattr(estimator, "crossing_counts", spy)
+                patch.setattr(estimator, "check_budget", budget)
+                rep = monte_carlo_moments(g, samples=1_234, seed=5)
+            assert charged == [max(seen) * estimator._row_bytes(g)]
+            results.append((rep.mean, rep.variance))
+            largest.append(max(seen))
+        assert results[1:] == results[:-1]
+        assert largest == largest_slices
 
 
 # monte_carlo_moments (mean, variance) recorded from whole-block int32 draws
@@ -576,20 +619,25 @@ class TestCountedAside:
         assert (rep.mean, rep.variance) == self.inline(g, samples, 29)
 
     def test_counts_in_order_in_one_worker(self, monkeypatch):
-        # ten slices of 2,500 rows, each counted in the same thread, not
-        # the caller's, in the order drawn
+        # eight slices, each counted in the same thread, not the caller's,
+        # in the order drawn: 8 MiB holds 4,490 rows of 24 * 60 + 3 * 60 +
+        # 2 * 60 * 2 + 8 bytes, so each full block takes three slices, and
+        # the last block of 5,000 rows two of half its rows
         calls = []
 
         def spy(graph, pos):
-            calls.append((threading.get_ident(), pos[0].tolist()))
+            calls.append((threading.get_ident(), len(pos), pos[0].tolist()))
             return crossing_counts(graph, pos)
 
         monkeypatch.setattr(estimator, "crossing_counts", spy)
         monte_carlo_moments(gen_family("cycle", 60), samples=25_000, seed=3)
-        assert len({ident for ident, _ in calls}) == 1
+        assert len({ident for ident, _, _ in calls}) == 1
         assert calls[0][0] != threading.get_ident()
+        lengths = [3_334, 3_333, 3_333] * 2 + [2_500, 2_500]
+        assert [rows for _, rows, _ in calls] == lengths
         rows = TestDrawSlices.whole_blocks(60, 25_000, 3)
-        assert [first for _, first in calls] == rows[::2_500].tolist()
+        starts = np.cumsum([0] + lengths[:-1])
+        assert [first for _, _, first in calls] == rows[starts].tolist()
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
         raised = ValueError("third slice")
