@@ -15,19 +15,24 @@ slices of at most _PERM_CHUNK rows. Above that (a raised limit), the
 (n - 1)!/2 rows are streamed in chunks and nothing is kept.
 
 `crossing_counts` counts each row's crossings from the edges, never from
-`Q`, with one of two counters chosen by m. Below _MERGE_FROM_M edges it
-counts per edge: one batched test in wrapping unsigned arithmetic checks an
-edge against all the later edges independent of it, in O(rows * |Q|) work.
-From _MERGE_FROM_M edges on it merge-counts: each row's edges are sorted by
-their left ends and the crossings counted while merge-sorting their right
-ends, in O(rows * m log m) work. Monte Carlo draws each block's rows in
-slices of intp positions from the block's own stream: each slice holds at
-most half its block and at most _SLICE_BYTES of the per-row charge
-_row_bytes, which MC_BLOCK_BYTES also charges, and at least one row. One
-worker thread counts each slice, in order, while the calling thread draws
-the next; the sums are exact integers, so the results are those of
-counting inline. Exhaustive enumeration has nothing to draw and counts
-inline.
+`Q`, with one of two counters chosen by m. Both gather the edges' end
+positions in one call from the vertex-major view of the rows. Below
+_MERGE_FROM_M edges it counts per edge: one batched test in wrapping
+unsigned arithmetic checks an edge against all the later edges independent
+of it, in O(rows * |Q|) work. From _MERGE_FROM_M edges on it merge-counts:
+each row's edges are sorted by their left ends and the crossings counted
+while merge-sorting their right ends, in O(rows * m log m) work.
+
+Monte Carlo draws each block's rows in slices from the block's own stream:
+each slice holds at most half its block and at most _SLICE_BYTES of the
+per-row charge _row_bytes, which MC_BLOCK_BYTES also charges, and at least
+one row. A slice is shuffled in intp pieces of at most _PIECE_BYTES (and at
+least one row), each written into a vertex-major (n, rows) table of the
+narrowest unsigned type that holds n, the layout of the exhaustive class
+tables, and the counter reads that table in place. One worker thread
+counts each slice, in order, while the calling thread draws the next; the
+sums are exact integers, so the results are those of counting inline.
+Exhaustive enumeration has nothing to draw and counts inline.
 
 Budgets refuse through `graphs.check_budget` before anything is counted:
 the exhaustive limit on n, MC_BLOCK_BYTES on the tables of the two Monte
@@ -55,11 +60,12 @@ MC_BLOCK = 10_000
 # The most bytes the tables of the Monte Carlo slices in flight may take (a
 # block is drawn and counted in slices, see _slices, and one slice is drawn
 # while the one before it is counted), charged as the largest slice's rows
-# times _row_bytes. Peaks measured with tracemalloc, numpy 2.4.6, at the
-# slices of _SLICE_BYTES, stay below the charge: 73-78 % of it on paths,
-# cycles and random trees, m = 30 to 299, and 64-91 % on random trees,
-# m = 1,000 to 131,072 (91 % at m = 65,537, one row a slice, whose merge
-# table pads to 131,072 columns).
+# times _row_bytes. Peaks of one estimate measured with tracemalloc, numpy
+# 2.4.6, at the slices of _SLICE_BYTES, stay below the charge: 52-70 % of it
+# on paths, cycles and random trees, m = 30 to 299 (the charge counts 8n a
+# row for the intp piece, which holds at most _PIECE_BYTES of them), and
+# 58-90 % on random trees, m = 1,000 to 131,072 (90 % at m = 65,537, one
+# row a slice, whose merge table pads to 131,072 columns).
 MC_BLOCK_BYTES = 1 << 30
 # The most work of one Monte Carlo estimate, in pair tests of 1.42 ns (a
 # random tree, n = 1,000, T = 10^4: 7.07 s), so that a run at the limit takes
@@ -87,6 +93,12 @@ _MERGE_FROM_M = 300
 # 8 MiB: 2 MiB 0.77, 4 MiB 0.94, 12 MiB 0.99, 16 MiB 0.90, and a slice of
 # at most 150,000 positions or endpoints 0.84.
 _SLICE_BYTES = 8 << 20
+# A slice is shuffled through intp pieces of at most this many bytes, and at
+# least one row. Median of 40 alternating in-process estimates at
+# T = 5 * 10^4, 2-CPU host, numpy 2.4.6, on the 50-cycle: 64 KiB 63.7 ms,
+# 256 KiB 57.5, 1 MiB 56.3, 4 MiB 56.1; on a random 60-vertex tree: 82.7,
+# 76.1, 73.5 and 74.4 ms. Larger pieces gain little and take more memory.
+_PIECE_BYTES = 256 << 10
 _PERM_CHUNK = 100_000
 _TAIL_VERTICES = 8  # 8! = 40,320 rows in the numpy permutation table
 _EDGE_BATCH = 255  # the most edges whose crossings one uint8 count holds
@@ -106,12 +118,26 @@ def crossing_counts(g: Graph, pos: np.ndarray) -> np.ndarray:
     """Crossing count per row of a positions matrix (row r: pos of vertex i
     at column i-1), equal to arrangement.crossings.
 
+    Any integer type and layout is counted; the counters read the matrix
+    vertex-major, so the transpose of a narrow (n, rows) table, as Monte
+    Carlo and exhaustive enumeration hand them, is read in place.
     Graphs with fewer than _MERGE_FROM_M edges are counted per edge, larger
     ones by the merge count; the two give equal rows on every graph.
     """
     if g.m < _MERGE_FROM_M:
         return _per_edge_counts(g, pos)
     return _merge_counts(g, pos)
+
+
+def _edge_ends(g: Graph, pos: np.ndarray) -> np.ndarray:
+    """The (2, m, rows) table of each edge's two end positions in every row
+    of `pos`, gathered at once from the vertex-major view pos.T, in the
+    narrowest unsigned type that holds n (uint8 for n <= 255, uint16 for
+    n <= 65,535, uint32 above)."""
+    import numpy as np
+
+    ends = np.take(pos.T, _edge_array(g.edges).T, axis=0)
+    return ends.astype(np.min_scalar_type(g.n), copy=False)
 
 
 @lru_cache(maxsize=1)
@@ -146,9 +172,8 @@ def _per_edge_counts(g: Graph, pos: np.ndarray) -> np.ndarray:
     Two independent edges have four distinct positions, and they cross
     exactly when one end of the later edge lies strictly inside the earlier
     edge's span and the other outside it. Each edge's two endpoint columns
-    are copied once into an unsigned (2, m, rows) table of B bits, the
-    narrowest that holds n (uint8 for n <= 255, uint16 for n <= 65,535,
-    uint32 above). For an edge with ends at positions a and b, an end x of an
+    are gathered once into the unsigned (2, m, rows) table of _edge_ends,
+    of B bits. For an edge with ends at positions a and b, an end x of an
     edge independent of it passes the test x - a < b - a, in wrapping
     B-bit arithmetic, exactly when x lies inside (a, b) if a < b, and
     exactly when x lies outside (b, a) if a > b (positions 1..n are
@@ -162,16 +187,10 @@ def _per_edge_counts(g: Graph, pos: np.ndarray) -> np.ndarray:
     import numpy as np
 
     c = np.zeros(pos.shape[0], dtype=np.int64)
-    edges = g.edges
-    m = len(edges)
-    ends = np.empty((2, m, len(c)), dtype=np.min_scalar_type(g.n))
-    for i, (s, t) in enumerate(edges):
-        # column by column, so no (n, rows) or full-width copy is made
-        ends[0, i] = pos[:, s - 1]
-        ends[1, i] = pos[:, t - 1]
+    ends = _edge_ends(g, pos)
     width = ends[1] - ends[0]
-    passed = np.empty((2, min(m, _EDGE_BATCH), len(c)), dtype=bool)
-    for i, later in enumerate(_independent_later(edges)):
+    passed = np.empty((2, min(g.m, _EDGE_BATCH), len(c)), dtype=bool)
+    for i, later in enumerate(_independent_later(g.edges)):
         for k in range(0, len(later), _EDGE_BATCH):
             batch = later[k : k + _EDGE_BATCH]
             x = ends[:, batch]
@@ -206,16 +225,15 @@ def _merge_counts(g: Graph, pos: np.ndarray) -> np.ndarray:
     if m < 2 or rows == 0:
         return c
     base = n + 1
-    e = _edge_array(g.edges)
-    key = pos[:, e[:, 0]].astype(np.int64, copy=False)
-    hi = pos[:, e[:, 1]].astype(np.int64, copy=False)
-    lo = np.minimum(key, hi)
-    np.maximum(key, hi, out=hi)
-    # key = lo * base - hi: ascending lo, then descending hi
-    np.multiply(lo, base, out=key)
-    key -= hi
+    ends = _edge_ends(g, pos)
+    # key = lo * base - hi: ascending lo, then descending hi; computed
+    # edge-major, then put in row-major order once to sort each row
+    key = np.minimum(ends[0], ends[1]).astype(np.int64)
+    key *= base
+    key -= np.maximum(ends[0], ends[1])
+    del ends
+    key = key.T.copy()
     key.sort(axis=1)
-    del lo, hi
     # 2 * hi in sorted edge order, in int32 since 2n + 2 < 2^31 up to
     # MAX_VERTICES; zero pads, which pair with nothing, fill a level's last
     # group
@@ -299,10 +317,10 @@ def _accumulate(counts, q: int) -> tuple[int, int, int]:
 def _counted_aside(g: Graph, chunks):
     """The crossing counts of each position matrix of `chunks` (at least
     one), in order, each counted in one worker thread while the calling
-    thread draws the next from `chunks`. At most two matrices are alive:
-    one being counted and one being drawn. An exception in the worker is
-    raised here unchanged; the worker is stopped and joined on the way
-    out."""
+    thread draws the next from `chunks`. At most two slices' tables are
+    alive: the one being counted and the one being drawn, with the piece
+    it is shuffled through. An exception in the worker is raised here
+    unchanged; the worker is stopped and joined on the way out."""
     import threading
     from queue import SimpleQueue
 
@@ -452,6 +470,7 @@ def monte_carlo_moments(
     import numpy as np
 
     n = g.n
+    piece = max(1, _PIECE_BYTES // (8 * n))
 
     def chunks():
         for idx, start in enumerate(range(0, samples, MC_BLOCK)):
@@ -459,10 +478,16 @@ def monte_carlo_moments(
                 np.random.PCG64(np.random.SeedSequence([seed, idx]))
             )
             # numpy draws a block's rows one after another from its stream,
-            # so its slices hold the rows of the whole block
+            # so its slices, and their pieces, hold the rows of the whole
+            # block
             for rows in _slices(min(MC_BLOCK, samples - start), g):
-                pos = np.tile(np.arange(1, n + 1, dtype=np.intp), (rows, 1))
-                yield rng.permuted(pos, axis=1, out=pos)
+                table = np.empty((n, rows), dtype=np.min_scalar_type(n))
+                for k in range(0, rows, piece):
+                    pos = np.tile(np.arange(1, n + 1, dtype=np.intp),
+                                  (min(piece, rows - k), 1))
+                    table[:, k : k + len(pos)] = rng.permuted(pos, axis=1, out=pos).T
+                    del pos  # before the next piece is made
+                yield table.T
 
     _, sum_c, sum_c2 = _accumulate(_counted_aside(g, chunks()), q)
     t = samples
@@ -476,23 +501,26 @@ def monte_carlo_moments(
 
 def _row_bytes(g: Graph) -> int:
     """Bytes one row takes in the tables of the two Monte Carlo slices in
-    flight, as MC_BLOCK_BYTES charges them and _slices sizes them: 16n to
-    draw the intp positions of the next slice, through a second table of
-    that size, and for the slice being counted, 8n for its positions and
-    the tables of the counter that runs: either 3m endpoints and span
-    widths of 1, 2 or 4 bytes, a gathered batch of 2 * min(m, 255) of them
-    with as many tests and 8 for the count (below _MERGE_FROM_M edges), or
-    64m for the merge count's int64 keys, power-of-two int32 tables and
-    their sorted copies."""
+    flight, as MC_BLOCK_BYTES charges them and _slices sizes them. Positions
+    are held in vertex-major tables of b = 1, 2 or 4 bytes a position (the
+    narrowest unsigned type that holds n): 2nb for the table of the slice
+    being drawn and that of the slice being counted, and 8n for the intp
+    piece the drawn table is shuffled through, which holds at most the
+    slice's rows. Then the tables of the counter that runs: either 3m edge
+    ends and span widths of b bytes, a gathered batch of 2 * min(m, 255) of
+    them with as many tests and 8 for the count (below _MERGE_FROM_M
+    edges), or 64m for the merge count's edge ends, int64 keys,
+    power-of-two int32 tables and their sorted copies."""
     import numpy as np
 
     n, m = g.n, g.m
+    b = np.min_scalar_type(n).itemsize
     if m < _MERGE_FROM_M:
-        ends, batch = np.min_scalar_type(n).itemsize, min(m, _EDGE_BATCH)
-        counter = 3 * m * ends + 2 * batch * (ends + 1) + 8
+        batch = min(m, _EDGE_BATCH)
+        counter = 3 * m * b + 2 * batch * (b + 1) + 8
     else:
         counter = 64 * m
-    return 24 * n + counter
+    return 2 * n * b + 8 * n + counter
 
 
 def _slices(rows: int, g: Graph) -> list[int]:

@@ -49,10 +49,12 @@ BUDGETS = {
         (estimator, "crossing_counts"),
         "vertices for exhaustive enumeration of 6! = 720 arrangements"),
     "mc_block_bytes": (
-        # slices of 10 rows: 24 bytes a position, 16 to draw one slice and
-        # 8 for the slice counted meanwhile, with its 3 * 30 one-byte
-        # endpoints and widths, a batch of 2 * 30 with its tests, a count
-        10 * (24 * 30 + 3 * 30 + 2 * 30 * 2 + 8), (estimator, "MC_BLOCK_BYTES"),
+        # slices of 10 rows: a one-byte position in the table of the slice
+        # drawn and of the slice counted meanwhile, 8 bytes a position in the
+        # piece the drawn slice is shuffled through, and for the slice
+        # counted 3 * 30 one-byte endpoints and widths, a batch of 2 * 30
+        # with its tests, a count
+        10 * (2 * 30 + 8 * 30 + 3 * 30 + 2 * 30 * 2 + 8), (estimator, "MC_BLOCK_BYTES"),
         lambda limit: monte_carlo_moments(C30, samples=20, seed=0),
         (estimator, "crossing_counts"),
         "bytes of a Monte Carlo slice of 10 rows on n = 30, m = 30"),

@@ -159,9 +159,40 @@ class TestMergeCount:
         assert estimator._merge_counts(g, pos).tolist() == expected
 
 
+class TestLayouts:
+    # crossing_counts reads each layout it is handed in place or through one
+    # conversion: row-major intp rows, the transpose of a narrow
+    # vertex-major table or of a column slice of one (as Monte Carlo and
+    # exhaustive enumeration hand them), and the row-major int16 chunks a
+    # raised exhaustive limit streams; on both sides of the counters'
+    # cut-over
+    @pytest.mark.parametrize("m", [299, 300], ids=["per-edge", "merge"])
+    @pytest.mark.parametrize("n", [255, 256], ids=["uint8", "uint16"])
+    def test_row_and_vertex_major(self, n, m):
+        g = _gnm(n, m, n + m)
+        assert (g.m < estimator._MERGE_FROM_M) == (m == 299)
+        rows = _rows(n, 30, m)
+        expected = [crossings(g, LinearArrangement(r.tolist())) for r in rows]
+        table = np.ascontiguousarray(rows.T, dtype=np.min_scalar_type(n))
+        assert table.dtype == (np.uint8 if n == 255 else np.uint16)
+        assert crossing_counts(g, rows).tolist() == expected
+        assert crossing_counts(g, table.T).tolist() == expected
+        assert crossing_counts(g, table[:, 7:19].T).tolist() == expected[7:19]
+
+    @pytest.mark.parametrize("m", [299, 300], ids=["per-edge", "merge"])
+    def test_class_representatives_chunk(self, m):
+        g = _gnm(26, m, m)
+        chunk = next(estimator._class_representatives(26))
+        assert chunk.dtype == np.int16 and chunk.flags.c_contiguous
+        rows = chunk[::1_009]  # every row would take seconds per edge
+        expected = [crossings(g, LinearArrangement(r.tolist())) for r in rows]
+        assert crossing_counts(g, rows).tolist() == expected
+
+
 class TestDrawSlices:
-    # Monte Carlo draws each block's rows in slices of intp positions from
-    # the block's stream. That these equal the rows of one int32 table per
+    # Monte Carlo draws each block's rows in slices from the block's stream,
+    # each shuffled in pieces of intp positions and held in a narrow
+    # vertex-major table. That these equal the rows of one int32 table per
     # block rests on numpy (checked with numpy 2.4.6): Generator.permuted
     # shuffles the rows one after another and draws the same numbers for
     # every integer type.
@@ -179,22 +210,23 @@ class TestDrawSlices:
         (3, 1, 2, [1, 1]),
         (3, 1, 12_345, [5_000, 5_000, 782, 782, 781]),  # a short last block
         (60, 1, 999, [333, 333, 333]),  # fewer rows than one full slice
-        # half a block: 8 MiB would hold 5,765 rows of 24 * 60 + 3 + 2 * 2 + 8
-        # bytes
+        # half a block: 8 MiB would hold 13,640 rows of 2 * 60 + 8 * 60 + 3 +
+        # 2 * 2 + 8 bytes
         (60, 1, 10_001, [5_000, 5_000, 1]),
         (300, 1, 2, [1, 1]),
         (300, 1, 1_201, [401, 400, 400]),
         (70_000, 1, 5, [2, 2, 1]),  # a short last slice
-        # merge-counted: 8 MiB holds 95 rows of 24 * 1,001 + 64 * 1,000
-        # bytes, so 2,000 rows take 22 slices
-        (1_001, 1_000, 2_000, [91] * 20 + [90] * 2),
+        # merge-counted: 8 MiB holds 110 rows of 2 * 1,001 * 2 + 8 * 1,001 +
+        # 64 * 1,000 bytes, so 2,000 rows take 19 slices
+        (1_001, 1_000, 2_000, [106] * 5 + [105] * 14),
     ])
     def test_sliced_rows_equal_whole_blocks(self, monkeypatch, n, m, samples, slices):
         # the path on vertices 1 to m + 1, the other vertices isolated
         seen = []
 
         def spy(graph, pos):
-            assert pos.dtype == np.intp
+            # the transpose of a vertex-major table of the narrowest type
+            assert pos.dtype == np.min_scalar_type(n) and pos.T.flags.c_contiguous
             seen.append(pos.copy())
             return crossing_counts(graph, pos)
 
@@ -204,15 +236,30 @@ class TestDrawSlices:
         assert [len(pos) for pos in seen] == slices
         assert np.array_equal(np.concatenate(seen), self.whole_blocks(n, samples, 17))
 
+    @pytest.mark.parametrize("piece_bytes", [1, 4_000, 1 << 30],
+                             ids=["one-row", "odd", "whole-slice"])
+    def test_pieces_never_change_the_rows(self, monkeypatch, piece_bytes):
+        # one row a piece, 8 rows of the 60 vertices, or the whole slice
+        seen = []
+
+        def spy(graph, pos):
+            seen.append(pos.copy())
+            return crossing_counts(graph, pos)
+
+        monkeypatch.setattr(estimator, "_PIECE_BYTES", piece_bytes)
+        monkeypatch.setattr(estimator, "crossing_counts", spy)
+        monte_carlo_moments(gen_family("cycle", 60), samples=12_345, seed=17)
+        assert np.array_equal(np.concatenate(seen), self.whole_blocks(60, 12_345, 17))
+
 
 class TestSliceBytes:
     # the slice size follows _SLICE_BYTES, and never changes a result
     @pytest.mark.parametrize("kind,largest_slices", [
-        ("cycle50", [1, 62, 617]), ("tree400", [1, 2, 206]),
+        ("cycle50", [1, 113, 617]), ("tree400", [1, 3, 247]),
     ])
     def test_slice_bytes_never_change_a_result(self, monkeypatch, kind, largest_slices):
-        # the per-edge counter on the cycle (1,558 bytes a row), the merge
-        # count on the tree (35,136); one row a slice, an odd byte count,
+        # the per-edge counter on the cycle (858 bytes a row), the merge
+        # count on the tree (30,336); one row a slice, an odd byte count,
         # then the default, all under half the block of 1,234 rows
         g = gen_family("cycle", 50) if kind == "cycle50" else _random_tree(400, 4)
         assert (g.m < estimator._MERGE_FROM_M) == (kind == "cycle50")
@@ -490,12 +537,12 @@ class TestMonteCarlo:
 
     def test_block_budget(self, monkeypatch):
         # a block of 10^4 rows in two slices of 5,000, one drawn while the
-        # other is counted: per row, 30 intp positions and their shuffle
-        # copy for the one, and for the other 30 intp positions, 3 * 30
-        # uint8 endpoints and widths, a batch of 2 * 30 with its tests, and
-        # an int64 count
+        # other is counted: per row, 30 uint8 positions in each slice's
+        # table and 30 intp positions in the piece the drawn one is shuffled
+        # through, and for the slice counted 3 * 30 uint8 endpoints and
+        # widths, a batch of 2 * 30 with its tests, and an int64 count
         g = gen_family("cycle", 30)
-        need = 5_000 * (24 * 30 + 3 * 30 + 2 * 30 * 2 + 8)
+        need = 5_000 * (2 * 30 + 8 * 30 + 3 * 30 + 2 * 30 * 2 + 8)
         before = monte_carlo_moments(g, samples=20_000, seed=3)
 
         def refuse(*args, **kwargs):
@@ -513,12 +560,32 @@ class TestMonteCarlo:
         monkeypatch.setattr(estimator, "MC_BLOCK_BYTES", need)
         assert monte_carlo_moments(g, samples=20_000, seed=3) == before
 
+    @pytest.mark.parametrize("kind,samples", [("cycle50", 10_000), ("tree1001", 1_000)])
+    def test_peak_within_the_charge(self, kind, samples):
+        # what MC_BLOCK_BYTES charges bounds what one estimate allocates,
+        # the per-edge set-up and the merge count's tables included
+        import tracemalloc
+
+        g = gen_family("cycle", 50) if kind == "cycle50" else _random_tree(1_001, 1)
+        assert (g.m < estimator._MERGE_FROM_M) == (kind == "cycle50")
+        charge = estimator._slices(min(estimator.MC_BLOCK, samples), g)[0] * (
+            estimator._row_bytes(g))
+        estimator._edge_array.cache_clear()
+        estimator._independent_later.cache_clear()
+        tracemalloc.start()
+        try:
+            monte_carlo_moments(g, samples=samples, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < peak <= charge
+
     def test_block_budget_counts_rows_drawn(self, monkeypatch):
         # fewer samples than a block: its two slices hold only those rows,
-        # and the endpoints take 2 bytes each above 255 vertices, in a
-        # batch of 255 edges
+        # and the positions and endpoints take 2 bytes each above 255
+        # vertices, in a batch of 255 edges
         g = gen_family("linear_tree", 300)
-        need = 25 * (24 * 300 + 3 * 299 * 2 + 2 * 255 * 3 + 8)
+        need = 25 * (2 * 300 * 2 + 8 * 300 + 3 * 299 * 2 + 2 * 255 * 3 + 8)
         monkeypatch.setattr(estimator, "MC_BLOCK_BYTES", need - 1)
         with pytest.raises(BudgetError, match=f"25 rows on n = 300, m = 299: {need} exceeds"):
             monte_carlo_moments(g, samples=50, seed=0)
@@ -527,8 +594,9 @@ class TestMonteCarlo:
 
     def test_default_budget_refuses_a_large_sparse_graph(self, monkeypatch):
         # 2 * 10^7 edges on 2 * 10^6 vertices: one row's merge tables take
-        # 1.28 GB, and the positions of it and of the row drawn beside it
-        # 48 MB, refused before numpy allocates them; only n and m are read
+        # 1.28 GB, the uint32 positions of it and of the row drawn beside it
+        # 16 MB, and the intp piece that row is shuffled through 16 MB,
+        # refused before numpy allocates them; only n and m are read
         def refuse(*args, **kwargs):
             raise AssertionError("allocated a slice over budget")
 
@@ -536,7 +604,7 @@ class TestMonteCarlo:
         monkeypatch.setattr(estimator, "crossing_counts", refuse)
         g = SimpleNamespace(n=2 * 10**6, m=2 * 10**7)
         with pytest.raises(BudgetError, match=(
-                "slice of 1 rows on n = 2000000, m = 20000000: 1328000000 exceeds")):
+                "slice of 1 rows on n = 2000000, m = 20000000: 1312000000 exceeds")):
             monte_carlo_moments(g, samples=100_000, seed=0)
 
     def test_default_budget_admits_a_tree_of_100000_edges(self, monkeypatch):
@@ -619,10 +687,10 @@ class TestCountedAside:
         assert (rep.mean, rep.variance) == self.inline(g, samples, 29)
 
     def test_counts_in_order_in_one_worker(self, monkeypatch):
-        # eight slices, each counted in the same thread, not the caller's,
-        # in the order drawn: 8 MiB holds 4,490 rows of 24 * 60 + 3 * 60 +
-        # 2 * 60 * 2 + 8 bytes, so each full block takes three slices, and
-        # the last block of 5,000 rows two of half its rows
+        # six slices, each counted in the same thread, not the caller's, in
+        # the order drawn: 8 MiB holds 8,160 rows of 2 * 60 + 8 * 60 +
+        # 3 * 60 + 2 * 60 * 2 + 8 bytes, so each full block takes two slices
+        # of half its rows, and so does the last block of 5,000 rows
         calls = []
 
         def spy(graph, pos):
@@ -633,7 +701,7 @@ class TestCountedAside:
         monte_carlo_moments(gen_family("cycle", 60), samples=25_000, seed=3)
         assert len({ident for ident, _, _ in calls}) == 1
         assert calls[0][0] != threading.get_ident()
-        lengths = [3_334, 3_333, 3_333] * 2 + [2_500, 2_500]
+        lengths = [5_000, 5_000] * 2 + [2_500, 2_500]
         assert [rows for _, rows, _ in calls] == lengths
         rows = TestDrawSlices.whole_blocks(60, 25_000, 3)
         starts = np.cumsum([0] + lengths[:-1])
