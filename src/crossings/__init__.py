@@ -3,10 +3,13 @@ whose vertices are placed uniformly at random on a line, with brute-force
 oracles, closed forms for special families, empirical estimators and a
 z-score significance test.
 
-The names of `closed_forms` (`closed_*`) and of `validation`
-(`ValidationReport`, `check_graph`, `validate_*`) load their module on first
-access, so that commands which never use them do not pay for importing
-them. Every other public name is imported with the package.
+The names of `generators` (`FAMILIES`, `gen_family`, `erdos_renyi`,
+`from_pruefer`, `from_graph6`, `format_edge_list`), of `census`
+(`classify`, `freq_brute`, `count_graphette`, `GRAPHETTE_*`), of
+`closed_forms` (`closed_*`) and of `validation` (`ValidationReport`,
+`check_graph`, `validate_*`) load their module on first access, so that
+commands which never use them neither compile nor import them. Every other
+public name is imported with the package.
 """
 
 __version__ = "0.1.0"
@@ -24,16 +27,10 @@ from .estimator import (
     scan_family,
 )
 from .graphs import (
-    FAMILIES,
     BudgetError,
     Graph,
     GraphFormatError,
     degree_stats,
-    erdos_renyi,
-    format_edge_list,
-    from_graph6,
-    from_pruefer,
-    gen_family,
     is_q_zero,
     parse_edge_list,
     q_edge,
@@ -53,19 +50,18 @@ from .moments import (
     z_score,
 )
 from .product_types import (
-    GRAPHETTE_MULTIPLIERS,
-    GRAPHETTE_SHAPES,
     PRODUCT_TYPES,
     TYPE_VERTEX_COUNT,
     FreqVector,
-    classify,
-    count_graphette,
-    freq_brute,
     freq_fast,
 )
 
 # public name -> the submodule that defines it, imported on first access
 _LAZY = {
+    **dict.fromkeys(("FAMILIES", "erdos_renyi", "format_edge_list", "from_graph6",
+                     "from_pruefer", "gen_family"), "generators"),
+    **dict.fromkeys(("GRAPHETTE_MULTIPLIERS", "GRAPHETTE_SHAPES", "classify",
+                     "count_graphette", "freq_brute"), "census"),
     **dict.fromkeys(("closed_expectation", "closed_freq", "closed_variance"),
                     "closed_forms"),
     **dict.fromkeys(("ValidationReport", "check_graph", "validate_er",

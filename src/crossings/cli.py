@@ -26,13 +26,7 @@ from .estimator import (
 from .graphs import (
     BudgetError,
     GraphFormatError,
-    _family_extra,
-    _graph6_lines,
     degree_stats,
-    erdos_renyi,
-    format_edge_list,
-    from_graph6,
-    gen_family,
     is_q_zero,
     parse_edge_list,
     read_input_file,
@@ -48,6 +42,7 @@ EXIT_VALIDATION = 3
 
 class _Parser(argparse.ArgumentParser):
     commands: dict[str, _Parser]  # the subcommand parsers by name, top level only
+    has_arguments = False  # set on a command's parser once its arguments are added
 
     # usage errors exit 1 (argparse default is 2, reserved here for parse errors)
     def error(self, message):
@@ -105,6 +100,15 @@ def _load_graph(args):
     if args.input:
         _refuse_unread(args, "--input")
         return parse_edge_list(read_input_file(args.input, "utf-8"))
+    # imported on first use, so that an edge-list file loads no generator
+    from .generators import (
+        _family_extra,
+        _graph6_lines,
+        erdos_renyi,
+        from_graph6,
+        gen_family,
+    )
+
     if args.graph6:
         _refuse_unread(args, "--graph6")
         lines = _graph6_lines(args.graph6)
@@ -192,6 +196,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from .generators import format_edge_list
+
     g = _load_graph(args)
     sys.stdout.write(format_edge_list(g))
     return EXIT_OK
@@ -332,49 +338,39 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.success else EXIT_VALIDATION
 
 
-@functools.cache
-def build_parser() -> _Parser:
-    """The argument parser, built on first use and reused by later calls."""
-    parser = _Parser(prog="crossings", description=__doc__)
-    parser.add_argument("--version", action="version",
-                        version=f"crossings {__version__}")
-    sub = parser.add_subparsers(dest="cmd", required=True)
-    parser.commands = sub.choices
+def _common(p, graph=True, out=True):
+    """Add the flags several commands share; return the --out action, if
+    one is added."""
+    if graph:
+        _add_graph_args(p)
+    p.add_argument("--seed", type=int, default=None,
+                   help="PRNG seed (fallback: CROSSINGS_SEED, then 0)")
+    # accepted so that existing command lines keep working; ignored,
+    # since Monte Carlo counts in one worker thread whatever it says
+    p.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
+    if out:
+        return p.add_argument("--out", choices=("table", "csv", "json"),
+                              default="table")
 
-    def common(p, graph=True, out=True):
-        if graph:
-            _add_graph_args(p)
-        p.add_argument("--seed", type=int, default=None,
-                       help="PRNG seed (fallback: CROSSINGS_SEED, then 0)")
-        # accepted so that existing command lines keep working; ignored,
-        # since Monte Carlo counts in one worker thread whatever it says
-        p.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
-        if out:
-            return p.add_argument("--out", choices=("table", "csv", "json"),
-                                  default="table")
 
-    p = sub.add_parser("analyze", help="exact |Q|, E[C], Var[C] and frequencies")
-    common(p)
-    p.set_defaults(func=cmd_analyze)
+def _generate_args(p):
+    _common(p, out=False)  # edge-list text is its only output format
 
-    p = sub.add_parser("generate", help="emit a graph as edge-list text")
-    common(p, out=False)  # edge-list text is its only output format
-    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("estimate", help="empirical moments of C")
-    common(p)
+def _estimate_args(p):
+    _common(p)
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--exhaustive-limit", dest="exhaustive_limit",
                    type=int, default=DEFAULT_EXHAUSTIVE_LIMIT)
-    p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("ztest", help="z-score of an observed crossing count")
-    common(p)
+
+def _ztest_args(p):
+    _common(p)
     p.add_argument("--arrangement", help="arrangement file (positions line)")
     p.add_argument("--observed", type=int, help="observed crossing count")
-    p.set_defaults(func=cmd_ztest)
 
-    p = sub.add_parser("scan", help="theory vs estimates across a size range")
+
+def _scan_args(p):
     p.add_argument("--family", required=True)
     p.add_argument("--nmin", type=int, default=4)
     p.add_argument("--nmax", type=int, default=20)
@@ -383,10 +379,10 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--exhaustive-limit", dest="exhaustive_limit",
                    type=int, default=DEFAULT_EXHAUSTIVE_LIMIT)
-    common(p, graph=False)
-    p.set_defaults(func=cmd_scan)
+    _common(p, graph=False)
 
-    p = sub.add_parser("validate", help="run a cross-validation battery")
+
+def _validate_args(p):
     p.add_argument("what", choices=tuple(_VALIDATE_READS))
     p.add_argument("--nmax", type=int)
     p.add_argument("--path", help="graph6 corpus file (what=graph6)")
@@ -395,32 +391,72 @@ def build_parser() -> _Parser:
     p.add_argument("--p", type=float)
     p.add_argument("--trials", type=int)
     p.add_argument("--exhaustive-limit", dest="exhaustive_limit", type=int)
-    out = common(p, graph=False)
+    out = _common(p, graph=False)
     out.choices, out.default = ("json",), "json"  # reports are JSON only
-    p.set_defaults(func=cmd_validate)
 
+
+# each command: its help line, the function that runs it, and the one that
+# adds its arguments to its parser
+_COMMANDS = {
+    "analyze": ("exact |Q|, E[C], Var[C] and frequencies", cmd_analyze, _common),
+    "generate": ("emit a graph as edge-list text", cmd_generate, _generate_args),
+    "estimate": ("empirical moments of C", cmd_estimate, _estimate_args),
+    "ztest": ("z-score of an observed crossing count", cmd_ztest, _ztest_args),
+    "scan": ("theory vs estimates across a size range", cmd_scan, _scan_args),
+    "validate": ("run a cross-validation battery", cmd_validate, _validate_args),
+}
+
+
+@functools.cache
+def build_parser() -> _Parser:
+    """The top-level parser, built on first use and reused by later calls.
+
+    Each command's parser is made with its name and help, but without its
+    arguments: `_command_parser` adds them on first use, so that a command
+    line builds only the parser of the command it runs.
+    """
+    parser = _Parser(prog="crossings", description=__doc__)
+    parser.add_argument("--version", action="version",
+                        version=f"crossings {__version__}")
+    sub = parser.add_subparsers(dest="cmd", required=True)
+    for name, (summary, func, _) in _COMMANDS.items():
+        sub.add_parser(name, help=summary).set_defaults(func=func)
+    parser.commands = sub.choices
     return parser
 
 
+def _command_parser(name: str) -> _Parser:
+    """The parser of command `name`, its arguments added on the first call."""
+    p = build_parser().commands[name]
+    if not p.has_arguments:
+        _COMMANDS[name][2](p)
+        p.has_arguments = True
+    return p
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """build_parser().parse_args(argv), parsing a known command's arguments once.
+    """build_parser().parse_args(argv), parsing a known command's arguments
+    once, with only that command's parser built.
 
     The top-level parser would parse the whole command line and then have
     the command's parser parse the rest again, so a command line that starts
     with a command goes straight to that parser; leftovers are refused by
     the top-level parser, as argparse does. Every other command line goes
-    through the top-level parser, as does one holding an argument that
-    starts with "--=": the top-level parser refuses that as an ambiguous
-    abbreviation of --help and --version.
+    through the top-level parser, with every command's parser built first,
+    as does one holding an argument that starts with "--=": the top-level
+    parser refuses that as an ambiguous abbreviation of --help and
+    --version.
     """
     parser = build_parser()
     if argv and argv[0] in parser.commands and not any(
             a.startswith("--=") for a in argv):
-        args, extras = parser.commands[argv[0]].parse_known_args(
+        args, extras = _command_parser(argv[0]).parse_known_args(
             argv[1:], argparse.Namespace(cmd=argv[0]))
         if extras:
             parser.error(f"unrecognized arguments: {' '.join(extras)}")
         return args
+    for name in parser.commands:
+        _command_parser(name)
     return parser.parse_args(argv)
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .graphs import _check_family
+from .generators import _check_family
 from .product_types import PRODUCT_TYPES, TYPE_VERTEX_COUNT, FreqVector
 
 

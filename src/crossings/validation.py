@@ -21,32 +21,27 @@ from fractions import Fraction
 from itertools import product
 
 from . import moments
+from .census import GRAPHETTE_MULTIPLIERS, GRAPHETTE_SHAPES, count_graphette, freq_brute
 from .closed_forms import closed_freq, closed_variance
 from .estimator import DEFAULT_EXHAUSTIVE_LIMIT, exhaustive_moments, monte_carlo_moments
-from .graphs import (
+from .generators import (
     FAMILIES,
-    BudgetError,
-    Graph,
-    GraphFormatError,
     _family_extra,
     _graph6_lines,
     erdos_renyi,
     from_graph6,
     from_pruefer,
     gen_family,
+)
+from .graphs import (
+    BudgetError,
+    Graph,
+    GraphFormatError,
     is_q_zero,
     q_edge,
     size_q,
 )
-from .product_types import (
-    GRAPHETTE_MULTIPLIERS,
-    GRAPHETTE_SHAPES,
-    PRODUCT_TYPES,
-    FreqVector,
-    count_graphette,
-    freq_brute,
-    freq_fast,
-)
+from .product_types import PRODUCT_TYPES, FreqVector, freq_fast
 
 MC_SPOT_REL_TOL = 0.1
 MC_SPOT_SAMPLES = 20_000  # T of each Monte Carlo spot check

@@ -30,14 +30,13 @@ from crossings import (
     variance_rla,
 )
 from crossings.moments import variance_from_freq
-from crossings.product_types import (
+from crossings.census import (
     GRAPHETTE_MULTIPLIERS,
     GRAPHETTE_SHAPES,
-    PRODUCT_TYPES,
     count_graphette,
     freq_brute,
-    freq_fast,
 )
+from crossings.product_types import PRODUCT_TYPES, freq_fast
 
 
 def report(num: int, ok: bool, detail: str):

@@ -16,12 +16,8 @@ from crossings import (
     parse_arrangement,
     size_q,
 )
-from crossings.estimator import (
-    _class_representatives,
-    _class_table,
-    crossing_counts,
-    exhaustive_rows,
-)
+from crossings._counters import _class_representatives, _class_table
+from crossings.estimator import crossing_counts, exhaustive_rows
 from crossings.graphs import GraphFormatError
 
 

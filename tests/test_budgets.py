@@ -12,7 +12,7 @@ from crossings import (
     gen_family,
     monte_carlo_moments,
 )
-from crossings import estimator, graphs, product_types
+from crossings import census, estimator, generators, graphs
 from crossings.graphs import BudgetError
 
 C6 = gen_family("cycle", 6)  # |Q| = 9
@@ -29,21 +29,21 @@ def _refuse(*args, **kwargs):
 BUDGETS = {
     "vertices": (
         6, (graphs, "MAX_VERTICES"), lambda limit: gen_family("cycle", 6),
-        (graphs, "Graph"), "vertices"),
+        (generators, "Graph"), "vertices"),
     "edges": (
-        10, (graphs, "MAX_EDGES"), lambda limit: gen_family("complete", 5),
-        (graphs, "Graph"), "edges"),
+        10, (generators, "MAX_EDGES"), lambda limit: gen_family("complete", 5),
+        (generators, "Graph"), "edges"),
     "brute_q": (
-        9, (product_types, "BRUTE_Q_LIMIT"), lambda limit: freq_brute(C6),
+        9, (census, "BRUTE_Q_LIMIT"), lambda limit: freq_brute(C6),
         (Graph, "q_pairs"), "|Q| for freq_brute's |Q|^2 = 81 classifications"),
     "census_q": (
-        9, (product_types, "CENSUS_Q_LIMIT"),
+        9, (census, "CENSUS_Q_LIMIT"),
         lambda limit: count_graphette(C6, "L2+L2+L2+L2"),
-        (product_types, "_count_matchings"), "|Q| for the graphette census"),
+        (census, "_count_matchings"), "|Q| for the graphette census"),
     "census_p3": (
-        6, (product_types, "CENSUS_P3_LIMIT"),
+        6, (census, "CENSUS_P3_LIMIT"),
         lambda limit: count_graphette(C6, "L3+L3"),
-        (product_types, "_neighbours"), "3-vertex paths for the graphette census"),
+        (census, "_neighbours"), "3-vertex paths for the graphette census"),
     "exhaustive_n": (
         6, None, lambda limit: exhaustive_moments(C6, limit),
         (estimator, "crossing_counts"),

@@ -76,9 +76,9 @@ class TestAnalyze:
         assert (data["n"], data["m"]) == ("63", "62")
 
     def test_graph6_above_edge_limit_exit_1(self, capsys, monkeypatch, tmp_path):
-        from crossings import graphs
+        from crossings import generators
 
-        monkeypatch.setattr(graphs, "MAX_EDGES", 5)
+        monkeypatch.setattr(generators, "MAX_EDGES", 5)
         path = tmp_path / "k4.g6"
         path.write_text("C~\n")
         code, out, err = run(capsys, "analyze", "--graph6", str(path))
@@ -231,9 +231,9 @@ class TestGenerate:
         assert captured.out == "" and "--out" in captured.err
 
     def test_erdos_renyi_above_edge_limit_exit_1(self, capsys, monkeypatch):
-        from crossings import graphs
+        from crossings import generators
 
-        monkeypatch.setattr(graphs, "MAX_EDGES", 10_000)
+        monkeypatch.setattr(generators, "MAX_EDGES", 10_000)
         code, out, err = run(capsys, "generate", "--family", "erdos_renyi",
                              "--n", "2000", "--p", "0.5")
         assert code == 1
@@ -780,9 +780,9 @@ class TestValidateCmd:
 
     def test_graph6_corpus_line_over_edge_budget_named(self, capsys, monkeypatch,
                                                         tmp_path):
-        from crossings import graphs
+        from crossings import generators
 
-        monkeypatch.setattr(graphs, "MAX_EDGES", 7)
+        monkeypatch.setattr(generators, "MAX_EDGES", 7)
         path = tmp_path / "c.g6"
         path.write_text("C~\nD~{\n")  # K4, then K5 with 10 edges
         code, out, err = run(capsys, "validate", "graph6", "--path", str(path))
@@ -1005,3 +1005,55 @@ class TestArgparseEdgeCases:
         assert code == 0
         assert err == f"# crossings v{__version__} cmd=analyze seed=0 out=csv\n"
         assert out.splitlines()[1].startswith("4,4,")
+
+
+# command lines that argparse answers itself, with help, a version or a
+# usage error, and one that runs
+PARSER_LINES = [
+    ["--help"], *([cmd, "--help"] for cmd in cli._COMMANDS),
+    [],  # no command
+    ["nope"],  # unknown command
+    ["--=x"],
+    ["analyze", "--bogus"],  # unknown flag
+    ["analyze", "--input"],  # missing value
+    ["analyze", *STAR, "--out", "xml"],  # bad choice
+    ["analyze", *STAR, "--=x"],
+    ["analyze", *STAR, "--", "x"],
+    ["estimate", *STAR, "--samples", "x"],  # bad int
+    ["generate", *STAR, "--out", "json"],  # a flag another command takes
+    ["ztest", *STAR, "--observed"],
+    ["scan", "--nmax", "6"],  # missing required flag
+    ["validate"],  # missing positional
+    ["validate", "nope"],
+    ["validate", "trees", "--out", "table"],
+    ["analyze", *STAR, "--out", "json"],
+]
+
+
+class TestPerCommandParser:
+    """A command line builds only its command's parser; what it prints and
+    its exit code equal those of the parser with every command built."""
+
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+
+    @staticmethod
+    def outcome(capsys, argv, built):
+        cli.build_parser.cache_clear()  # every command's parser without arguments
+        for name in built:
+            cli._command_parser(name)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        finally:
+            cli.build_parser.cache_clear()
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", PARSER_LINES, ids=" ".join)
+    def test_same_bytes_as_the_whole_parser(self, capsys, argv):
+        whole = self.outcome(capsys, argv, cli._COMMANDS)
+        assert whole[1] or whole[2]
+        assert self.outcome(capsys, argv, ()) == whole

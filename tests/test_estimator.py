@@ -24,9 +24,33 @@ from crossings import (
     size_q,
     variance_rla,
 )
-from crossings import estimator
+from crossings import _counters, estimator
 from crossings.estimator import crossing_counts
-from crossings.graphs import BudgetError, check_budget, erdos_renyi
+from crossings.generators import erdos_renyi
+from crossings.graphs import BudgetError, check_budget
+
+
+class TestEdgeCaches:
+    @pytest.mark.parametrize("m", [30, 300], ids=["per-edge", "merged"])
+    def test_edges_hashed_once_per_graph(self, m):
+        # the counters keep their last graph's edge tables, keyed on the
+        # graph, whose hash is kept: counting a graph's rows again does not
+        # hash its m edges again (1.9 ms a call at m = 10^5)
+        hashed = []
+
+        class Edges(tuple):
+            def __hash__(self):
+                hashed.append(len(self))
+                return super().__hash__()
+
+        g = gen_family("linear_tree", m + 1)
+        object.__setattr__(g, "edges", Edges(g.edges))
+        rng = np.random.Generator(np.random.PCG64(m))
+        rows = [rng.permutation(np.arange(1, m + 2)) for _ in range(3)]
+        expected = [crossings(g, LinearArrangement(r.tolist())) for r in rows]
+        for _ in range(3):
+            assert crossing_counts(g, np.array(rows)).tolist() == expected
+        assert hashed == [m]
 
 
 class TestCrossingCountsBulk:
@@ -64,7 +88,7 @@ class TestCrossingCountsBulk:
         expected = [crossings(g, LinearArrangement(r.tolist())) for r in rows]
         assert max(expected) > 0
         assert crossing_counts(g, pos).tolist() == expected
-        assert estimator._merge_counts(g, pos).tolist() == expected
+        assert _counters._merge_counts(g, pos).tolist() == expected
 
     def test_exact_past_one_edge_batch(self):
         # under the identity, (1, 300) crosses each of the 298 later edges
@@ -83,7 +107,7 @@ class TestCrossingCountsBulk:
         g = Graph(4, edges)
         rows = list(permutations(range(1, 5)))
         expected = [crossings(g, LinearArrangement(r)) for r in rows]
-        for count in (crossing_counts, estimator._merge_counts):
+        for count in (crossing_counts, _counters._merge_counts):
             got = count(g, np.array(rows, dtype=np.int16))
             assert got.dtype == np.int64 and got.tolist() == expected
             assert count(g, np.empty((0, 4), dtype=np.int16)).tolist() == []
@@ -99,7 +123,7 @@ class TestCrossingCountsBulk:
         dtype = data.draw(st.sampled_from([np.int16, np.int32, np.int64]))
         expected = [crossings(g, LinearArrangement(r)) for r in rows]
         assert crossing_counts(g, np.array(rows, dtype=dtype)).tolist() == expected
-        assert estimator._merge_counts(g, np.array(rows, dtype=dtype)).tolist() == expected
+        assert _counters._merge_counts(g, np.array(rows, dtype=dtype)).tolist() == expected
 
 
 def _random_tree(n, seed):
@@ -130,8 +154,8 @@ class TestMergeCount:
         g = _random_tree(m + 1, m) if kind == "tree" else _gnm(m // 4, m, m)
         assert g.m == m
         pos = _rows(g.n, 40, m)
-        merged = estimator._merge_counts(g, pos)
-        assert merged.tolist() == estimator._per_edge_counts(g, pos).tolist()
+        merged = _counters._merge_counts(g, pos)
+        assert merged.tolist() == _counters._per_edge_counts(g, pos).tolist()
         assert merged.tolist() == crossing_counts(g, pos).tolist()
         assert merged[:3].tolist() == [crossings(g, LinearArrangement(r.tolist()))
                                        for r in pos[:3]]
@@ -156,7 +180,7 @@ class TestMergeCount:
         rows += list(_rows(n, 3, n))
         pos = np.array(rows, dtype=np.int32)
         expected = [crossings(g, LinearArrangement(r.tolist())) for r in rows]
-        assert estimator._merge_counts(g, pos).tolist() == expected
+        assert _counters._merge_counts(g, pos).tolist() == expected
 
 
 class TestLayouts:
@@ -182,7 +206,7 @@ class TestLayouts:
     @pytest.mark.parametrize("m", [299, 300], ids=["per-edge", "merge"])
     def test_class_representatives_chunk(self, m):
         g = _gnm(26, m, m)
-        chunk = next(estimator._class_representatives(26))
+        chunk = next(_counters._class_representatives(26))
         assert chunk.dtype == np.int16 and chunk.flags.c_contiguous
         rows = chunk[::1_009]  # every row would take seconds per edge
         expected = [crossings(g, LinearArrangement(r.tolist())) for r in rows]
@@ -414,20 +438,20 @@ class TestClassTable:
     @pytest.fixture
     def builds(self, monkeypatch):
         # an empty cache, and the sizes whose rows are generated from then on
-        estimator._class_table.cache_clear()
+        _counters._class_table.cache_clear()
         built = []
-        source = estimator._class_representatives
+        source = _counters._class_representatives
 
         def spy(n):
             built.append(n)
             return source(n)
 
-        monkeypatch.setattr(estimator, "_class_representatives", spy)
+        monkeypatch.setattr(_counters, "_class_representatives", spy)
         yield built
-        estimator._class_table.cache_clear()
+        _counters._class_table.cache_clear()
 
     def test_read_only(self):
-        table = estimator._class_table(6)
+        table = _counters._class_table(6)
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 1
         with pytest.raises(ValueError, match="read-only"):
@@ -447,16 +471,16 @@ class TestClassTable:
         for n in (7, 5, 7, 9, 5):
             exhaustive_moments(gen_family("linear_tree", n))
         assert builds == [7, 5, 9]
-        assert estimator._class_table.cache_info().currsize == 3
+        assert _counters._class_table.cache_info().currsize == 3
 
     def test_raised_limit_streams_and_keeps_nothing(self, builds):
         rep = exhaustive_moments(Graph(11, [(1, 2)]), limit=11)
         assert (rep.mean, rep.variance, rep.samples) == (0, 0, math.factorial(11))
         assert builds == [11]
-        assert estimator._class_table.cache_info().currsize == 0
+        assert _counters._class_table.cache_info().currsize == 0
 
     def test_counted_in_slices_of_views(self, monkeypatch):
-        table = estimator._class_table(10)
+        table = _counters._class_table(10)
         shapes = []
 
         def spy(g, pos):
@@ -570,8 +594,8 @@ class TestMonteCarlo:
         assert (g.m < estimator._MERGE_FROM_M) == (kind == "cycle50")
         charge = estimator._slices(min(estimator.MC_BLOCK, samples), g)[0] * (
             estimator._row_bytes(g))
-        estimator._edge_array.cache_clear()
-        estimator._independent_later.cache_clear()
+        _counters._edge_array.cache_clear()
+        _counters._independent_later.cache_clear()
         tracemalloc.start()
         try:
             monte_carlo_moments(g, samples=samples, seed=2)

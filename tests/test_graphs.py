@@ -93,12 +93,29 @@ class TestFromEdgeList:
 
     def test_holds_only_its_edges_and_degrees(self):
         # neighbour sets are built by the code that reads them, over the
-        # vertices it reads; a Graph keeps none and writes nothing later
+        # vertices it reads; a Graph keeps none, and writes nothing later
+        # but its hash
         g = Graph(5, [(1, 2), (2, 3)])
-        assert Graph.__slots__ == ("n", "edges", "degrees")
+        assert Graph.__slots__ == ("n", "edges", "degrees", "_hash")
         assert not hasattr(g, "adj")
         with pytest.raises(AttributeError, match="immutable"):
             g.edges = ()
+
+    def test_hash_kept_after_the_first(self):
+        # hashing the edges takes O(m); a graph hashes them once
+        hashed = []
+
+        class Edges(tuple):
+            def __hash__(self):
+                hashed.append(len(self))
+                return super().__hash__()
+
+        g = Graph(5, [(1, 2), (2, 3)])
+        object.__setattr__(g, "edges", Edges(g.edges))
+        assert {hash(g), hash(g)} == {hash((5, ((1, 2), (2, 3))))}
+        assert hashed == [2]
+        assert g == Graph(5, [(2, 3), (1, 2)]) and hash(g) == hash(Graph(5, [(2, 3), (1, 2)]))
+        assert hashed == [2]
 
     def test_memory_of_isolated_vertices(self):
         # one set per vertex took 436 MB at n = 10^6; a Graph keeps only
@@ -147,25 +164,25 @@ class TestVertexLimit:
 
 class TestEdgeLimit:
     def test_generators_at_and_above_limit(self, monkeypatch):
-        from crossings import graphs
+        from crossings import generators
 
-        monkeypatch.setattr(graphs, "MAX_EDGES", 9)
+        monkeypatch.setattr(generators, "MAX_EDGES", 9)
         assert gen_family("complete_bipartite", 3, n2=3).m == 9
         # the other families have no more edges than vertices
         assert gen_family("cycle", 40).m == 40
-        monkeypatch.setattr(graphs, "Graph", None)  # refused before building
+        monkeypatch.setattr(generators, "Graph", None)  # refused before building
         for args, kwargs, need in [(("complete", 5), {}, 10),
                                    (("complete_bipartite", 2), {"n2": 5}, 10)]:
             with pytest.raises(BudgetError, match=f"edges: {need} exceeds the limit of 9"):
                 gen_family(*args, **kwargs)
 
     def test_erdos_renyi_at_and_above_limit(self, monkeypatch):
-        from crossings import graphs
+        from crossings import generators
 
         g = erdos_renyi(30, 0.5, seed=3)
-        monkeypatch.setattr(graphs, "MAX_EDGES", g.m)
+        monkeypatch.setattr(generators, "MAX_EDGES", g.m)
         assert erdos_renyi(30, 0.5, seed=3) == g
-        monkeypatch.setattr(graphs, "MAX_EDGES", g.m - 1)
+        monkeypatch.setattr(generators, "MAX_EDGES", g.m - 1)
         with pytest.raises(BudgetError, match=f"edges drawn: {g.m} exceeds the limit of "
                                               f"{g.m - 1}"):
             erdos_renyi(30, 0.5, seed=3)
@@ -173,10 +190,10 @@ class TestEdgeLimit:
     def test_erdos_renyi_refuses_at_the_first_row_over(self, monkeypatch):
         # the edges kept never pass the limit: the row that would pass it
         # is refused before its edges are added, and no graph is built
-        from crossings import graphs
+        from crossings import generators
 
-        monkeypatch.setattr(graphs, "MAX_EDGES", 1000)
-        monkeypatch.setattr(graphs, "Graph", None)
+        monkeypatch.setattr(generators, "MAX_EDGES", 1000)
+        monkeypatch.setattr(generators, "Graph", None)
         with pytest.raises(BudgetError) as exc:
             erdos_renyi(400, 0.5, seed=1)
         need = int(str(exc.value).split(": ")[1].split()[0])
@@ -514,15 +531,15 @@ class TestGraph6:
             from_graph6("~~??????")
 
     def test_edges_counted_before_decoding(self, monkeypatch):
-        from crossings import graphs
+        from crossings import generators
 
         line = nx_graph6_line(gen_family("complete", 100))  # 4,950 edges
-        monkeypatch.setattr(graphs, "MAX_EDGES", 4_949)
+        monkeypatch.setattr(generators, "MAX_EDGES", 4_949)
 
         def no_graph(*args):
             raise AssertionError("built a graph")
 
-        monkeypatch.setattr(graphs, "Graph", no_graph)
+        monkeypatch.setattr(generators, "Graph", no_graph)
         with pytest.raises(BudgetError, match="edges: 4950 exceeds the limit of 4949"):
             from_graph6(line)
 

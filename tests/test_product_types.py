@@ -20,12 +20,10 @@ from crossings import (
     gen_family,
     size_q,
 )
-from crossings import product_types
+from crossings import census, product_types
+from crossings.census import BRUTE_Q_LIMIT, GRAPHETTE_MULTIPLIERS, GRAPHETTE_SHAPES
 from crossings.graphs import BudgetError
 from crossings.product_types import (
-    BRUTE_Q_LIMIT,
-    GRAPHETTE_MULTIPLIERS,
-    GRAPHETTE_SHAPES,
     PRODUCT_TYPES,
     TYPE_VERTEX_COUNT,
     _freq_from_sums,
@@ -142,7 +140,7 @@ class TestFreqBrute:
 
     def test_budget_guard_names_q_squared(self, monkeypatch):
         g = gen_family("complete", 10)  # |Q| = 630
-        monkeypatch.setattr(product_types, "BRUTE_Q_LIMIT", 100)
+        monkeypatch.setattr(census, "BRUTE_Q_LIMIT", 100)
         with pytest.raises(BudgetError, match=r"396900"):
             freq_brute(g)
 
@@ -231,8 +229,8 @@ class TestCountGraphette:
                 self.step()
                 return super().__and__(other)
 
-        original = product_types._neighbours
-        monkeypatch.setattr(product_types, "_neighbours",
+        original = census._neighbours
+        monkeypatch.setattr(census, "_neighbours",
                             lambda g: [Counted(s) for s in original(g)])
         g = Graph(n, [(1, 2), (2, 3), (3, 4), (1, 4)])
         assert count_graphette(g, "C4") == 1
@@ -240,7 +238,7 @@ class TestCountGraphette:
 
     def test_census_refuses_before_enumerating(self, monkeypatch):
         # K30: |Q| = 82,215, and about 6e8 4-matchings for L2+L2+L2+L2
-        monkeypatch.setattr(product_types, "_count_matchings", None)
+        monkeypatch.setattr(census, "_count_matchings", None)
         with pytest.raises(BudgetError, match="82215 exceeds the limit of 20000"):
             count_graphette(gen_family("complete", 30), "L2+L2+L2+L2")
 
@@ -248,7 +246,7 @@ class TestCountGraphette:
     def test_census_refuses_many_3_vertex_paths(self, monkeypatch, shape):
         # star(300): |Q| = 0 passes CENSUS_Q_LIMIT, but its C(299, 2) = 44,551
         # 3-vertex paths would take L3+L3 about 10^9 steps
-        monkeypatch.setattr(product_types, "_neighbours", None)
+        monkeypatch.setattr(census, "_neighbours", None)
         with pytest.raises(BudgetError, match="^3-vertex paths for the graphette "
                                               "census: 44551 exceeds the limit of 10000$"):
             count_graphette(gen_family("star", 300), shape)

@@ -40,7 +40,7 @@ def test_threads_only_in_the_estimator():
 
 def test_q_pairs_only_in_oracles():
     # Q has O(m^2) elements: only the brute-force oracles may enumerate it
-    allowed = {("product_types.py", "freq_brute")}
+    allowed = {("census.py", "freq_brute")}
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "graphs.py":
@@ -72,7 +72,7 @@ def test_no_neighbour_sets_read_from_a_graph():
 def test_graphette_census_independent_of_the_fast_path():
     # the census is an oracle that freq_fast is checked against: if it
     # reached the fast path's code, it would check that code against itself
-    tree = ast.parse((PACKAGE / "product_types.py").read_text(encoding="utf-8"))
+    tree = ast.parse((PACKAGE / "census.py").read_text(encoding="utf-8"))
     functions = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
 
     def names(function):

@@ -1,6 +1,8 @@
 """Which modules each command loads, each run in a fresh interpreter: the
-exact commands need no arrays and must start without numpy, and only `scan`
-and `validate` load the closed forms and the validation battery."""
+exact commands need no arrays and must start without numpy, only `scan`
+and `validate` load the closed forms and the validation battery, and each
+command compiles only the generators, census and counters it runs and
+builds only its own parser."""
 
 import os
 import subprocess
@@ -63,6 +65,74 @@ def test_cli_import_loads_only_shared_modules():
     loaded, unwanted = proc.stdout.splitlines()
     assert loaded == repr(CLI_MODULES)
     assert unwanted == "[]"
+
+
+# PROBE, then which of the modules that load on first use were loaded, and
+# which commands' parsers have arguments (a parser without any shows only -h)
+MAP_PROBE = PROBE + """
+from crossings.cli import build_parser
+print(sorted(k for k in ("crossings._counters", "crossings.census", "crossings.generators")
+             if k in sys.modules), file=sys.stderr)
+print([name for name, p in build_parser().commands.items()
+       if p.format_usage() != f"usage: crossings {name} [-h]\\n"], file=sys.stderr)
+"""
+ALL = ["analyze", "generate", "estimate", "ztest", "scan", "validate"]
+
+
+@pytest.mark.parametrize("argv,modules,parsers", [
+    (["analyze", "--input", "GRAPH", "--out", "json"], [], ["analyze"]),
+    (["ztest", "--input", "GRAPH", "--observed", "3"], [], ["ztest"]),
+    (["ztest", "--input", "GRAPH", "--arrangement", "ARR", "--out", "csv"], [], ["ztest"]),
+    (["analyze", "--family", "cycle", "--n", "10"], ["crossings.generators"], ["analyze"]),
+    (["analyze", "--graph6", "G6"], ["crossings.generators"], ["analyze"]),
+    (["generate", "--input", "GRAPH"], ["crossings.generators"], ["generate"]),
+    (["scan", "--family", "cycle", "--nmax", "6", "--mode", "theory"],
+     ["crossings.generators"], ["scan"]),
+    (["estimate", "--input", "GRAPH"], ["crossings._counters"], ["estimate"]),
+    (["estimate", "--input", "GRAPH", "--exhaustive-limit", "3", "--samples", "50"],
+     ["crossings._counters"], ["estimate"]),
+    (["validate", "trees", "--nmax", "5"],
+     ["crossings._counters", "crossings.census", "crossings.generators"], ["validate"]),
+    (["--version"], [], ALL),
+], ids=["analyze-input", "ztest-observed", "ztest-arrangement", "analyze-family",
+        "analyze-graph6", "generate-input", "scan-theory", "estimate-exhaustive",
+        "estimate-mc", "validate", "version"])
+def test_module_map(argv, modules, parsers, tmp_path):
+    graph, arrangement, g6 = tmp_path / "g.txt", tmp_path / "arr.txt", tmp_path / "c4.g6"
+    graph.write_text("7 8\n1 2\n2 3\n3 1\n3 4\n4 5\n5 6\n6 4\n6 7\n")
+    arrangement.write_text("5 2 7 1 3 6 4\n")
+    g6.write_text("Cr\n")
+    files = {"GRAPH": str(graph), "ARR": str(arrangement), "G6": str(g6)}
+    proc = fresh(MAP_PROBE, *(files.get(a, a) for a in argv))
+    *_, status, loaded, built = proc.stderr.strip().splitlines()
+    assert status.startswith("probe 0 "), proc.stderr
+    assert proc.stdout
+    assert loaded == repr(modules)
+    assert built == repr(parsers)
+
+
+# reports on stderr the thread that imports the counters, then runs PROBE
+COUNTERS_THREAD = """
+import sys, threading
+from importlib.abc import MetaPathFinder
+
+class Spy(MetaPathFinder):
+    def find_spec(self, name, path, target=None):
+        if name == "crossings._counters":
+            print("counters", threading.current_thread().name, file=sys.stderr)
+
+sys.meta_path.insert(0, Spy())
+""" + PROBE
+
+
+def test_monte_carlo_loads_the_counters_before_its_worker():
+    # a module the worker thread imports allocates in that thread's malloc
+    # arena, which raised an estimate process's peak RSS by 0.1-0.4 MB
+    proc = fresh(COUNTERS_THREAD, "estimate", "--family", "cycle", "--n", "12",
+                 "--samples", "200")
+    *_, imported, status = proc.stderr.strip().splitlines()
+    assert status == "probe 0 True", proc.stderr
+    assert imported == "counters MainThread"
 
 
 # the package's public names, those of closed_forms and validation loading

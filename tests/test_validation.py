@@ -17,7 +17,7 @@ from crossings import (
     variance_rla,
 )
 
-from crossings import product_types, validation
+from crossings import census, product_types, validation
 from crossings.graphs import BudgetError
 
 from conftest import nx_graph6_line, refuse_q_pairs
@@ -30,7 +30,7 @@ def _skipped_checks(report):
 class TestCheckGraphBudgets:
     def test_above_brute_limit_skips_both_q_checks(self, monkeypatch):
         g = gen_family("cycle", 6)  # |Q| = 9
-        monkeypatch.setattr(product_types, "BRUTE_Q_LIMIT", 8)
+        monkeypatch.setattr(census, "BRUTE_Q_LIMIT", 8)
         refuse_q_pairs(monkeypatch)
         report = validation.ValidationReport(corpus="c6")
         validation.check_graph(g, "c6", report)
@@ -41,7 +41,7 @@ class TestCheckGraphBudgets:
                    "9 exceeds the limit of 8" for s in report.skipped)
 
     def test_at_brute_limit_runs_both_q_checks(self, monkeypatch):
-        monkeypatch.setattr(product_types, "BRUTE_Q_LIMIT", 9)
+        monkeypatch.setattr(census, "BRUTE_Q_LIMIT", 9)
         report = validation.ValidationReport(corpus="c6")
         validation.check_graph(gen_family("cycle", 6), "c6", report)
         assert report.success and report.skipped == []
@@ -209,12 +209,12 @@ class TestValidateGraph6Corpus:
             validate_graph6_corpus(str(path))
 
     def test_line_over_edge_budget_named(self, tmp_path, monkeypatch):
-        from crossings import graphs
+        from crossings import generators
 
-        monkeypatch.setattr(graphs, "MAX_EDGES", 7)
+        monkeypatch.setattr(generators, "MAX_EDGES", 7)
         path = tmp_path / "c.g6"
         path.write_text("C~\nD~{\n")  # K4, then K5 with 10 edges
-        with pytest.raises(graphs.BudgetError,
+        with pytest.raises(BudgetError,
                            match=f"^{path}: line 2: edges: 10 exceeds the limit of 7$"):
             validate_graph6_corpus(str(path))
 
@@ -267,22 +267,22 @@ class TestValidateEr:
             validate_er(10, 0.2, trials=trials, seed=0)
 
     def test_census_budget_skip(self, monkeypatch):
-        monkeypatch.setattr(product_types, "CENSUS_Q_LIMIT", 1)
+        monkeypatch.setattr(census, "CENSUS_Q_LIMIT", 1)
         rep = validate_er(12, 0.5, trials=1, seed=2)
         assert rep.success
-        census = [s["detail"] for s in rep.skipped if s["check"] == "graphette_identities"]
-        assert len(census) == 1
-        assert census[0].startswith("|Q| for the graphette census: ")
-        assert census[0].endswith(" exceeds the limit of 1")
+        skipped = [s["detail"] for s in rep.skipped if s["check"] == "graphette_identities"]
+        assert len(skipped) == 1
+        assert skipped[0].startswith("|Q| for the graphette census: ")
+        assert skipped[0].endswith(" exceeds the limit of 1")
 
     def test_census_over_p3_budget_skipped(self, monkeypatch):
-        monkeypatch.setattr(product_types, "CENSUS_P3_LIMIT", 1)
+        monkeypatch.setattr(census, "CENSUS_P3_LIMIT", 1)
         rep = validate_er(12, 0.5, trials=1, seed=2)
         assert rep.success
-        census = [s["detail"] for s in rep.skipped if s["check"] == "graphette_identities"]
-        assert len(census) == 1
-        assert census[0].startswith("3-vertex paths for the graphette census: ")
-        assert census[0].endswith(" exceeds the limit of 1")
+        skipped = [s["detail"] for s in rep.skipped if s["check"] == "graphette_identities"]
+        assert len(skipped) == 1
+        assert skipped[0].startswith("3-vertex paths for the graphette census: ")
+        assert skipped[0].endswith(" exceeds the limit of 1")
 
     def test_large_graph_builds_no_q(self, monkeypatch):
         # |Q| is far above the brute-force limit, so Q is never enumerated
