@@ -41,9 +41,6 @@ EXIT_VALIDATION = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    commands: dict[str, _Parser]  # the subcommand parsers by name, top level only
-    has_arguments = False  # set on a command's parser once its arguments are added
-
     # usage errors exit 1 (argparse default is 2, reserved here for parse errors)
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -338,9 +335,9 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.success else EXIT_VALIDATION
 
 
-def _common(p, graph=True, out=True):
-    """Add the flags several commands share; return the --out action, if
-    one is added."""
+def _common(p, graph=True, out=("table", "csv", "json")):
+    """Add the flags several commands share; --out takes the choices `out`,
+    the first its default, and is left out if there are none."""
     if graph:
         _add_graph_args(p)
     p.add_argument("--seed", type=int, default=None,
@@ -349,12 +346,11 @@ def _common(p, graph=True, out=True):
     # since Monte Carlo counts in one worker thread whatever it says
     p.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
     if out:
-        return p.add_argument("--out", choices=("table", "csv", "json"),
-                              default="table")
+        p.add_argument("--out", choices=out, default=out[0])
 
 
 def _generate_args(p):
-    _common(p, out=False)  # edge-list text is its only output format
+    _common(p, out=())  # edge-list text is its only output format
 
 
 def _estimate_args(p):
@@ -391,8 +387,7 @@ def _validate_args(p):
     p.add_argument("--p", type=float)
     p.add_argument("--trials", type=int)
     p.add_argument("--exhaustive-limit", dest="exhaustive_limit", type=int)
-    out = _common(p, graph=False)
-    out.choices, out.default = ("json",), "json"  # reports are JSON only
+    _common(p, graph=False, out=("json",))  # reports are JSON only
 
 
 # each command: its help line, the function that runs it, and the one that
@@ -407,57 +402,54 @@ _COMMANDS = {
 }
 
 
+def _with_arguments(p: _Parser, name: str) -> _Parser:
+    """`p` with the arguments of command `name`, and the function that runs
+    it as `func`."""
+    _, func, add_arguments = _COMMANDS[name]
+    add_arguments(p)
+    p.set_defaults(func=func)
+    return p
+
+
+@functools.cache
+def _command_parser(name: str) -> _Parser:
+    """The parser of command `name` alone, built on first use: the parser
+    the top-level parser's add_parser makes for it."""
+    return _with_arguments(_Parser(prog=f"crossings {name}"), name)
+
+
 @functools.cache
 def build_parser() -> _Parser:
-    """The top-level parser, built on first use and reused by later calls.
-
-    Each command's parser is made with its name and help, but without its
-    arguments: `_command_parser` adds them on first use, so that a command
-    line builds only the parser of the command it runs.
-    """
+    """The top-level parser, holding every command's parser with its
+    arguments, built on first use and reused by later calls."""
     parser = _Parser(prog="crossings", description=__doc__)
     parser.add_argument("--version", action="version",
                         version=f"crossings {__version__}")
     sub = parser.add_subparsers(dest="cmd", required=True)
-    for name, (summary, func, _) in _COMMANDS.items():
-        sub.add_parser(name, help=summary).set_defaults(func=func)
-    parser.commands = sub.choices
+    for name, (summary, _, _) in _COMMANDS.items():
+        _with_arguments(sub.add_parser(name, help=summary), name)
     return parser
 
 
-def _command_parser(name: str) -> _Parser:
-    """The parser of command `name`, its arguments added on the first call."""
-    p = build_parser().commands[name]
-    if not p.has_arguments:
-        _COMMANDS[name][2](p)
-        p.has_arguments = True
-    return p
-
-
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """build_parser().parse_args(argv), parsing a known command's arguments
-    once, with only that command's parser built.
+    """build_parser().parse_args(argv), with a known command's arguments
+    parsed once, by that command's parser alone.
 
     The top-level parser would parse the whole command line and then have
     the command's parser parse the rest again, so a command line that starts
-    with a command goes straight to that parser; leftovers are refused by
-    the top-level parser, as argparse does. Every other command line goes
-    through the top-level parser, with every command's parser built first,
-    as does one holding an argument that starts with "--=": the top-level
-    parser refuses that as an ambiguous abbreviation of --help and
-    --version.
+    with a command goes straight to that command's parser, and the top-level
+    parser is built only to refuse leftovers, as argparse does. Every other
+    command line goes through the top-level parser, as does one holding an
+    argument that starts with "--=": the top-level parser refuses that as
+    an ambiguous abbreviation of --help and --version.
     """
-    parser = build_parser()
-    if argv and argv[0] in parser.commands and not any(
-            a.startswith("--=") for a in argv):
+    if argv and argv[0] in _COMMANDS and not any(a.startswith("--=") for a in argv):
         args, extras = _command_parser(argv[0]).parse_known_args(
             argv[1:], argparse.Namespace(cmd=argv[0]))
         if extras:
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
         return args
-    for name in parser.commands:
-        _command_parser(name)
-    return parser.parse_args(argv)
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

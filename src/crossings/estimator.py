@@ -259,7 +259,7 @@ def monte_carlo_moments(
     import numpy as np
 
     n = g.n
-    piece = max(1, _PIECE_BYTES // (8 * n))
+    piece = max(1, _PIECE_BYTES // (8 * max(n, 1)))  # a row of n = 0 holds nothing
 
     def chunks():
         for idx, start in enumerate(range(0, samples, MC_BLOCK)):

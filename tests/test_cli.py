@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 import time
 from fractions import Fraction
 
@@ -341,6 +342,15 @@ class TestEstimate:
                    for jobs in ((), ("--jobs", "1"), ("--jobs", "4"))]
         assert {(code, out) for code, out, _ in results} == {(0, results[0][1])}
         assert all("jobs=" not in err for _, _, err in results)
+
+    def test_monte_carlo_on_no_vertices(self, capsys, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("0 0\n")
+        code, out, _ = run(capsys, "estimate", "--input", str(path),
+                           "--exhaustive-limit", "-1", "--samples", "4", "--out", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert (data["mode"], data["mean"], data["variance"]) == ("monte_carlo", "0.0", "0.0")
 
     def test_monte_carlo_block_over_budget_exit_1(self, capsys, monkeypatch):
         monkeypatch.setattr(estimator, "MC_BLOCK_BYTES", 10**4)
@@ -1008,52 +1018,92 @@ class TestArgparseEdgeCases:
 
 
 # command lines that argparse answers itself, with help, a version or a
-# usage error, and one that runs
+# usage error, and some that run
 PARSER_LINES = [
     ["--help"], *([cmd, "--help"] for cmd in cli._COMMANDS),
+    ["-h"],
+    ["--version"],
+    ["--version", "analyze"],
     [],  # no command
     ["nope"],  # unknown command
+    ["anal", *STAR],  # a command's prefix
     ["--=x"],
     ["analyze", "--bogus"],  # unknown flag
+    ["analyze", "-h", "--bogus"],
     ["analyze", "--input"],  # missing value
+    ["analyze", "--inp", "x"],  # an abbreviation, of a missing file
     ["analyze", *STAR, "--out", "xml"],  # bad choice
     ["analyze", *STAR, "--=x"],
     ["analyze", *STAR, "--", "x"],
+    ["analyze", *STAR, "extra", "args"],
     ["estimate", *STAR, "--samples", "x"],  # bad int
+    ["estimate", *STAR, "--jobs"],
     ["generate", *STAR, "--out", "json"],  # a flag another command takes
     ["ztest", *STAR, "--observed"],
     ["scan", "--nmax", "6"],  # missing required flag
     ["validate"],  # missing positional
     ["validate", "nope"],
     ["validate", "trees", "--out", "table"],
+    ["validate", "trees", "--n", "3"],  # a flag the corpus does not read
     ["analyze", *STAR, "--out", "json"],
+    ["analyze", *STAR, "--jobs", "2"],
+    ["ztest", *STAR, "--observed", "2", "--out", "csv"],
+    ["scan", "--family", "cycle", "--nmax", "6", "--mode", "theory"],
+    ["validate", "families", "--nmax", "3"],
+    ["generate", "--family", "cycle", "--n", "5"],
 ]
 
 
 class TestPerCommandParser:
     """A command line builds only its command's parser; what it prints and
-    its exit code equal those of the parser with every command built."""
+    its exit code equal those of the top-level parser parsing the whole
+    line."""
 
     @pytest.fixture(autouse=True)
     def fixed_width(self, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
 
     @staticmethod
-    def outcome(capsys, argv, built):
-        cli.build_parser.cache_clear()  # every command's parser without arguments
-        for name in built:
-            cli._command_parser(name)
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        finally:
-            cli.build_parser.cache_clear()
+    def outcome(capsys, monkeypatch, argv, whole):
+        # neither side starts with a parser built
+        cli.build_parser.cache_clear()
+        cli._command_parser.cache_clear()
+        with monkeypatch.context() as patch:
+            if whole:
+                patch.setattr(cli, "_parse", lambda a: cli.build_parser().parse_args(a))
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            finally:
+                cli.build_parser.cache_clear()
+                cli._command_parser.cache_clear()
         captured = capsys.readouterr()
-        return code, captured.out, captured.err
+        # a validation report's wall-clock time differs between any two runs
+        out = re.sub(r'"elapsed_seconds": [0-9.]+', '"elapsed_seconds": T', captured.out)
+        return code, out, captured.err
 
     @pytest.mark.parametrize("argv", PARSER_LINES, ids=" ".join)
-    def test_same_bytes_as_the_whole_parser(self, capsys, argv):
-        whole = self.outcome(capsys, argv, cli._COMMANDS)
+    def test_same_bytes_as_the_whole_parser(self, capsys, monkeypatch, argv):
+        whole = self.outcome(capsys, monkeypatch, argv, whole=True)
         assert whole[1] or whole[2]
-        assert self.outcome(capsys, argv, ()) == whole
+        assert self.outcome(capsys, monkeypatch, argv, whole=False) == whole
+
+    @pytest.mark.parametrize("argv,built", [
+        (["estimate", *STAR, "--jobs", "x"], ["crossings estimate"]),
+        (["ztest", *STAR, "--observed", "1", "--bogus"],
+         ["crossings ztest", "crossings", *(f"crossings {c}" for c in cli._COMMANDS)]),
+    ], ids=["usage error", "leftovers"])
+    def test_parsers_built(self, capsys, monkeypatch, argv, built):
+        # a usage error of a command's parser builds no other parser, and
+        # leftovers build the top-level one to refuse them
+        made = []
+        init = cli._Parser.__init__
+
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            made.append(self.prog)
+
+        monkeypatch.setattr(cli._Parser, "__init__", spy)
+        self.outcome(capsys, monkeypatch, argv, whole=False)
+        assert made == built

@@ -533,6 +533,14 @@ class TestMonteCarlo:
         rep = monte_carlo_moments(gen_family("star", 20), samples=500, seed=1)
         assert rep.mean == 0 and rep.variance == 0
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_no_edges_on_at_most_one_vertex(self, n):
+        # every row has C = 0, as exhaustive enumeration finds; n = 0 draws
+        # empty rows
+        rep = monte_carlo_moments(Graph(n, []), samples=3, seed=2)
+        assert (rep.mean, rep.variance, rep.samples) == (0.0, 0.0, 3)
+        assert exhaustive_moments(Graph(n, [])).variance == 0
+
     def test_unbiased_divisor(self):
         # tiny T: reproduce the T-1 divisor by hand from the sampled values
         g = gen_family("cycle", 12)

@@ -67,32 +67,44 @@ def test_cli_import_loads_only_shared_modules():
     assert unwanted == "[]"
 
 
-# PROBE, then which of the modules that load on first use were loaded, and
-# which commands' parsers have arguments (a parser without any shows only -h)
-MAP_PROBE = PROBE + """
-from crossings.cli import build_parser
+# PROBE, recording the prog of each parser it builds, then which of the
+# modules that load on first use were loaded, and those progs
+MAP_PROBE = """
+import crossings.cli
+built = []
+init = crossings.cli._Parser.__init__
+
+def spy(self, *args, **kwargs):
+    init(self, *args, **kwargs)
+    built.append(self.prog)
+
+crossings.cli._Parser.__init__ = spy
+""" + PROBE + """
 print(sorted(k for k in ("crossings._counters", "crossings.census", "crossings.generators")
              if k in sys.modules), file=sys.stderr)
-print([name for name, p in build_parser().commands.items()
-       if p.format_usage() != f"usage: crossings {name} [-h]\\n"], file=sys.stderr)
+print(built, file=sys.stderr)
 """
-ALL = ["analyze", "generate", "estimate", "ztest", "scan", "validate"]
+ALL = ["crossings", *(f"crossings {name}" for name in
+                      ["analyze", "generate", "estimate", "ztest", "scan", "validate"])]
 
 
 @pytest.mark.parametrize("argv,modules,parsers", [
-    (["analyze", "--input", "GRAPH", "--out", "json"], [], ["analyze"]),
-    (["ztest", "--input", "GRAPH", "--observed", "3"], [], ["ztest"]),
-    (["ztest", "--input", "GRAPH", "--arrangement", "ARR", "--out", "csv"], [], ["ztest"]),
-    (["analyze", "--family", "cycle", "--n", "10"], ["crossings.generators"], ["analyze"]),
-    (["analyze", "--graph6", "G6"], ["crossings.generators"], ["analyze"]),
-    (["generate", "--input", "GRAPH"], ["crossings.generators"], ["generate"]),
+    (["analyze", "--input", "GRAPH", "--out", "json"], [], ["crossings analyze"]),
+    (["ztest", "--input", "GRAPH", "--observed", "3"], [], ["crossings ztest"]),
+    (["ztest", "--input", "GRAPH", "--arrangement", "ARR", "--out", "csv"], [],
+     ["crossings ztest"]),
+    (["analyze", "--family", "cycle", "--n", "10"], ["crossings.generators"],
+     ["crossings analyze"]),
+    (["analyze", "--graph6", "G6"], ["crossings.generators"], ["crossings analyze"]),
+    (["generate", "--input", "GRAPH"], ["crossings.generators"], ["crossings generate"]),
     (["scan", "--family", "cycle", "--nmax", "6", "--mode", "theory"],
-     ["crossings.generators"], ["scan"]),
-    (["estimate", "--input", "GRAPH"], ["crossings._counters"], ["estimate"]),
+     ["crossings.generators"], ["crossings scan"]),
+    (["estimate", "--input", "GRAPH"], ["crossings._counters"], ["crossings estimate"]),
     (["estimate", "--input", "GRAPH", "--exhaustive-limit", "3", "--samples", "50"],
-     ["crossings._counters"], ["estimate"]),
+     ["crossings._counters"], ["crossings estimate"]),
     (["validate", "trees", "--nmax", "5"],
-     ["crossings._counters", "crossings.census", "crossings.generators"], ["validate"]),
+     ["crossings._counters", "crossings.census", "crossings.generators"],
+     ["crossings validate"]),
     (["--version"], [], ALL),
 ], ids=["analyze-input", "ztest-observed", "ztest-arrangement", "analyze-family",
         "analyze-graph6", "generate-input", "scan-theory", "estimate-exhaustive",
