@@ -431,24 +431,86 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _plain_table(name: str):
+    """What a plain line of command `name` may hold, read from the actions
+    of its parser: each option string of a one-value store action mapped
+    to that action, the namespace of a line with no options, and the
+    required actions. None when the command takes a positional."""
+    parser = _command_parser(name)
+    options, defaults, required = {}, {"cmd": name}, set()
+    for action in parser._actions:
+        if not action.option_strings:
+            return None
+        # the defaults argparse gives a namespace, in its order
+        if (action.dest is not argparse.SUPPRESS
+                and action.default is not argparse.SUPPRESS):
+            defaults.setdefault(action.dest, action.default)
+        if type(action) is argparse._StoreAction and action.nargs is None:
+            options.update(dict.fromkeys(action.option_strings, action))
+            if action.required:
+                required.add(action)
+    for dest, value in parser._defaults.items():
+        defaults.setdefault(dest, value)
+    return options, defaults, required
+
+
+def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse makes of `argv`, a known command then
+    `--option value` pairs, each option string exactly one of the command's
+    one-value store options; or None for any other line, and for a value
+    that starts with "-", that its type refuses or that is not among its
+    choices, or a line that leaves out a required option."""
+    table = _plain_table(argv[0])
+    if table is None or len(argv) % 2 == 0:
+        return None
+    options, defaults, required = table
+    args = argparse.Namespace()
+    values = vars(args)  # Namespace(**defaults) would setattr each in Python
+    values.update(defaults)
+    given = set()
+    for option, value in zip(argv[1::2], argv[2::2]):
+        action = options.get(option)
+        if action is None or value.startswith("-"):
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except ValueError:
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value  # a repeated option keeps its last value
+        given.add(action)
+    if not required <= given:
+        return None
+    return args
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """build_parser().parse_args(argv), with a known command's arguments
-    parsed once, by that command's parser alone.
+    """build_parser().parse_args(argv), with a plain line of a known command
+    read from that command's parser's table (_parse_plain), and any other
+    line of a known command parsed once, by that command's parser alone.
 
     The top-level parser would parse the whole command line and then have
-    the command's parser parse the rest again, so a command line that starts
-    with a command goes straight to that command's parser, and the top-level
-    parser is built only to refuse leftovers, as argparse does. Every other
-    command line goes through the top-level parser, as does one holding an
-    argument that starts with "--=": the top-level parser refuses that as
-    an ambiguous abbreviation of --help and --version.
+    the command's parser parse the rest again, so a line that starts with a
+    command and that the table declines goes straight to that command's
+    parser, which prints any usage error, and the top-level parser is built
+    only to refuse leftovers, as argparse does. Every other command line
+    goes through the top-level parser, as does one holding an argument that
+    starts with "--=": the top-level parser refuses that as an ambiguous
+    abbreviation of --help and --version.
     """
-    if argv and argv[0] in _COMMANDS and not any(a.startswith("--=") for a in argv):
-        args, extras = _command_parser(argv[0]).parse_known_args(
-            argv[1:], argparse.Namespace(cmd=argv[0]))
-        if extras:
-            build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
-        return args
+    if argv and argv[0] in _COMMANDS:
+        args = _parse_plain(argv)
+        if args is not None:
+            return args
+        if not any(a.startswith("--=") for a in argv):
+            args, extras = _command_parser(argv[0]).parse_known_args(
+                argv[1:], argparse.Namespace(cmd=argv[0]))
+            if extras:
+                build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+            return args
     return build_parser().parse_args(argv)
 
 

@@ -9,6 +9,8 @@ commands and library calls that build or read such graphs load.
 
 from __future__ import annotations
 
+import io
+import os
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain, compress
@@ -168,10 +170,25 @@ def is_q_zero(g: Graph) -> str | None:
 def read_input_file(path: str, encoding: str) -> str:
     """The text of an input file. A file that cannot be opened or read, such
     as a missing file or a directory, or that is not `encoding` text, raises
-    a GraphFormatError naming the path."""
+    a GraphFormatError naming the path.
+
+    The file is read with os.read, with no buffered reader: first as many
+    bytes as fstat gives it and one more, which is the whole of a regular
+    file, then on in small reads until one returns no bytes, since a shorter
+    read is not the end of a pipe. Only that first read is sized to the
+    file: reading each small file in fixed 1 MiB reads raised a process's
+    peak RSS, as glibc then served later allocations of that size from the
+    heap.
+    """
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            chunks = [os.read(fd, os.fstat(fd).st_size + 1)]
+            while chunk := os.read(fd, io.DEFAULT_BUFFER_SIZE):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
+        data = b"".join(chunks)  # a single chunk is returned, not copied
     except OSError as exc:
         raise GraphFormatError(f"{path}: {exc.strerror or exc}") from None
     try:

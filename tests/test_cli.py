@@ -1,12 +1,17 @@
+import argparse
+import contextlib
 import csv
 import io
 import json
 import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossings import BudgetError, __version__, cli, estimator, gen_family
 from crossings.cli import main
@@ -918,8 +923,9 @@ class TestUsage:
         assert exc.value.code == 0
 
     def test_known_command_parsed_once(self, capsys, monkeypatch):
-        # the top-level parser hands a known subcommand's arguments straight
-        # to its parser; it does not parse them first itself
+        # a plain line is read from the command parser's table, with no
+        # argparse parse; any other form of a known command's line goes
+        # straight to that command's parser, not through the top-level one
         parsed_by = []
         original = cli._Parser.parse_known_args
 
@@ -928,11 +934,14 @@ class TestUsage:
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(cli._Parser, "parse_known_args", spy)
-        code, out, _ = run(capsys, "ztest", "--family", "cycle", "--n", "6",
-                           "--observed", "3", "--out", "json")
-        assert code == 0
-        assert json.loads(out)["Var"] == "16/5"
-        assert parsed_by == ["crossings ztest"]
+        line = ["ztest", "--family", "cycle", "--n", "6", "--observed", "3"]
+        for out_flag, parsers in ((["--out", "json"], []),
+                                  (["--out=json"], ["crossings ztest"])):
+            parsed_by.clear()
+            code, out, _ = run(capsys, *line, *out_flag)
+            assert code == 0
+            assert json.loads(out)["Var"] == "16/5"
+            assert parsed_by == parsers
 
 
 TOP_USAGE = ("usage: crossings [-h] [--version]\n"
@@ -1066,8 +1075,10 @@ class TestPerCommandParser:
     @staticmethod
     def outcome(capsys, monkeypatch, argv, whole):
         # neither side starts with a parser built
-        cli.build_parser.cache_clear()
-        cli._command_parser.cache_clear()
+        clear = (cli.build_parser.cache_clear, cli._command_parser.cache_clear,
+                 cli._plain_table.cache_clear)
+        for f in clear:
+            f()
         with monkeypatch.context() as patch:
             if whole:
                 patch.setattr(cli, "_parse", lambda a: cli.build_parser().parse_args(a))
@@ -1076,8 +1087,8 @@ class TestPerCommandParser:
             except SystemExit as exc:
                 code = exc.code
             finally:
-                cli.build_parser.cache_clear()
-                cli._command_parser.cache_clear()
+                for f in clear:
+                    f()
         captured = capsys.readouterr()
         # a validation report's wall-clock time differs between any two runs
         out = re.sub(r'"elapsed_seconds": [0-9.]+', '"elapsed_seconds": T', captured.out)
@@ -1107,3 +1118,109 @@ class TestPerCommandParser:
         monkeypatch.setattr(cli._Parser, "__init__", spy)
         self.outcome(capsys, monkeypatch, argv, whole=False)
         assert made == built
+
+
+# tokens a plain line must not be fooled by: abbreviations, an option with
+# its value, help, a double dash, the top-level parser's ambiguous "--="
+HOSTILE_OPTIONS = ["--inp", "--out=json", "-h", "--", "--=x"]
+# values argparse reads as numbers or strings, or refuses, and values that
+# start with "-"
+VALUES = ["", "-1", "-x", "nan", "1_0", "\u0663", "3", "0.5", "cycle", "xml", "json",
+          "theory", "trees", "extra"]
+
+
+def one_in(draw, k: int) -> bool:
+    return draw(st.integers(0, k - 1)) == 0
+
+
+@st.composite
+def command_lines(draw, cmd):
+    """A command line of `cmd` built from its own option strings, values
+    its options take and hostile tokens; repeats, a lone trailing option,
+    a bare positional and a missing required option among them."""
+    actions = cli._command_parser(cmd)._option_string_actions
+    options = sorted(actions)
+    required = [o for o in options if actions[o].required]
+    picked = [o for o in required if not one_in(draw, 4)]
+    picked += [draw(st.sampled_from(HOSTILE_OPTIONS if one_in(draw, 8) else options))
+               for _ in range(draw(st.integers(0, 5)))]
+    tokens = []
+    for option in draw(st.permutations(picked)):
+        action = actions.get(option)
+        if action is None or one_in(draw, 8):
+            value = draw(st.sampled_from(VALUES + HOSTILE_OPTIONS))
+        elif action.choices:
+            value = draw(st.sampled_from(sorted(action.choices) + ["xml"]))
+        else:
+            value = str(draw(st.integers(0, 12)))
+        tokens += [option, value]
+    if one_in(draw, 4):
+        tokens.append(draw(st.sampled_from(options)))
+    if one_in(draw, 4):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(VALUES)))
+    return [cmd, *tokens]
+
+
+def same_floats(namespace) -> dict:
+    # nan != nan, so floats are compared by their repr
+    return {k: repr(v) if isinstance(v, float) else v for k, v in vars(namespace).items()}
+
+
+class TestPlainLines:
+    """A plain line, a command then `--option value` pairs naming its
+    one-value options exactly, is read from the command parser's own
+    table; the namespace is the one argparse makes."""
+
+    @pytest.mark.parametrize("cmd", cli._COMMANDS)
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_declines_or_matches_argparse(self, cmd, data):
+        argv = data.draw(command_lines(cmd))
+        plain = cli._parse_plain(argv)
+        if plain is None:
+            return
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                args, extras = cli._command_parser(cmd).parse_known_args(
+                    argv[1:], argparse.Namespace(cmd=cmd))
+            except SystemExit:
+                pytest.fail(f"argparse refuses {argv}: {err.getvalue()}")
+        assert extras == [], argv
+        assert same_floats(plain) == same_floats(args), argv
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--inp", "g.txt"],
+        ["analyze", "--input=g.txt"],
+        ["analyze", "--input", "g.txt", "-h"],
+        ["analyze", "--input", "g.txt", "--", "x"],
+        ["analyze", "--input", "g.txt", "--=x", "y"],
+        ["analyze", "--input", "-x"],
+        ["ztest", "--input", "g.txt", "--seed", "-1"],
+        ["ztest", "--input", "g.txt", "--observed"],
+        ["ztest", "--input", "g.txt", "--observed", "x"],
+        ["ztest", "--input", "g.txt", "--out", "xml"],
+        ["scan", "--nmax", "6"],
+        ["validate", "trees"],
+        ["generate", "--family", "cycle", "--n", "5", "--out", "json"],
+    ], ids=" ".join)
+    def test_declines(self, argv):
+        assert cli._parse_plain(argv) is None
+
+    def test_repeated_option_keeps_its_last_value(self):
+        args = cli._parse_plain(["ztest", "--n", "4", "--observed", "1", "--n", "6"])
+        assert (args.n, args.observed, args.cmd, args.func) == (6, 1, "ztest", cli.cmd_ztest)
+
+    def test_every_workload_line_is_plain(self, monkeypatch, tmp_path):
+        # the benchmark's z-tests and analyses at seed 1 all skip argparse
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import workloads
+
+        lines = []
+        for build in workloads.BUILDERS.values():
+            builder = workloads.Builder(tmp_path, 1)
+            build(builder)
+            lines += [c.argv for c in builder.commands
+                      if c.tag == "ztest" or c.tag.startswith("analyze")]
+        assert len(lines) > 1000
+        assert [argv for argv in lines if cli._parse_plain(argv) is None] == []

@@ -1,4 +1,9 @@
 import math
+import os
+import sys
+import threading
+import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 from types import SimpleNamespace
@@ -615,21 +620,76 @@ class TestReadInputFile:
         with pytest.raises(GraphFormatError, match="line 3: expected integers"):
             parse_edge_list(read_input_file(str(path), "utf-8"))
 
-    @pytest.mark.parametrize("data,encoding", [
-        (b"\xff", "utf-8"),
-        (b"3 2\n1 2\n2 \xe2\x28\n", "utf-8"),  # a truncated 3-byte sequence
-        (b"3 2\n\xc3\xa9\n", "ascii"),
+    @pytest.mark.parametrize("data,encoding,reason", [
+        (b"\xff", "utf-8", "byte 0xff in position 0: invalid start byte"),
+        # a truncated 3-byte sequence
+        (b"3 2\n1 2\n2 \xe2\x28\n", "utf-8",
+         "byte 0xe2 in position 10: invalid continuation byte"),
+        (b"3 2\n\xc3\xa9\n", "ascii", "byte 0xc3 in position 4: ordinal not in range(128)"),
     ])
-    def test_undecodable(self, tmp_path, data, encoding):
+    def test_undecodable(self, tmp_path, data, encoding, reason):
         path = tmp_path / "bad"
         path.write_bytes(data)
-        with pytest.raises(GraphFormatError, match=f"not {encoding} text"):
+        with pytest.raises(GraphFormatError) as info:
             read_input_file(str(path), encoding)
+        assert str(info.value) == \
+            f"{path}: not {encoding} text ('{encoding}' codec can't decode {reason})"
 
     def test_unreadable_paths(self, tmp_path):
-        for path in (tmp_path / "missing", tmp_path):
-            with pytest.raises(GraphFormatError, match=str(path)):
+        for path, reason in ((tmp_path / "missing", "No such file or directory"),
+                             (tmp_path, "Is a directory")):
+            with pytest.raises(GraphFormatError) as info:
                 read_input_file(str(path), "utf-8")
+            assert str(info.value) == f"{path}: {reason}"
+
+    def test_large_file_round_trips(self, tmp_path):
+        text = "".join(f"{i} {i + 1} \u00e9\n" for i in range(300_000))  # about 3 MB
+        path = tmp_path / "large"
+        path.write_bytes(text.encode("utf-8"))
+        assert read_input_file(str(path), "utf-8") == text
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty"
+        path.write_bytes(b"")
+        assert read_input_file(str(path), "utf-8") == ""
+
+    def test_pipe_is_read_to_its_end(self, tmp_path):
+        # a pipe's reads come back short, in pieces, and fstat gives it no size
+        path = tmp_path / "fifo"
+        os.mkfifo(path)
+        pieces = [f"{k} {k + 1}\n".encode() * 5000 for k in range(20)]
+
+        def write():
+            with open(path, "wb", buffering=0) as fh:
+                for piece in pieces:
+                    fh.write(piece)
+                    time.sleep(0.005)
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        try:
+            text = read_input_file(str(path), "ascii")
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert text == b"".join(pieces).decode("ascii")
+
+    def test_bytes_are_not_copied(self, tmp_path):
+        # the peak holds the file's bytes and its text once each. In UTF-16
+        # each character takes 2 bytes in the file and 1 in the text, so a
+        # copy of the bytes, made before the text exists, peaks above that
+        text = "12 34\n" * (700 << 10)
+        data = text.encode("utf-16-le")  # about 8 MB
+        path = tmp_path / "eight_mb"
+        path.write_bytes(data)
+        tracemalloc.start()
+        try:
+            read = read_input_file(str(path), "utf-16-le")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert read == text
+        assert peak < len(data) + sys.getsizeof(read) + (1 << 20), peak
 
 
 def _small_ints(text) -> bool:
