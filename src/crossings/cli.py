@@ -47,20 +47,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_graph_args(p: argparse.ArgumentParser):
-    p.add_argument("--input", help="edge-list file (first line 'n m')")
-    p.add_argument("--graph6",
-                   help="graph6 file holding exactly one graph (for a corpus, "
-                        "use 'crossings validate graph6 --path')")
-    p.add_argument("--family", help="special family name")
-    p.add_argument("--n", type=int, help="family size")
-    p.add_argument("--n1", type=int,
-                   help="first part of complete_bipartite (or give --n), or "
-                        "star size of star_plus_isolated")
-    p.add_argument("--n2", type=int, help="second part of complete_bipartite")
-    p.add_argument("--p", type=float, help="edge probability (erdos_renyi)")
-
-
 def _resolve_seed(args) -> int:
     """--seed, else CROSSINGS_SEED, else 0; a value numpy cannot seed with is
     refused by its source's name."""
@@ -149,6 +135,14 @@ def _config_line(args) -> str:
     return "# " + " ".join(parts)
 
 
+def _write_csv(rows) -> None:
+    """Write `rows` to stdout as CSV, quoting only a field that holds a
+    comma, a quote or a newline (RFC 4180)."""
+    import csv  # imported on first use, so that no other output loads it
+
+    csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+
+
 def _emit_mapping(pairs: list[tuple[str, str]], out: str):
     if out == "json":
         # json.dumps(dict(pairs), indent=2), but with the C string encoder:
@@ -157,8 +151,7 @@ def _emit_mapping(pairs: list[tuple[str, str]], out: str):
         print("{\n" + ",\n".join(f"  {enc(k)}: {enc(v)}" for k, v in dict(pairs).items())
               + "\n}")
     elif out == "csv":
-        print(",".join(k for k, _ in pairs))
-        print(",".join(v for _, v in pairs))
+        _write_csv(zip(*pairs))  # the keys, then the values
     else:
         width = max(len(k) for k, _ in pairs)
         for k, v in pairs:
@@ -278,9 +271,7 @@ def cmd_scan(args) -> int:
         for r in rows:
             print("  ".join(cells(r)))
     else:
-        print(",".join(header))
-        for r in rows:
-            print(",".join(cells(r)))
+        _write_csv([header, *map(cells, rows)])
     return EXIT_OK
 
 
@@ -335,134 +326,118 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.success else EXIT_VALIDATION
 
 
-def _common(p, graph=True, out=("table", "csv", "json")):
-    """Add the flags several commands share; --out takes the choices `out`,
+# the options of the commands that take a graph, in help order; every
+# option, of every command, takes one value
+_GRAPH = (
+    ("--input", dict(help="edge-list file (first line 'n m')")),
+    ("--graph6", dict(help="graph6 file holding exactly one graph (for a corpus, "
+                           "use 'crossings validate graph6 --path')")),
+    ("--family", dict(help="special family name")),
+    ("--n", dict(type=int, help="family size")),
+    ("--n1", dict(type=int, help="first part of complete_bipartite (or give --n), or "
+                                 "star size of star_plus_isolated")),
+    ("--n2", dict(type=int, help="second part of complete_bipartite")),
+    ("--p", dict(type=float, help="edge probability (erdos_renyi)")),
+)
+_SAMPLING = (
+    ("--samples", dict(type=int, default=DEFAULT_SAMPLES)),
+    ("--exhaustive-limit", dict(type=int, default=DEFAULT_EXHAUSTIVE_LIMIT)),
+)
+
+
+def _shared(out=("table", "csv", "json")):
+    """The options several commands share; --out takes the choices `out`,
     the first its default, and is left out if there are none."""
-    if graph:
-        _add_graph_args(p)
-    p.add_argument("--seed", type=int, default=None,
-                   help="PRNG seed (fallback: CROSSINGS_SEED, then 0)")
-    # accepted so that existing command lines keep working; ignored,
-    # since Monte Carlo counts in one worker thread whatever it says
-    p.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
-    if out:
-        p.add_argument("--out", choices=out, default=out[0])
+    return (
+        ("--seed", dict(type=int, help="PRNG seed (fallback: CROSSINGS_SEED, then 0)")),
+        # accepted so that existing command lines keep working; ignored,
+        # since Monte Carlo counts in one worker thread whatever it says
+        ("--jobs", dict(type=int, help=argparse.SUPPRESS)),
+    ) + ((("--out", dict(choices=out, default=out[0])),) if out else ())
 
 
-def _generate_args(p):
-    _common(p, out=())  # edge-list text is its only output format
-
-
-def _estimate_args(p):
-    _common(p)
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p.add_argument("--exhaustive-limit", dest="exhaustive_limit",
-                   type=int, default=DEFAULT_EXHAUSTIVE_LIMIT)
-
-
-def _ztest_args(p):
-    _common(p)
-    p.add_argument("--arrangement", help="arrangement file (positions line)")
-    p.add_argument("--observed", type=int, help="observed crossing count")
-
-
-def _scan_args(p):
-    p.add_argument("--family", required=True)
-    p.add_argument("--nmin", type=int, default=4)
-    p.add_argument("--nmax", type=int, default=20)
-    p.add_argument("--mode", choices=("auto", "exhaustive", "monte_carlo", "theory"),
-                   default="auto")
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p.add_argument("--exhaustive-limit", dest="exhaustive_limit",
-                   type=int, default=DEFAULT_EXHAUSTIVE_LIMIT)
-    _common(p, graph=False)
-
-
-def _validate_args(p):
-    p.add_argument("what", choices=tuple(_VALIDATE_READS))
-    p.add_argument("--nmax", type=int)
-    p.add_argument("--path", help="graph6 corpus file (what=graph6)")
-    p.add_argument("--limit", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--p", type=float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--exhaustive-limit", dest="exhaustive_limit", type=int)
-    _common(p, graph=False, out=("json",))  # reports are JSON only
-
-
-# each command: its help line, the function that runs it, and the one that
-# adds its arguments to its parser
+# each command: its help line, the function that runs it, and its
+# arguments in help order, each an option string (or a positional's name)
+# with the keywords of its add_argument; build_parser and the plain-line
+# table both read them, so that each option is declared here alone
 _COMMANDS = {
-    "analyze": ("exact |Q|, E[C], Var[C] and frequencies", cmd_analyze, _common),
-    "generate": ("emit a graph as edge-list text", cmd_generate, _generate_args),
-    "estimate": ("empirical moments of C", cmd_estimate, _estimate_args),
-    "ztest": ("z-score of an observed crossing count", cmd_ztest, _ztest_args),
-    "scan": ("theory vs estimates across a size range", cmd_scan, _scan_args),
-    "validate": ("run a cross-validation battery", cmd_validate, _validate_args),
+    "analyze": ("exact |Q|, E[C], Var[C] and frequencies", cmd_analyze,
+                _GRAPH + _shared()),
+    "generate": ("emit a graph as edge-list text", cmd_generate,
+                 _GRAPH + _shared(out=())),  # edge-list text is its only output format
+    "estimate": ("empirical moments of C", cmd_estimate, _GRAPH + _shared() + _SAMPLING),
+    "ztest": ("z-score of an observed crossing count", cmd_ztest, _GRAPH + _shared() + (
+        ("--arrangement", dict(help="arrangement file (positions line)")),
+        ("--observed", dict(type=int, help="observed crossing count")),
+    )),
+    "scan": ("theory vs estimates across a size range", cmd_scan, (
+        ("--family", dict(required=True)),
+        ("--nmin", dict(type=int, default=4)),
+        ("--nmax", dict(type=int, default=20)),
+        ("--mode", dict(choices=("auto", "exhaustive", "monte_carlo", "theory"),
+                        default="auto")),
+    ) + _SAMPLING + _shared()),
+    "validate": ("run a cross-validation battery", cmd_validate, (
+        ("what", dict(choices=tuple(_VALIDATE_READS))),
+        ("--nmax", dict(type=int)),
+        ("--path", dict(help="graph6 corpus file (what=graph6)")),
+        ("--limit", dict(type=int)),
+        ("--n", dict(type=int)),
+        ("--p", dict(type=float)),
+        ("--trials", dict(type=int)),
+        ("--exhaustive-limit", dict(type=int)),
+    ) + _shared(out=("json",))),  # reports are JSON only
 }
-
-
-def _with_arguments(p: _Parser, name: str) -> _Parser:
-    """`p` with the arguments of command `name`, and the function that runs
-    it as `func`."""
-    _, func, add_arguments = _COMMANDS[name]
-    add_arguments(p)
-    p.set_defaults(func=func)
-    return p
-
-
-@functools.cache
-def _command_parser(name: str) -> _Parser:
-    """The parser of command `name` alone, built on first use: the parser
-    the top-level parser's add_parser makes for it."""
-    return _with_arguments(_Parser(prog=f"crossings {name}"), name)
 
 
 @functools.cache
 def build_parser() -> _Parser:
-    """The top-level parser, holding every command's parser with its
-    arguments, built on first use and reused by later calls."""
+    """The top-level parser, holding a parser for each command with the
+    arguments _COMMANDS declares: the only argparse parsers the CLI builds,
+    made on first use and reused by later calls."""
     parser = _Parser(prog="crossings", description=__doc__)
     parser.add_argument("--version", action="version",
                         version=f"crossings {__version__}")
     sub = parser.add_subparsers(dest="cmd", required=True)
-    for name, (summary, _, _) in _COMMANDS.items():
-        _with_arguments(sub.add_parser(name, help=summary), name)
+    for name, (summary, func, arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        for flag, keywords in arguments:
+            command.add_argument(flag, **keywords)
+        command.set_defaults(func=func)
     return parser
 
 
 @functools.cache
 def _plain_table(name: str):
-    """What a plain line of command `name` may hold, read from the actions
-    of its parser: each option string of a one-value store action mapped
-    to that action, the namespace of a line with no options, and the
-    required actions. None when the command takes a positional."""
-    parser = _command_parser(name)
+    """What a plain line of command `name` may hold, read from its
+    declaration in _COMMANDS: each option string mapped to the dest, type
+    and choices argparse gives it, the namespace of a line with no options,
+    and the required option strings. None when the command takes a
+    positional."""
+    _, func, arguments = _COMMANDS[name]
     options, defaults, required = {}, {"cmd": name}, set()
-    for action in parser._actions:
-        if not action.option_strings:
+    for flag, keywords in arguments:
+        if not flag.startswith("-"):
             return None
-        # the defaults argparse gives a namespace, in its order
-        if (action.dest is not argparse.SUPPRESS
-                and action.default is not argparse.SUPPRESS):
-            defaults.setdefault(action.dest, action.default)
-        if type(action) is argparse._StoreAction and action.nargs is None:
-            options.update(dict.fromkeys(action.option_strings, action))
-            if action.required:
-                required.add(action)
-    for dest, value in parser._defaults.items():
-        defaults.setdefault(dest, value)
+        dest = flag.lstrip("-").replace("-", "_")  # as argparse derives it
+        options[flag] = dest, keywords.get("type"), keywords.get("choices")
+        defaults[dest] = keywords.get("default")
+        if keywords.get("required"):
+            required.add(flag)
+    defaults["func"] = func
     return options, defaults, required
 
 
 def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
     """The namespace argparse makes of `argv`, a known command then
-    `--option value` pairs, each option string exactly one of the command's
-    one-value store options; or None for any other line, and for a value
-    that starts with "-", that its type refuses or that is not among its
-    choices, or a line that leaves out a required option."""
+    `--option value` pairs, each option string exactly one the command
+    declares; or None for any other line, and for a value that starts with
+    "-", that its type refuses or that is not among its choices, or a line
+    that leaves out a required option."""
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
     table = _plain_table(argv[0])
-    if table is None or len(argv) % 2 == 0:
+    if table is None:
         return None
     options, defaults, required = table
     args = argparse.Namespace()
@@ -470,48 +445,30 @@ def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
     values.update(defaults)
     given = set()
     for option, value in zip(argv[1::2], argv[2::2]):
-        action = options.get(option)
-        if action is None or value.startswith("-"):
+        known = options.get(option)
+        if known is None or value.startswith("-"):
             return None
-        if action.type is not None:
+        dest, convert, choices = known
+        if convert is not None:
             try:
-                value = action.type(value)
+                value = convert(value)
             except ValueError:
                 return None
-        if action.choices is not None and value not in action.choices:
+        if choices is not None and value not in choices:
             return None
-        values[action.dest] = value  # a repeated option keeps its last value
-        given.add(action)
+        values[dest] = value  # a repeated option keeps its last value
+        given.add(option)
     if not required <= given:
         return None
     return args
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """build_parser().parse_args(argv), with a plain line of a known command
-    read from that command's parser's table (_parse_plain), and any other
-    line of a known command parsed once, by that command's parser alone.
-
-    The top-level parser would parse the whole command line and then have
-    the command's parser parse the rest again, so a line that starts with a
-    command and that the table declines goes straight to that command's
-    parser, which prints any usage error, and the top-level parser is built
-    only to refuse leftovers, as argparse does. Every other command line
-    goes through the top-level parser, as does one holding an argument that
-    starts with "--=": the top-level parser refuses that as an ambiguous
-    abbreviation of --help and --version.
-    """
-    if argv and argv[0] in _COMMANDS:
-        args = _parse_plain(argv)
-        if args is not None:
-            return args
-        if not any(a.startswith("--=") for a in argv):
-            args, extras = _command_parser(argv[0]).parse_known_args(
-                argv[1:], argparse.Namespace(cmd=argv[0]))
-            if extras:
-                build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
-            return args
-    return build_parser().parse_args(argv)
+    """build_parser().parse_args(argv): a plain line is read from its
+    command's declaration (_parse_plain) and builds no parser; any other
+    line goes to the top-level parser, which prints any usage error."""
+    args = _parse_plain(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import csv
 import io
@@ -498,6 +497,20 @@ class TestZtest:
         assert code == 0
         assert "degenerate" in out
 
+    def test_degenerate_csv_reads_back_as_its_json(self, capsys):
+        # the note holds a comma, so its csv field is quoted
+        line = ["ztest", "--family", "star", "--n", "5", "--observed", "0", "--out"]
+        _, csv_out, _ = run(capsys, *line, "csv")
+        _, json_out, _ = run(capsys, *line, "json")
+        assert list(csv.DictReader(io.StringIO(csv_out))) == [json.loads(json_out)]
+        assert csv_out.endswith(',"degenerate: Var[C] = 0, C is constant; no z-score",1\n')
+
+    def test_csv_fields_without_a_comma_are_not_quoted(self, capsys):
+        code, out, _ = run(capsys, "ztest", "--family", "cycle", "--n", "6",
+                           "--observed", "2", "--out", "csv")
+        assert code == 0
+        assert out == "C,E,Var,z,chebyshev_pbound\n2,3,16/5,-0.559016994375,1\n"
+
     def test_observed_builds_no_q(self, capsys, monkeypatch):
         refuse_q_pairs(monkeypatch)
         code, out, _ = run(capsys, "ztest", "--family", "one_regular", "--n", "8",
@@ -922,10 +935,10 @@ class TestUsage:
             main(["--version"])
         assert exc.value.code == 0
 
-    def test_known_command_parsed_once(self, capsys, monkeypatch):
-        # a plain line is read from the command parser's table, with no
-        # argparse parse; any other form of a known command's line goes
-        # straight to that command's parser, not through the top-level one
+    def test_only_a_declined_line_is_parsed_by_argparse(self, capsys, monkeypatch):
+        # a plain line is read from the command's declaration, with no
+        # argparse parse; any other form of it goes to the top-level parser,
+        # which hands the command's arguments to that command's parser
         parsed_by = []
         original = cli._Parser.parse_known_args
 
@@ -936,7 +949,7 @@ class TestUsage:
         monkeypatch.setattr(cli._Parser, "parse_known_args", spy)
         line = ["ztest", "--family", "cycle", "--n", "6", "--observed", "3"]
         for out_flag, parsers in ((["--out", "json"], []),
-                                  (["--out=json"], ["crossings ztest"])):
+                                  (["--out=json"], ["crossings", "crossings ztest"])):
             parsed_by.clear()
             code, out, _ = run(capsys, *line, *out_flag)
             assert code == 0
@@ -1063,10 +1076,13 @@ PARSER_LINES = [
 ]
 
 
-class TestPerCommandParser:
-    """A command line builds only its command's parser; what it prints and
-    its exit code equal those of the top-level parser parsing the whole
-    line."""
+ALL_PARSERS = ["crossings", *(f"crossings {c}" for c in cli._COMMANDS)]
+
+
+class TestParseRoutes:
+    """A plain line builds no parser, and any other line the top-level
+    parser with every command's; what a command line prints and its exit
+    code equal those of the top-level parser parsing the whole line."""
 
     @pytest.fixture(autouse=True)
     def fixed_width(self, monkeypatch):
@@ -1075,8 +1091,7 @@ class TestPerCommandParser:
     @staticmethod
     def outcome(capsys, monkeypatch, argv, whole):
         # neither side starts with a parser built
-        clear = (cli.build_parser.cache_clear, cli._command_parser.cache_clear,
-                 cli._plain_table.cache_clear)
+        clear = (cli.build_parser.cache_clear, cli._plain_table.cache_clear)
         for f in clear:
             f()
         with monkeypatch.context() as patch:
@@ -1101,13 +1116,13 @@ class TestPerCommandParser:
         assert self.outcome(capsys, monkeypatch, argv, whole=False) == whole
 
     @pytest.mark.parametrize("argv,built", [
-        (["estimate", *STAR, "--jobs", "x"], ["crossings estimate"]),
-        (["ztest", *STAR, "--observed", "1", "--bogus"],
-         ["crossings ztest", "crossings", *(f"crossings {c}" for c in cli._COMMANDS)]),
-    ], ids=["usage error", "leftovers"])
+        (["estimate", *STAR, "--jobs", "2", "--out", "json"], []),
+        (["estimate", *STAR, "--jobs", "x"], ALL_PARSERS),
+        (["ztest", *STAR, "--observed", "1", "--bogus"], ALL_PARSERS),
+    ], ids=["plain", "usage error", "leftovers"])
     def test_parsers_built(self, capsys, monkeypatch, argv, built):
-        # a usage error of a command's parser builds no other parser, and
-        # leftovers build the top-level one to refuse them
+        # a plain line builds no parser; any other line of a known command
+        # builds the top-level parser, with every command's, as --version does
         made = []
         init = cli._Parser.__init__
 
@@ -1122,7 +1137,7 @@ class TestPerCommandParser:
 
 # tokens a plain line must not be fooled by: abbreviations, an option with
 # its value, help, a double dash, the top-level parser's ambiguous "--="
-HOSTILE_OPTIONS = ["--inp", "--out=json", "-h", "--", "--=x"]
+HOSTILE_OPTIONS = ["--inp", "--out=json", "-h", "--help", "--", "--=x"]
 # values argparse reads as numbers or strings, or refuses, and values that
 # start with "-"
 VALUES = ["", "-1", "-x", "nan", "1_0", "\u0663", "3", "0.5", "cycle", "xml", "json",
@@ -1135,22 +1150,23 @@ def one_in(draw, k: int) -> bool:
 
 @st.composite
 def command_lines(draw, cmd):
-    """A command line of `cmd` built from its own option strings, values
-    its options take and hostile tokens; repeats, a lone trailing option,
-    a bare positional and a missing required option among them."""
-    actions = cli._command_parser(cmd)._option_string_actions
-    options = sorted(actions)
-    required = [o for o in options if actions[o].required]
+    """A command line of `cmd` built from the option strings it declares,
+    values its options take and hostile tokens; repeats, a lone trailing
+    option, a bare positional and a missing required option among them."""
+    declared = {flag: keywords for flag, keywords in cli._COMMANDS[cmd][2]
+                if flag.startswith("-")}
+    options = sorted(declared)
+    required = [o for o in options if declared[o].get("required")]
     picked = [o for o in required if not one_in(draw, 4)]
     picked += [draw(st.sampled_from(HOSTILE_OPTIONS if one_in(draw, 8) else options))
                for _ in range(draw(st.integers(0, 5)))]
     tokens = []
     for option in draw(st.permutations(picked)):
-        action = actions.get(option)
-        if action is None or one_in(draw, 8):
+        keywords = declared.get(option)
+        if keywords is None or one_in(draw, 8):
             value = draw(st.sampled_from(VALUES + HOSTILE_OPTIONS))
-        elif action.choices:
-            value = draw(st.sampled_from(sorted(action.choices) + ["xml"]))
+        elif "choices" in keywords:
+            value = draw(st.sampled_from(sorted(keywords["choices"]) + ["xml"]))
         else:
             value = str(draw(st.integers(0, 12)))
         tokens += [option, value]
@@ -1168,8 +1184,8 @@ def same_floats(namespace) -> dict:
 
 class TestPlainLines:
     """A plain line, a command then `--option value` pairs naming its
-    one-value options exactly, is read from the command parser's own
-    table; the namespace is the one argparse makes."""
+    options exactly, is read from the command's declaration; the namespace
+    is the one the top-level parser makes."""
 
     @pytest.mark.parametrize("cmd", cli._COMMANDS)
     @settings(max_examples=250, deadline=None, derandomize=True)
@@ -1182,11 +1198,9 @@ class TestPlainLines:
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()) as err:
             try:
-                args, extras = cli._command_parser(cmd).parse_known_args(
-                    argv[1:], argparse.Namespace(cmd=cmd))
+                args = cli.build_parser().parse_args(argv)
             except SystemExit:
                 pytest.fail(f"argparse refuses {argv}: {err.getvalue()}")
-        assert extras == [], argv
         assert same_floats(plain) == same_floats(args), argv
 
     @pytest.mark.parametrize("argv", [
@@ -1212,15 +1226,19 @@ class TestPlainLines:
         assert (args.n, args.observed, args.cmd, args.func) == (6, 1, "ztest", cli.cmd_ztest)
 
     def test_every_workload_line_is_plain(self, monkeypatch, tmp_path):
-        # the benchmark's z-tests and analyses at seed 1 all skip argparse
+        # every command the benchmark's workloads run at seeds 1 and 2 skips
+        # argparse: z-tests, analyses, and exhaustive and Monte Carlo estimates
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
         import workloads
 
         lines = []
-        for build in workloads.BUILDERS.values():
-            builder = workloads.Builder(tmp_path, 1)
-            build(builder)
-            lines += [c.argv for c in builder.commands
-                      if c.tag == "ztest" or c.tag.startswith("analyze")]
-        assert len(lines) > 1000
+        for seed in (1, 2):
+            for build in workloads.BUILDERS.values():
+                builder = workloads.Builder(tmp_path, seed)
+                build(builder)
+                lines += [c.argv for c in builder.commands]
+        assert len(lines) > 2000
+        assert {argv[0] for argv in lines} == {"analyze", "estimate", "ztest"}
+        assert {"--jobs", "--samples", "--seed"} <= {
+            token for argv in lines if argv[0] == "estimate" for token in argv}
         assert [argv for argv in lines if cli._parse_plain(argv) is None] == []

@@ -193,3 +193,18 @@ def test_readme_library_example_runs():
     assert blocks, "README has no python example"
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def test_no_argparse_internals_read():
+    # argparse's private names change between Python versions; the CLI
+    # declares its options itself and reads that declaration
+    private = {"_actions", "_defaults", "_option_string_actions", "_subparsers",
+               "_StoreAction"}
+    found = [
+        f"{path.name}:{node.lineno}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for name in (getattr(node, "attr", None), getattr(node, "id", None))
+        if name in private
+    ]
+    assert not found, f"argparse internals read in the library: {found}"

@@ -2,7 +2,7 @@
 exact commands need no arrays and must start without numpy, only `scan`
 and `validate` load the closed forms and the validation battery, and each
 command compiles only the generators, census and counters it runs and
-builds only its own parser."""
+builds an argparse parser only for a line it cannot read as plain."""
 
 import os
 import subprocess
@@ -89,22 +89,20 @@ ALL = ["crossings", *(f"crossings {name}" for name in
 
 
 @pytest.mark.parametrize("argv,modules,parsers", [
-    (["analyze", "--input", "GRAPH", "--out", "json"], [], ["crossings analyze"]),
-    (["ztest", "--input", "GRAPH", "--observed", "3"], [], ["crossings ztest"]),
-    (["ztest", "--input", "GRAPH", "--arrangement", "ARR", "--out", "csv"], [],
-     ["crossings ztest"]),
-    (["analyze", "--family", "cycle", "--n", "10"], ["crossings.generators"],
-     ["crossings analyze"]),
-    (["analyze", "--graph6", "G6"], ["crossings.generators"], ["crossings analyze"]),
-    (["generate", "--input", "GRAPH"], ["crossings.generators"], ["crossings generate"]),
+    (["analyze", "--input", "GRAPH", "--out", "json"], [], []),
+    (["ztest", "--input", "GRAPH", "--observed", "3"], [], []),
+    (["ztest", "--input", "GRAPH", "--arrangement", "ARR", "--out", "csv"], [], []),
+    (["analyze", "--family", "cycle", "--n", "10"], ["crossings.generators"], []),
+    (["analyze", "--graph6", "G6"], ["crossings.generators"], []),
+    (["generate", "--input", "GRAPH"], ["crossings.generators"], []),
     (["scan", "--family", "cycle", "--nmax", "6", "--mode", "theory"],
-     ["crossings.generators"], ["crossings scan"]),
-    (["estimate", "--input", "GRAPH"], ["crossings._counters"], ["crossings estimate"]),
+     ["crossings.generators"], []),
+    (["estimate", "--input", "GRAPH"], ["crossings._counters"], []),
     (["estimate", "--input", "GRAPH", "--exhaustive-limit", "3", "--samples", "50"],
-     ["crossings._counters"], ["crossings estimate"]),
+     ["crossings._counters"], []),
     (["validate", "trees", "--nmax", "5"],
      ["crossings._counters", "crossings.census", "crossings.generators"],
-     ["crossings validate"]),
+     ALL),
     (["--version"], [], ALL),
 ], ids=["analyze-input", "ztest-observed", "ztest-arrangement", "analyze-family",
         "analyze-graph6", "generate-input", "scan-theory", "estimate-exhaustive",
